@@ -178,16 +178,6 @@ def bracket_drop(log_f, peak, g_peak, *, drop=80.0, side, hard_limit=None, iters
                 if not np.any(high):
                     break
                 outer = np.where(high, peak + (outer - peak) * 2.0, outer)
-        if hard_limit is not None:
-            still_high = log_f(outer) > target
-            done_edge = still_high & (outer >= hard_limit)
-            if np.any(done_edge):
-                # boundary-dominated rows keep the hard limit as endpoint
-                result_edge = outer
-            else:
-                result_edge = None
-        else:
-            result_edge = None
         lo, hi = peak, outer
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .toeplitz import (CompactSupportTail, ExponentialTail, PowerLawTail,
                        RadialProfile, ToeplitzModel)
@@ -114,6 +113,8 @@ def levelset_count(u, s: float, b0: float, r_max: float = 1e6,
     (the level set is a union of annuli); 2-D callables fall back to grid
     counting on an adaptive box.  Unbounded level sets are rejected.
     """
+    from scipy.optimize import brentq
+
     if not s > 0:
         raise ValueError("level must be positive")
     if isinstance(u, RadialProfile):

@@ -202,18 +202,10 @@ def _cauchy_counting_integral(spec: LogSpectrum, scale: float) -> float:
     accumulated as count * (arctan step) over the constancy intervals,
     which is a genuinely different evaluation path from the arctan sum.
     """
-    lv = np.sort(spec.log_values[spec.signs == 1])  # ascending eigenvalues
-    if lv.size == 0:
-        return 0.0
-    log_t = lv - math.log(scale)
-    at = _arctan_of_log_ratio(log_t, 0.0)
-    total = 0.0
-    prev = 0.0
-    n = lv.size
-    for i in range(n):
-        total += (n - i) * (at[i] - prev)
-        prev = at[i]
-    return float(total)
+    lv = spec.log_values[spec.signs == 1][::-1]  # ascending eigenvalues
+    at = _arctan_of_log_ratio(lv - math.log(scale), 0.0)
+    counts = np.arange(lv.size, 0, -1, dtype=float)
+    return float(np.dot(counts, np.diff(at, prepend=0.0)))
 
 
 def trace_arctan_omega1(lam: float, s: float, wplus_spec: LogSpectrum,
@@ -446,7 +438,8 @@ class SsfEstimator:
         """
         budget = max(ARC_TAIL_TOL, 1e-2 * abs(trace_value))
         for model, edge in ((self.wplus_model, "+"), (self.wminus_model, "-")):
-            lv = np.sort(model.spectrum.log_values[model.spectrum.signs == 1])
+            spec = model.spectrum
+            lv = spec.log_values[spec.signs == 1][::-1]  # ascending
             if lv.size < 4:
                 continue
             ratio = math.exp(lv[0] - lv[1])  # local decay at the bottom

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,3 +182,16 @@ def test_compact_law_natural_log_point():
     # s = e^-100 gives exactly 100 / log(100)
     assert phi_inf(math.exp(-100.0)) == pytest.approx(100.0 / math.log(100.0),
                                                       rel=1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # brentq is imported inside levelset_count, its only user
+    import diracssf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracssf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, diracssf; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

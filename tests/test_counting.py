@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracssf.counting import (
     LogSpectrum,
@@ -194,3 +196,51 @@ def test_log_spectrum_scaling_and_union():
     merged = spec.union(scaled)
     assert len(merged) == 4
     assert merged.n_plus(1.5) == 2
+
+
+def log_spectra(max_size=40):
+    """LogSpectrum with ties, exact zeros and both signs."""
+    entry = st.one_of(
+        st.tuples(st.sampled_from([-1, 1]),
+                  st.sampled_from([-3.0, 0.0, 2.5])
+                  | st.floats(-700.0, 700.0, allow_nan=False)),
+        st.just((0, 0.0)),
+    )
+    return st.lists(entry, max_size=max_size).map(
+        lambda es: LogSpectrum(np.array([lv for _, lv in es], dtype=float),
+                               np.array([sg for sg, _ in es], dtype=np.int8)))
+
+
+def assert_stored_order(spec):
+    """Descending by signed value: +1 block by falling log, 0, -1 by rising log."""
+    sg, lv = spec.signs, spec.log_values
+    assert np.all(np.diff(sg) <= 0)
+    pos = lv[sg == 1]
+    assert np.array_equal(pos[::-1], np.sort(pos))
+    assert np.array_equal(lv[sg == -1], np.sort(lv[sg == -1]))
+
+
+class TestLogSpectrumOrdering:
+    """The ascending positive view ``log_values[signs == 1][::-1]`` needs no sort."""
+
+    @settings(deadline=None)
+    @given(log_spectra())
+    def test_construction(self, spec):
+        assert_stored_order(spec)
+
+    @settings(deadline=None)
+    @given(log_spectra(), st.floats(-50.0, 50.0, allow_nan=False))
+    def test_scaled(self, spec, log_factor):
+        out = spec.scaled(log_factor)
+        assert_stored_order(out)
+        pos = spec.log_values[spec.signs == 1] + log_factor
+        assert np.array_equal(out.log_values[out.signs == 1][::-1], np.sort(pos))
+
+    @settings(deadline=None)
+    @given(log_spectra(), log_spectra())
+    def test_union(self, a, b):
+        out = a.union(b)
+        assert_stored_order(out)
+        assert len(out) == len(a) + len(b)
+        pos = np.concatenate([a.log_values[a.signs == 1], b.log_values[b.signs == 1]])
+        assert np.array_equal(out.log_values[out.signs == 1][::-1], np.sort(pos))

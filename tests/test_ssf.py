@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diracssf.counting import LogSpectrum
+import diracssf.ssf as ssf
+from diracssf.counting import LogSpectrum, _arctan_of_log_ratio
 from diracssf.kernels1d import Grid1D
 from diracssf.landau import build_lll_basis
 from diracssf.ssf import (
@@ -168,6 +169,76 @@ class TestTraceArctan:
             lam = 1.0 + float(np.abs(rng.standard_normal())) + 1e-3
             s = float(np.abs(rng.standard_normal()) + 0.1)
             trace_arctan_omega1(lam, s, wp, wm, 1.0)  # raises on disagreement
+
+
+def scalar_cauchy_counting(spec, scale):
+    """Jump-by-jump loop that the vectorised cross-check must reproduce."""
+    lv = np.sort(spec.log_values[spec.signs == 1])
+    if lv.size == 0:
+        return 0.0
+    at = _arctan_of_log_ratio(lv - math.log(scale), 0.0)
+    total = 0.0
+    prev = 0.0
+    n = lv.size
+    for i in range(n):
+        total += (n - i) * (at[i] - prev)
+        prev = at[i]
+    return float(total)
+
+
+class TestCauchyCountingIntegral:
+    """The second evaluation path behind the criterion-8 cross-check."""
+
+    def assert_both_oracles(self, spec, scale):
+        got = ssf._cauchy_counting_integral(spec, scale)
+        tol = 1e-12 * (1.0 + abs(got))
+        assert abs(got - scalar_cauchy_counting(spec, scale)) <= tol
+        assert abs(got - trace_arctan(spec, scale)) <= tol
+
+    def test_random_spectra_with_ties(self, rng):
+        for size in (2, 7, 50, 400):
+            lv = rng.standard_normal(size) * 6.0
+            lv[: size // 2] = rng.choice(lv[size // 2:], size // 2)  # ties
+            spec = LogSpectrum.from_log(lv)
+            assert len(np.unique(spec.log_values)) < size
+            for scale in (1e-3, 0.7, 1.0, 50.0):
+                self.assert_both_oracles(spec, scale)
+
+    def test_both_far_branches_of_the_arctan(self):
+        # log-ratios beyond +30 and below -30 take the expansion branches
+        lv = np.array([-95.0, -40.0, -30.5, -2.0, 0.0, 3.0, 30.5, 41.0, 88.0])
+        spec = LogSpectrum.from_log(lv)
+        x = lv - math.log(2.0)
+        assert np.any(x > 30.0) and np.any(x < -30.0)
+        self.assert_both_oracles(spec, 2.0)
+
+    def test_single_eigenvalue(self):
+        spec = LogSpectrum.from_eigenvalues([1.5])
+        assert ssf._cauchy_counting_integral(spec, 1.0) == pytest.approx(
+            math.atan(1.5), rel=1e-14)
+        self.assert_both_oracles(spec, 0.3)
+
+    def test_empty_spectrum(self):
+        assert ssf._cauchy_counting_integral(LogSpectrum.from_log(np.empty(0)), 1.0) == 0.0
+
+    def test_zero_and_negative_entries_are_ignored(self):
+        spec = LogSpectrum.from_eigenvalues([2.0, 0.0, -3.0, 0.25, 0.0, -0.1, 0.25])
+        positive = LogSpectrum.from_eigenvalues([2.0, 0.25, 0.25])
+        got = ssf._cauchy_counting_integral(spec, 0.5)
+        assert got == ssf._cauchy_counting_integral(positive, 0.5)
+        self.assert_both_oracles(spec, 0.5)
+        only_nonpositive = LogSpectrum.from_eigenvalues([0.0, -1.0, -4.0])
+        assert ssf._cauchy_counting_integral(only_nonpositive, 1.0) == 0.0
+
+    def test_cross_check_catches_a_perturbed_path(self, rng, monkeypatch):
+        wp = LogSpectrum.from_log(rng.standard_normal(30) * 4.0)
+        wm = LogSpectrum.from_log(rng.standard_normal(20) * 4.0)
+        trace_arctan_omega1(1.3, 0.8, wp, wm, 1.0)
+        exact = ssf._cauchy_counting_integral
+        monkeypatch.setattr(ssf, "_cauchy_counting_integral",
+                            lambda spec, scale: exact(spec, scale) + 1e-6)
+        with pytest.raises(AssertionError, match="paths disagree"):
+            trace_arctan_omega1(1.3, 0.8, wp, wm, 1.0)
 
 
 class TestOmegaFull:
