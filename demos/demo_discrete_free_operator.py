@@ -26,8 +26,7 @@ print(f"square identity, interior  : {interior:.2e}")
 print(f"square identity, top level : {full:.3f}  (= 2 b0 L, the cut leaking)")
 
 fiber = fiber_eigenvalues(h0)
-actual = np.sort(np.linalg.eigvalsh(h0.matrix))
-print(f"fiber formula deviation    : {np.max(np.abs(fiber - actual)):.2e}")
+print(f"fiber formula deviation    : {np.max(np.abs(fiber - h0.eigenvalues)):.2e}")
 
 print("\ndivergent resolvent part vs scaled compression (counts at level 1):")
 mat = np.zeros((4, 4), dtype=complex)

@@ -53,6 +53,7 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     prev = None
+    delta = np.inf
     n = n0
     while n <= n_max:
         x, w = gauss_legendre(n)
@@ -60,7 +61,8 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
         logw = np.log(half)[:, None] + np.log(w)[None, :]
         cur = logsumexp(log_f(nodes) + logw, axis=1)
         if prev is not None:
-            delta = np.abs(cur - prev)
+            with np.errstate(invalid="ignore"):
+                delta = np.abs(cur - prev)
             # rows that are -inf on both iterates are converged (zero symbol)
             delta = np.where(np.isneginf(cur) & np.isneginf(prev), 0.0, delta)
             if np.max(delta) <= tol:
@@ -69,7 +71,7 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
         n *= 2
     raise QuadratureError(
         f"log-integral did not stabilise to {tol:g} below {n_max} nodes; "
-        f"last change {np.max(np.abs(cur - prev)):.3e}"
+        f"last change {np.max(delta):.3e}"
     )
 
 

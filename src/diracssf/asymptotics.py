@@ -79,14 +79,6 @@ def _require_log_domain(s: float):
         raise ValueError("threshold must lie in (0, 1/e) for the log-scale laws")
 
 
-def psi(s: float, law: PowerLawCount) -> float:
-    return law.value(s)
-
-
-def phi(s: float, law: ExponentialCount) -> float:
-    return law.value(s)
-
-
 def phi_inf(s: float) -> float:
     _require_log_domain(s)
     al = abs(math.log(s))
@@ -219,15 +211,3 @@ def compare_law(model: ToeplitzModel, law: AsymptoticLaw, s_sequence) -> LawComp
     else:
         slope, intercept = math.nan, ys[0]
     return LawComparison(rows, float(slope), float(intercept))
-
-
-def export_comparison_csv(comparison: LawComparison, path):
-    """Write (s, n_plus, law_value, ratio, staircase_halfwidth) rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["s", "n_plus", "law_value", "ratio",
-                         "staircase_halfwidth"])
-        for s, n, lawv, ratio, halfwidth in comparison.rows:
-            writer.writerow([repr(s), n, repr(lawv), repr(ratio), repr(halfwidth)])

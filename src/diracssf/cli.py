@@ -5,24 +5,15 @@
     diracssf list-scenarios
 
 ``run`` exits 0 only when every pass/fail row passes; validation errors
-exit 1, failed rows exit 2.  The DIRACSSF_THREADS environment variable
-sets the default thread count; the --threads flag wins.
+exit 1, failed rows exit 2.  Scenarios run serially; --threads is still
+accepted so existing command lines keep working, and it is ignored.
 """
 
 import argparse
-import os
 import sys
 
 from .harness import (SCENARIOS, ConfigError, all_rows_pass, emit_csv,
                       parse_config, run_scenario)
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("DIRACSSF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load(path: str):
@@ -37,7 +28,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario and emit CSV")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--threads", type=int, default=None)
+    run_p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility and ignored")
 
     val_p = sub.add_parser("validate", help="validate a scenario config")
     val_p.add_argument("--config", required=True)
@@ -66,8 +58,7 @@ def main(argv=None) -> int:
         print(f"config ok: scenario '{cfg.scenario}'")
         return 0
 
-    threads = args.threads if args.threads is not None else _default_threads()
-    rows = run_scenario(cfg, threads=threads)
+    rows = run_scenario(cfg)
     out = args.out or f"{cfg.scenario}.csv"
     emit_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")

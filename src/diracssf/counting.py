@@ -104,14 +104,6 @@ class LogSpectrum:
         return self.signs * np.exp(self.log_values) * (self.signs != 0)
 
 
-def n_plus(s: float, spec: LogSpectrum) -> int:
-    return spec.n_plus(s)
-
-
-def n_minus(s: float, spec: LogSpectrum) -> int:
-    return spec.n_minus(s)
-
-
 def flag_near_threshold(spec: LogSpectrum, s: float, tol=THRESHOLD_FLAG_TOL) -> bool:
     """True when an eigenvalue sits within ``tol`` (log scale) of s."""
     return spec.threshold_margin(s) < tol

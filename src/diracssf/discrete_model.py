@@ -10,6 +10,7 @@ the only place truncation shows, and it is masked out of identity checks.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,11 @@ class DiscreteH0:
     @property
     def N(self):
         return self.momenta.shape[0]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of the matrix, from one shared eigensolve."""
+        return np.linalg.eigvalsh(self.matrix)
 
     def interior_mask(self) -> np.ndarray:
         """True on basis states untouched by the ladder cut.
@@ -123,8 +129,7 @@ def check_square_identity(h0: DiscreteH0):
 
 def check_gap(h0: DiscreteH0) -> float:
     """Smallest spectral magnitude; must equal the mass up to round-off."""
-    eigs = np.linalg.eigvalsh(h0.matrix)
-    smallest = float(np.min(np.abs(eigs)))
+    smallest = float(np.min(np.abs(h0.eigenvalues)))
     delta_grid = (np.pi / h0.box_half_width) ** 2
     lo = h0.m * (1.0 - 1e-10)
     hi = math.sqrt(h0.m**2 + delta_grid)
@@ -150,7 +155,7 @@ def fiber_eigenvalues(h0: DiscreteH0) -> np.ndarray:
 
 
 def spectrum_symmetry_residual(h0: DiscreteH0) -> float:
-    eigs = np.sort(np.linalg.eigvalsh(h0.matrix))
+    eigs = h0.eigenvalues
     return float(np.max(np.abs(eigs + eigs[::-1])))
 
 
@@ -237,14 +242,3 @@ def tdiv_vs_omega_count(lam: float, pot: PotentialSpec, basis: LLLBasis,
     wplus_model.require_adequate(mapped)
     count_omega = wplus_model.spectrum.n_plus(mapped)
     return count_tdiv, count_omega, count_tdiv - count_omega
-
-
-def export_count_csv(rows, path):
-    """Write (lambda, s, count_tdiv, count_omega, diff) rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "s", "count_tdiv", "count_omega", "diff"])
-        for lam, s, ct, co, diff in rows:
-            writer.writerow([repr(lam), repr(s), ct, co, diff])

@@ -4,16 +4,14 @@ Configs are INI-style text (sections in square brackets, lowercase
 snake-case keys, decimal or scientific numbers).  Validation collects
 every violation instead of stopping at the first, and each guard names
 the library invariant it protects.  Scenario points run independently
-(optionally on a thread pool); rows are sorted on a stable key before
-emission, so reruns and different thread counts produce byte-identical
-CSV files.
+and in order; rows are sorted on a stable key before emission, so reruns
+produce byte-identical CSV files.
 """
 
 import configparser
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,8 +413,7 @@ def _scenario_dirac(cfg: ScenarioConfig):
         interior, full = check_square_identity(h0)
         smallest = check_gap(h0)
         fiber = fiber_eigenvalues(h0)
-        actual = np.sort(np.linalg.eigvalsh(h0.matrix))
-        dev = float(np.max(np.abs(fiber - actual)))
+        dev = float(np.max(np.abs(fiber - h0.eigenvalues)))
         return [
             ResultRow(cfg.scenario, "", "square_identity_interior", interior,
                       passed=interior <= 1e-10),
@@ -510,21 +507,15 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1):
+def run_scenario(cfg: ScenarioConfig):
     """Execute a scenario, returning deterministically ordered rows.
 
-    The runner yields independent point tasks; they are evaluated
-    serially or on a thread pool, then every row is sorted on a stable
-    key so the emitted CSV is identical for any thread count.
+    The runner yields independent point tasks; they are evaluated in
+    order, then every row is sorted on a stable key so the emitted CSV
+    does not depend on the task order.
     """
     tasks = _RUNNERS[cfg.scenario](cfg)
-    if threads <= 1:
-        chunks = [fn(*args) for _, fn, args in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, *args) for _, fn, args in tasks]
-            chunks = [f.result() for f in futures]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for _, fn, args in tasks for row in fn(*args)]
     return sorted(rows, key=lambda r: (r.scenario, r.params, r.metric))
 
 

@@ -319,13 +319,3 @@ def im_s_norm_rows(lams, nu3: float, p_values, m: float = 1.0,
             gridv = im_s_grid_norm(lam, nu3, p, m, grid)
             rows.append((float(lam), int(p), closed, gridv))
     return rows
-
-
-def export_norms_csv(rows, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "p", "norm_closed_form", "norm_grid"])
-        for lam, p, closed, gridv in rows:
-            writer.writerow([repr(lam), p, repr(closed), repr(gridv)])

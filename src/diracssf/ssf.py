@@ -199,8 +199,9 @@ def _cauchy_counting_integral(spec: LogSpectrum, scale: float) -> float:
     """integral_0^inf dt/(1+t^2) n_+(scale * t; spec), jump by jump.
 
     The integrand drops by one at t_j = lambda_j / scale; the integral is
-    accumulated as count * (arctan step) over the constancy intervals,
-    which is a genuinely different evaluation path from the arctan sum.
+    accumulated as count * (arctan step) over the constancy intervals.
+    Summation by parts makes this equal to the plain sum of the arctans,
+    so it is not an independent evaluation of them.
     """
     lv = spec.log_values[spec.signs == 1][::-1]  # ascending eigenvalues
     at = _arctan_of_log_ratio(lv - math.log(scale), 0.0)
@@ -214,7 +215,10 @@ def trace_arctan_omega1(lam: float, s: float, wplus_spec: LogSpectrum,
 
     Evaluated twice: as the direct arctan sum over the scaled spectrum
     and as the pair of Cauchy-weighted counting integrals of the plain
-    compressions; the two paths must agree to 1e-10.
+    compressions; the two paths must agree to 1e-10.  Both share
+    ``_arctan_of_log_ratio`` and the count-step sum reduces to the plain
+    sum, so the check guards only the Omega1 scale factors and the sign
+    masks, not the arctan evaluation itself.
     """
     omega1 = build_omega1(lam, wplus_spec, wminus_spec, m)
     direct = trace_arctan(omega1, s)
@@ -563,48 +567,6 @@ def gap_edge_factor(pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
         prefactor = 0.5 * math.sqrt((m - lam) / (m + lam))
     factor = np.kron(np.diag(theta), np.kron(sqrt_long, row))
     return math.sqrt(prefactor) * factor
-
-
-# -- free-function forms (one-shot; build an estimator for sweeps) --------
-
-def xi_inside_bracket(lam: float, eps: float, pot: PotentialSpec,
-                      basis: LLLBasis, pair: str, m: float = 1.0) -> BracketEstimate:
-    """One-shot inside-gap bracket; see SsfEstimator.inside_bracket."""
-    return SsfEstimator(pot, basis, m=m).inside_bracket(lam, eps, pair)
-
-
-def xi_outside_bracket(lam: float, eps: float, pot: PotentialSpec,
-                       basis: LLLBasis, pair: str, m: float = 1.0,
-                       use_full_omega: bool = False,
-                       grid: Grid1D | None = None) -> BracketEstimate:
-    """One-shot outside-gap bracket; see SsfEstimator.outside_bracket."""
-    return SsfEstimator(pot, basis, m=m).outside_bracket(
-        lam, eps, pair, use_full_omega, grid)
-
-
-def predict_xi(lam: float, side: str, pair: str, pot: PotentialSpec,
-               basis: LLLBasis, m: float = 1.0) -> float:
-    """One-shot leading-order prediction; see SsfEstimator.predict."""
-    return SsfEstimator(pot, basis, m=m).predict(lam, side, pair)
-
-
-def levinson_ratio(eps_sequence, pot: PotentialSpec, basis: LLLBasis,
-                   pair: str = "H-", eps_bracket: float = 0.1, m: float = 1.0):
-    """One-shot ratio sweep; see SsfEstimator.levinson_rows."""
-    return SsfEstimator(pot, basis, m=m).levinson_rows(
-        eps_sequence, pair, eps_bracket)
-
-
-def export_sweep_csv(rows, path):
-    """Write sweep rows with the bracket/prediction column layout."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "eps", "lower", "upper", "prediction",
-                         "ratio_mid_to_prediction"])
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
 
 
 def sweep_rows(estimator: SsfEstimator, lams, eps: float, pair: str,

@@ -7,15 +7,13 @@ through a dense hermitian matrix whose (j, k) entry picks out the
 (j-k)-th angular Fourier coefficient of the symbol.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._quad import gauss_legendre
+from ._quad import gauss_legendre, log_integral_batch
 from .counting import LogSpectrum
 from .landau import LLLBasis, log_radial_moments
 
@@ -277,7 +275,9 @@ def _log_plane_integral(profile: RadialProfile, q: int, fs) -> float:
 
     Compact supports integrate on [0, R] directly; unbounded tails go
     through the log-radius substitution r = e^t, which turns power and
-    stretched-exponential tails alike into well-behaved bumps.
+    stretched-exponential tails alike into well-behaved bumps.  A power
+    tail still above the drop target at t = 60 gets its remainder beyond
+    the cutoff added in closed form.
     """
     law = profile.law
     if isinstance(law, PowerLawTail) and q * law.alpha <= 2.0:
@@ -287,20 +287,8 @@ def _log_plane_integral(profile: RadialProfile, q: int, fs) -> float:
     support = profile.support_radius()
 
     def integrate(lo, hi, log_f):
-        n = 128
-        prev = None
-        while n <= 8192:
-            x, w = gauss_legendre(n)
-            t = 0.5 * (hi - lo) * (x + 1.0) + lo
-            with np.errstate(divide="ignore"):
-                logs = log_f(t) + np.log(0.5 * (hi - lo) * w)
-            cur = float(logsumexp(logs))
-            if prev is not None:
-                if (np.isneginf(cur) and np.isneginf(prev)) or abs(cur - prev) <= 1e-11:
-                    return cur
-            prev = cur
-            n *= 2
-        return prev
+        val, _ = log_integral_batch(log_f, [lo], [hi], tol=1e-11, n0=128)
+        return float(val[0])
 
     with np.errstate(divide="ignore"):
         if support is not None:
@@ -309,14 +297,23 @@ def _log_plane_integral(profile: RadialProfile, q: int, fs) -> float:
         else:
             # r = e^t: integrand becomes U(e^t)^q e^(2t)
             t_hi = np.log(16.0)
+            tail = None
             while q * float(profile.log_value(np.asarray(np.exp(t_hi)))) \
                     + 2.0 * t_hi > -90.0:
                 t_hi += np.log(2.0)
                 if t_hi > 60.0:
-                    raise NonIntegrableError(
-                        "symbol tail decays too slowly to integrate")
+                    if not isinstance(law, PowerLawTail):
+                        raise NonIntegrableError(
+                            "symbol tail decays too slowly to integrate")
+                    # exact remainder of u^q e^((2 - q alpha) t) beyond t_hi
+                    qa = q * law.alpha
+                    tail = q * np.log(law.u_value) + (2.0 - qa) * t_hi \
+                        - np.log(qa - 2.0)
+                    break
             val = integrate(-40.0, t_hi,
                             lambda t: q * profile.log_value(np.exp(t)) + 2.0 * t)
+            if tail is not None:
+                val = np.logaddexp(val, tail)
     return val + np.log(2.0 * np.pi)
 
 
@@ -371,19 +368,3 @@ def suggest_truncation(law, s_min: float, b0: float, margin: float = 1.6) -> int
     else:
         raise TypeError(f"unknown law {law!r}")
     return int(np.ceil(margin * k)) + 8
-
-
-def spectrum_rows(model: ToeplitzModel):
-    """(k, log10 eigenvalue) pairs for the diagonal radial spectrum."""
-    if model.log_eigen_by_k is None:
-        raise ValueError("per-k export only available for the radial fast path")
-    return [(int(k), float(lv / np.log(10.0)))
-            for k, lv in enumerate(model.log_eigen_by_k)]
-
-
-def export_spectrum_csv(model: ToeplitzModel, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "log10_eigenvalue"])
-        for k, lv in spectrum_rows(model):
-            writer.writerow([k, repr(lv)])

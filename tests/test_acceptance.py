@@ -10,11 +10,13 @@ so the honest numbers stay visible instead of being tuned away.
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
 from diracssf.asymptotics import compare_law, law_for_profile
+from diracssf.cli import main
 from diracssf.counting import (LogSpectrum, arctan_trace_identity, check_flip,
                                check_pbound, check_pushnitski_bound, check_weyl,
                                mu_average_counting)
@@ -23,7 +25,6 @@ from diracssf.dirac_algebra import (anticommutation_residual,
                                     dirac_matrices, validate_alpha12_commutant)
 from diracssf.discrete_model import (build_h0, check_gap, check_square_identity,
                                      fiber_eigenvalues)
-from diracssf.harness import parse_config, rows_to_csv_bytes, run_scenario
 from diracssf.kernels1d import Grid1D, RankTwoImS, im_s_grid_norm, im_s_schatten
 from diracssf.landau import FieldSpec, build_lll_basis
 from diracssf.ssf import (PotentialSpec, SsfEstimator, gap_edge_factor,
@@ -283,13 +284,33 @@ def test_criterion_08_arctan_paths(field_b2):
     basis = build_lll_basis(field_b2, 64)
     est = SsfEstimator(pot, basis, m=1.0)
     wp, wm = est.wplus_model.spectrum, est.wminus_model.spectrum
-    # trace_arctan_omega1 raises if the two evaluation paths drift past 1e-10
+
+    def oracle(lam, s):
+        # f+- = sqrt(|lam +- m| / |lam -+ m|) / 2 with m = 1, at 30 digits
+        with mp.workdps(30):
+            lam, s = mp.mpf(lam), mp.mpf(s)
+            f_p = mp.sqrt(abs(lam + 1) / abs(lam - 1)) / 2
+            f_m = mp.sqrt(abs(lam - 1) / abs(lam + 1)) / 2
+            return mp.fsum(mp.atan(f_p * mp.exp(v) / s)
+                           for v in wp.log_values[wp.signs == 1]) \
+                + mp.fsum(mp.atan(f_m * mp.exp(v) / s)
+                          for v in wm.log_values[wm.signs == 1])
+
+    # trace_arctan_omega1 raises if its two evaluation paths drift past
+    # 1e-10; that guards the Omega1 scale factors and sign masks only, so
+    # the values are also held against the 30-digit arctan sum
+    worst = 0.0
     for j in range(2, 12):
         for s in (0.3, 1.0, 4.0):
-            trace_arctan_omega1(1.0 + 2.0**-j, s, wp, wm, 1.0)
-            trace_arctan_omega1(-1.0 - 2.0**-j, s, wp, wm, 1.0)
-    report(8, True, f"arctan-trace evaluation paths agree to 1e-10 across "
-                    f"the energy sweep ({time.time() - t0:.2f}s)")
+            for lam in (1.0 + 2.0**-j, -1.0 - 2.0**-j):
+                got = trace_arctan_omega1(lam, s, wp, wm, 1.0)
+                want = oracle(lam, s)
+                worst = max(worst, float(abs(got - want) / abs(want)))
+    ok = worst <= 1e-12
+    report(8, ok, f"Omega1 scale factors and sign masks agree across the two "
+                  f"paths to 1e-10; arctan trace within {worst:.1e} <= 1e-12 "
+                  f"of a 30-digit mpmath sum ({time.time() - t0:.2f}s)")
+    assert ok
 
 
 def test_criterion_09_levinson(field_b2):
@@ -367,17 +388,23 @@ def test_criterion_11_trace_growth(field_b2):
     assert ok
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(tmp_path):
     t0 = time.time()
-    identities = parse_config("[scenario]\nname = identities\n"
-                              "[sweep]\nn_random = 20\nseed = 11\n")
-    kernels = parse_config("[scenario]\nname = kernels\n"
-                           "[sweep]\nlambdas = 1.5,2.0\n")
+    configs = {
+        "identities": "[scenario]\nname = identities\n"
+                      "[sweep]\nn_random = 20\nseed = 11\n",
+        "kernels": "[scenario]\nname = kernels\n[sweep]\nlambdas = 1.5,2.0\n",
+    }
     ok = True
-    for cfg in (identities, kernels):
-        outputs = {rows_to_csv_bytes(run_scenario(cfg, threads=t))
-                   for t in (1, 4, 1, 4)}
+    for name, text in configs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        outputs = set()
+        for i, t in enumerate(("1", "4", "1", "4")):
+            out = tmp_path / f"{name}_{i}.csv"
+            main(["run", "--config", str(cfg), "--out", str(out), "--threads", t])
+            outputs.add(out.read_bytes())
         ok &= len(outputs) == 1
-    report(12, ok, f"scenario CSV byte-identical across reruns and thread "
-                   f"counts {{1, 4}} ({time.time() - t0:.2f}s)")
+    report(12, ok, f"CLI CSV byte-identical across reruns with --threads "
+                   f"{{1, 4}} ({time.time() - t0:.2f}s)")
     assert ok

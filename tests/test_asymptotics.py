@@ -13,9 +13,7 @@ from diracssf.asymptotics import (
     compare_law,
     law_for_profile,
     levelset_count,
-    phi,
     phi_inf,
-    psi,
 )
 from diracssf.landau import build_lll_basis
 from diracssf.toeplitz import (
@@ -31,39 +29,39 @@ from diracssf.toeplitz import (
 class TestPowerLaw:
     def test_reference_point(self):
         law = PowerLawCount(alpha=3.0, angular_integral=2.0 * np.pi, b0=1.0)
-        assert psi(1e-3, law) == pytest.approx(50.0, rel=1e-12)
+        assert law.value(1e-3) == pytest.approx(50.0, rel=1e-12)
 
     def test_no_scaling_at_one(self):
         law = PowerLawCount(alpha=3.0, angular_integral=2.0 * np.pi, b0=1.0)
-        assert psi(1.0, law) == pytest.approx(0.5, rel=1e-12)
+        assert law.value(1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_linear_in_field(self):
         law1 = PowerLawCount(3.0, 2.0 * np.pi, 1.0)
         law2 = PowerLawCount(3.0, 2.0 * np.pi, 2.0)
-        assert psi(0.01, law2) == pytest.approx(2.0 * psi(0.01, law1))
+        assert law2.value(0.01) == pytest.approx(2.0 * law1.value(0.01))
 
 
 class TestExponential:
     def test_beta_one_branch(self):
         law = ExponentialCount(beta=1.0, eta=1.0, b0=2.0)
-        assert phi(math.exp(-10.0), law) == pytest.approx(10.0 / math.log(2.0),
+        assert law.value(math.exp(-10.0)) == pytest.approx(10.0 / math.log(2.0),
                                                           rel=1e-12)
 
     def test_small_beta_branch(self):
         law = ExponentialCount(beta=0.5, eta=1.0, b0=2.0)
-        assert phi(math.exp(-4.0), law) == pytest.approx(16.0, rel=1e-12)
+        assert law.value(math.exp(-4.0)) == pytest.approx(16.0, rel=1e-12)
 
     def test_large_beta_branch(self):
         law = ExponentialCount(beta=2.0, eta=1.0, b0=2.0)
-        assert phi(math.exp(-100.0), law) == pytest.approx(
+        assert law.value(math.exp(-100.0)) == pytest.approx(
             2.0 * 100.0 / math.log(100.0), rel=1e-12)
 
     def test_domain_guard(self):
         law = ExponentialCount(beta=1.0, eta=1.0, b0=2.0)
         with pytest.raises(ValueError):
-            phi(math.exp(-1.0), law)
+            law.value(math.exp(-1.0))
         with pytest.raises(ValueError):
-            phi(0.5, law)
+            law.value(0.5)
 
 
 class TestCompactSupport:
@@ -163,19 +161,6 @@ def test_law_for_profile_dispatch():
     assert isinstance(law_for_profile(gaussian_profile(1.0), 2.0), ExponentialCount)
     assert isinstance(law_for_profile(power_profile(3.0), 1.0), PowerLawCount)
     assert isinstance(law_for_profile(disc_profile(1.0), 2.0), CompactSupportCount)
-
-
-def test_comparison_export(tmp_path, basis_b2_220):
-    from diracssf.asymptotics import export_comparison_csv
-
-    model = toeplitz_radial_spectrum(gaussian_profile(1.0), basis_b2_220)
-    law = law_for_profile(gaussian_profile(1.0), 2.0)
-    out = compare_law(model, law, [1e-6, 1e-8])
-    path = tmp_path / "cmp.csv"
-    export_comparison_csv(out, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s,n_plus,law_value,ratio,staircase_halfwidth"
-    assert len(lines) == 3
 
 
 def test_compact_law_natural_log_point():

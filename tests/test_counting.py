@@ -15,8 +15,6 @@ from diracssf.counting import (
     flag_near_threshold,
     mu_average_counting,
     mu_interval,
-    n_minus,
-    n_plus,
 )
 
 
@@ -33,12 +31,12 @@ def psd(rng, n):
 class TestCountingQueries:
     def test_direct_count(self):
         spec = LogSpectrum.from_eigenvalues([3.0, 2.0, 0.5])
-        assert n_plus(1.0, spec) == 2
+        assert spec.n_plus(1.0) == 2
 
     def test_sign_flip(self):
         spec = LogSpectrum.from_eigenvalues([-1.0, -2.0])
-        assert n_minus(0.5, spec) == 2
-        assert n_plus(0.5, spec) == 0
+        assert spec.n_minus(0.5) == 2
+        assert spec.n_plus(0.5) == 0
 
     def test_deep_log_domain(self):
         spec = LogSpectrum.from_log([-100.0 * math.log(10.0), -200.0 * math.log(10.0)])

@@ -135,16 +135,3 @@ class TestDivergentPartCounts:
         pot, basis, grid, tau, _ = setup
         with pytest.raises(ValueError):
             tdiv_spectrum(1.5, pot, basis, grid, 1.0, tau_model=tau)
-
-
-def test_count_rows_export(tmp_path, setup):
-    from diracssf.discrete_model import export_count_csv
-
-    pot, basis, grid, tau, wp = setup
-    ct, co, diff = tdiv_vs_omega_count(0.9, pot, basis, grid, 1.0, 1.0,
-                                       wplus_model=wp, tau_model=tau)
-    path = tmp_path / "counts.csv"
-    export_count_csv([(0.9, 1.0, ct, co, diff)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lambda,s,count_tdiv,count_omega,diff"
-    assert lines[1].startswith("0.9,1.0,")

@@ -160,14 +160,3 @@ def test_grid_properties():
     assert fine.n == 21 and fine.half_width == 10.0
     with pytest.raises(ValueError):
         Grid1D(10.0, 1)
-
-
-def test_norm_rows_export(tmp_path):
-    from diracssf.kernels1d import export_norms_csv, im_s_norm_rows
-
-    rows = im_s_norm_rows([1.5], 2.0, (1, 2), grid=Grid1D(100.0, 2048))
-    path = tmp_path / "norms.csv"
-    export_norms_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lambda,p,norm_closed_form,norm_grid"
-    assert len(lines) == 3

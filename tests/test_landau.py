@@ -118,3 +118,15 @@ def test_combined_transverse_gap():
                            np.linalg.eigvalsh(lad.h_perp_plus)])
     inside = both[(both > 1e-12) & (both < 4.0 - 1e-10)]
     assert inside.size == 0
+
+
+def test_log_integral_batch_failure_names_the_change_beside_a_zero_row():
+    from diracssf._quad import QuadratureError, log_integral_batch
+
+    def log_f(nodes):
+        out = np.sin(1e4 * nodes)  # second row never settles
+        out[0] = -np.inf           # first row is a zero integrand
+        return out
+
+    with pytest.raises(QuadratureError, match="last change"):
+        log_integral_batch(log_f, [0.0, 0.0], [1.0, 1.0], n_max=512)

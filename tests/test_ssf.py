@@ -377,27 +377,6 @@ def test_sweep_rows_shape(est_exp):
     assert ratio == pytest.approx(0.5 * (lower + upper) / pred)
 
 
-def test_free_function_forms_match_estimator(pot_exp, basis_b2_64, tmp_path):
-    from diracssf.ssf import (export_sweep_csv, levinson_ratio, predict_xi,
-                              xi_inside_bracket, xi_outside_bracket)
-
-    est = SsfEstimator(pot_exp, basis_b2_64, m=1.0)
-    lam = 0.999
-    one_shot = xi_inside_bracket(lam, 0.1, pot_exp, basis_b2_64, "H-")
-    assert one_shot == est.inside_bracket(lam, 0.1, "H-")
-    out = xi_outside_bracket(1.001, 0.1, pot_exp, basis_b2_64, "H-")
-    assert out.lower == pytest.approx(est.outside_bracket(1.001, 0.1, "H-").lower)
-    assert predict_xi(lam, "inside", "H-", pot_exp, basis_b2_64) == \
-        pytest.approx(est.predict(lam, "inside", "H-"))
-    rows = levinson_ratio([1e-2], pot_exp, basis_b2_64)
-    assert rows[0][6] == 0.5
-
-    path = tmp_path / "sweep.csv"
-    export_sweep_csv(sweep_rows(est, [0.99], 0.1, "H-", "inside"), path)
-    assert path.read_text().splitlines()[0] == \
-        "lambda,eps,lower,upper,prediction,ratio_mid_to_prediction"
-
-
 def test_outside_prefactor_large_exponent_limit():
     from diracssf.ssf import SsfEstimator
     from diracssf.toeplitz import PowerLawTail

@@ -10,11 +10,11 @@ from diracssf.toeplitz import (
     NonIntegrableError,
     PowerLawTail,
     TruncationError,
+    _log_plane_integral,
     check_raikov_bound,
     disc_profile,
     gaussian_profile,
     power_profile,
-    spectrum_rows,
     suggest_truncation,
     toeplitz_general_matrix,
     toeplitz_radial_spectrum,
@@ -150,6 +150,17 @@ class TestRaikovBound:
             bad = power_profile(1.5)
             check_raikov_bound(toeplitz_radial_spectrum(bad, basis), 1)
         assert check_raikov_bound(model, 2).ok
+        # q alpha = 3: the tail needs its closed-form remainder past r = e^60
+        chk = check_raikov_bound(model, 1)
+        assert chk.ok and chk.bound == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, q", [(3.0, 1), (2.2, 1), (1.5, 2), (6.0, 1)])
+    def test_power_plane_integral_closed_form(self, field_b1, alpha, q):
+        # integral over the plane of (1 + r^2)^(-q alpha / 2) is
+        # pi / (q alpha / 2 - 1); slow tails need the remainder past t = 60
+        got = _log_plane_integral(power_profile(alpha), q, field_b1)
+        assert got == pytest.approx(np.log(np.pi / (0.5 * q * alpha - 1.0)),
+                                    abs=1e-12)
 
 
 class TestTruncationRules:
@@ -171,18 +182,6 @@ class TestTruncationRules:
             basis = build_lll_basis(fs, k)
             model = toeplitz_radial_spectrum(profile, basis)
             assert model.adequate_for(s_min), (law, k)
-
-
-def test_spectrum_rows_export(tmp_path, gaussian_model):
-    rows = spectrum_rows(gaussian_model)
-    assert rows[0] == (0, pytest.approx(np.log10(0.5), rel=1e-9))
-    from diracssf.toeplitz import export_spectrum_csv
-
-    path = tmp_path / "spec.csv"
-    export_spectrum_csv(gaussian_model, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,log10_eigenvalue"
-    assert len(lines) == 221
 
 
 def test_tail_consistency_checks():
