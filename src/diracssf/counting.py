@@ -4,8 +4,8 @@ A LogSpectrum stores eigenvalues as (log magnitude, sign) pairs so that
 counting queries at thresholds far below double-precision underflow stay
 exact.  Thresholds are open intervals: n_+(s) counts eigenvalues strictly
 greater than s.  The module also hosts the Cauchy-measure average of
-counting functions over a matrix pencil, evaluated by locating the integer
-jumps exactly and doing arctan arithmetic between them.
+counting functions over a matrix pencil A + tB with B >= 0, evaluated in
+closed form from the pencil roots.
 """
 
 from dataclasses import dataclass
@@ -14,10 +14,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 THRESHOLD_FLAG_TOL = 1e-13
+PSD_TOL = 1e-12        # eigenvalues of B below -PSD_TOL * ||B|| make it indefinite
+RECENTRE_GAIN = 1e3    # pencil-root error gain: eps * gain bounds each Cauchy tail
 
 
 class JumpLocalizationError(RuntimeError):
-    """The piecewise-constant integrand could not be partitioned."""
+    """The pencil roots could not be located or do not explain the counts."""
 
 
 @dataclass(frozen=True)
@@ -142,117 +144,88 @@ def mu_interval(a: float, b: float) -> float:
     return (np.arctan(b) - np.arctan(a)) / np.pi
 
 
-def _pencil_jumps(a, b, shift: float):
-    """Real finite t with det(a + t b - shift) = 0.
+def _pencil_roots(a, b, shift: float):
+    """Real t with det(a + t b - shift) = 0, repeated by multiplicity.
 
-    With b = R^T S R (rank-revealing split of the hermitian perturbation)
-    the finite roots are t = -1/mu over the real nonzero eigenvalues mu of
-    S R (a - shift)^(-1) R^T, which is far better conditioned than a QZ
-    sweep on the singular pencil.  If ``shift`` sits (numerically) in the
-    spectrum of ``a``, zero itself is a jump and the resolvent is taken at
-    a nudged shift; the caller's probe pass absorbs the nudge.
+    ``b`` must be positive semidefinite.  With the rank-revealing split
+    b = R R^T the finite roots are t = t0 - 1/mu over the nonzero
+    eigenvalues mu of the hermitian R^T (a + t0 b - shift)^(-1) R, so a
+    double root comes out twice.  An eigvalsh error of eps * max|mu| moves
+    root j by that times (t_j - t0)^2, so the centre t0 walks a fixed
+    ladder until that gain, measured in the Cauchy weight, stays below
+    RECENTRE_GAIN; this also re-centres when shift is an eigenvalue of a.
     """
-    n = a.shape[0]
     w, q = np.linalg.eigh(b)
     scale_b = np.max(np.abs(w), initial=0.0)
-    keep = np.abs(w) > 1e-14 * scale_b
+    if np.min(w, initial=0.0) < -PSD_TOL * scale_b:
+        raise ValueError("perturbation B must be positive semidefinite: the "
+                         "closed-form Cauchy average needs every eigenvalue of "
+                         "A + tB nondecreasing in t")
+    keep = w > 1e-14 * scale_b
     if not np.any(keep):
         return np.empty(0)
-    r = (q[:, keep] * np.sqrt(np.abs(w[keep]))).T
-    signs = np.sign(w[keep])
+    r = q[:, keep] * np.sqrt(w[keep])
 
-    m = a - shift * np.eye(n)
-    eig_m = np.linalg.eigvalsh(m)
-    scale_m = np.max(np.abs(eig_m), initial=1.0)
-    extra = []
-    if np.min(np.abs(eig_m)) < 1e-13 * scale_m:
-        extra = [0.0]
-        m = m + (1e-10 * scale_m) * np.eye(n)
-    core = (signs[:, None] * (r @ np.linalg.solve(m, r.T)))
-    mu = np.linalg.eigvals(core) if np.any(signs < 0) else \
-        np.linalg.eigvalsh(0.5 * (core + core.T))
-    mu = np.asarray(mu)
-    real = mu[np.abs(mu.imag) <= 1e-10 * (1.0 + np.abs(mu.real))].real \
-        if np.iscomplexobj(mu) else mu
-    real = real[np.abs(real) > 1e-300]
-    return np.concatenate([-1.0 / real, np.asarray(extra)])
+    unit = (np.linalg.norm(a) + abs(shift)) / scale_b
+    for step in (0, 1, -1, 2, -2, 3, -3):
+        t0 = step * unit
+        d, v = np.linalg.eigh(a + t0 * b)
+        d = d - shift
+        if np.min(np.abs(d)) <= 1e-14 * np.max(np.abs(d)):
+            continue
+        p = v.T @ r
+        mu = np.linalg.eigvalsh(p.T @ (p / d[:, None]))
+        mu = mu[np.abs(mu) > 1e-13 * np.max(np.abs(mu))]
+        roots = t0 - 1.0 / mu
+        gain = np.max(np.abs(mu), initial=0.0) * np.max(
+            (roots - t0) ** 2 / (1.0 + roots ** 2), initial=0.0)
+        if gain < RECENTRE_GAIN:
+            return roots
+    raise JumpLocalizationError(
+        f"no centre keeps det(A + tB - {shift!r}) well conditioned; the pencil "
+        "is singular if shift is an eigenvalue of A on the kernel of B")
 
 
 def mu_average_counting(s: float, a, b, sign: int = 1) -> float:
-    """integral d_mu(t) of n_sign(s; A + t B).
+    """integral d_mu(t) of n_sign(s; A + t B) for positive semidefinite B.
 
-    The integrand is an integer staircase in t; its jumps are generalized
-    eigenvalues of the pencils (s - A, B) and (-s - A, B).  Candidates are
-    refined by bisection on the count itself, then the Cauchy measure of
-    each constancy interval is accumulated exactly.
+    With B >= 0 every eigenvalue of A + tB is nondecreasing in t
+    (Hellmann-Feynman), so n_+(s; .) rises by one at each root t_j of
+    det(A + tB - s) and n_-(s; .) falls by one at each root of
+    det(A + tB + s), roots counted with multiplicity.  The average is the
+    count on the side where it is lowest plus one Cauchy tail per root:
+
+        n_+:  n_+(s; A + t_left B)  + sum_j mu((t_j, inf)),
+        n_-:  n_-(s; A + t_right B) + sum_j mu((-inf, t_j)),
+
+    with mu((t, inf)) = 1/2 - arctan(t)/pi.  The counts at one probe left
+    and one probe right of every root must differ by the number of roots;
+    a lost or spurious root raises JumpLocalizationError.  An indefinite B
+    raises ValueError.
     """
     if not s > 0:
         raise ValueError("counting threshold s must be positive")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 (n_+) or -1 (n_-)")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch between A and B")
 
+    roots = _pencil_roots(a, b, sign * s)
+    far = 2.0 * (1.0 + np.max(np.abs(roots), initial=0.0))
+
     def count(t):
-        eig = np.linalg.eigvalsh(a + t * b)
-        if sign == 1:
-            return int(np.count_nonzero(eig > s))
-        return int(np.count_nonzero(-eig > s))
+        return int(np.count_nonzero(sign * np.linalg.eigvalsh(a + t * b) > s))
 
-    if np.max(np.abs(b)) == 0.0:
-        return float(count(0.0))
-
-    def dedupe(ts):
-        ts = np.sort(np.asarray(ts, dtype=float))
-        keep = []
-        for t in ts:
-            if not keep or t - keep[-1] > 1e-13 * (1.0 + abs(t)):
-                keep.append(t)
-        return keep
-
-    def probes_for(lo, hi):
-        if np.isinf(lo) and np.isinf(hi):
-            return [-17.0, -1.0, 0.0, 1.0, 17.0]
-        if np.isinf(lo):
-            return [hi - d for d in (1.0, 3.0, 17.0)]
-        if np.isinf(hi):
-            return [lo + d for d in (1.0, 3.0, 17.0)]
-        return [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
-
-    jumps = dedupe(np.concatenate([_pencil_jumps(a, b, s), _pencil_jumps(a, b, -s)]))
-    # the pencil eigenvalues carry the jump locations to machine accuracy;
-    # the probe pass below catches any the eigensolver lost and recovers
-    # them by bisection on the (integer) count itself
-    for _ in range(40):
-        edges = np.concatenate([[-np.inf], jumps, [np.inf]])
-        total = 0.0
-        missing = None
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
-            pts = probes_for(lo, hi)
-            counts = [count(t) for t in pts]
-            if len(set(counts)) != 1:
-                i = next(j for j in range(len(counts) - 1) if counts[j] != counts[j + 1])
-                missing = (pts[i], pts[i + 1])
-                break
-            total += counts[0] * mu_interval(lo, hi)
-        if missing is None:
-            return total
-        lo, hi = missing
-        ref = count(lo)
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if count(mid) == ref:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1e-30, abs(lo), abs(hi)):
-                break
-        jumps = dedupe(jumps + [0.5 * (lo + hi)])
-    raise JumpLocalizationError(
-        f"failed to localise all jump points; partition at {jumps}"
-    )
+    low, high = count(-sign * far), count(sign * far)
+    if high - low != roots.size:
+        raise JumpLocalizationError(
+            f"counts {low} and {high} on either side of the pencil roots differ "
+            f"by {high - low}, but det(A + tB - {sign * s!r}) has {roots.size} "
+            "roots")
+    # mu is symmetric, so mu((-inf, t)) = mu((-t, inf))
+    return low + float(np.sum(mu_interval(sign * roots, np.inf)))
 
 
 def _arctan_of_log_ratio(log_num, log_den) -> np.ndarray:

@@ -28,19 +28,6 @@ SCENARIOS = (
 
 LAWS = ("exponential", "power", "compact")
 
-#: central table of default truncations and windows used by the scenarios
-DEFAULTS = {
-    "k": 0,              # 0 = size the basis from the law and the sweep
-    "ladder_l": 8,       # transverse levels in the discrete free operator
-    "grid_n": 32,        # longitudinal nodes (discrete model / factorisations)
-    "grid_x": 20.0,      # longitudinal box half-width
-    "long_width": 1.0,   # gaussian width of the longitudinal profile
-    "eps_bracket": 0.1,  # slack of the counting/arctan brackets
-    "n_random": 60,      # randomized instances in the identities scenario
-    "seed": 7,
-}
-
-
 class ConfigError(ValueError):
     """Carries the full list of config violations."""
 
@@ -51,6 +38,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario run; the field defaults are the default truncations and windows."""
+
     scenario: str
     b0: float = 2.0
     phi_tilde: str = "none"          # none | tanh
@@ -64,17 +53,17 @@ class ScenarioConfig:
     m13: float = 0.0
     nu: float = 5.0
     mass: float = 1.0
-    long_width: float = DEFAULTS["long_width"]
-    k: int = DEFAULTS["k"]
-    ladder_l: int = DEFAULTS["ladder_l"]
-    grid_n: int = DEFAULTS["grid_n"]
-    grid_x: float = DEFAULTS["grid_x"]
+    long_width: float = 1.0          # gaussian width of the longitudinal profile
+    k: int = 0                       # 0 = size the basis from the law and the sweep
+    ladder_l: int = 8                # transverse levels in the discrete free operator
+    grid_n: int = 32                 # longitudinal nodes (discrete model / factorisations)
+    grid_x: float = 20.0             # longitudinal box half-width
     lambdas: tuple = ()
     s_values: tuple = ()
     eps_values: tuple = ()
-    eps_bracket: float = DEFAULTS["eps_bracket"]
-    n_random: int = DEFAULTS["n_random"]
-    seed: int = DEFAULTS["seed"]
+    eps_bracket: float = 0.1         # slack of the counting/arctan brackets
+    n_random: int = 60               # randomized instances in the identities scenario
+    seed: int = 7
 
 
 _SCHEMA = {
@@ -223,24 +212,22 @@ def format_value(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_rows(writer, rows):
+def rows_to_csv_bytes(rows) -> bytes:
+    """RFC-4180-style CSV with a header row and LF newlines."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scenario", "params", "metric", "value", "error", "status"])
     for row in rows:
         status = "" if row.passed is None else ("pass" if row.passed else "fail")
         writer.writerow([row.scenario, row.params, row.metric,
                          format_value(row.value), format_value(row.error), status])
+    return buf.getvalue().encode()
 
 
 def emit_csv(rows, path):
-    """RFC-4180-style CSV with a header row and LF newlines."""
-    with open(path, "w", newline="") as fh:
-        _write_rows(csv.writer(fh, lineterminator="\n"), rows)
-
-
-def rows_to_csv_bytes(rows) -> bytes:
-    buf = io.StringIO()
-    _write_rows(csv.writer(buf, lineterminator="\n"), rows)
-    return buf.getvalue().encode()
+    """Write ``rows_to_csv_bytes(rows)`` to ``path``."""
+    with open(path, "wb") as fh:
+        fh.write(rows_to_csv_bytes(rows))
 
 
 # -- scenario building blocks ---------------------------------------------
@@ -322,7 +309,7 @@ def _scenario_toeplitz(cfg: ScenarioConfig):
                       error=halfwidth, passed=lo <= ratio <= hi),
         ]
 
-    return [(s, point, (s,)) for s in s_values]
+    return [row for s in s_values for row in point(s)]
 
 
 def _scenario_ssf(cfg: ScenarioConfig, side: str):
@@ -346,7 +333,7 @@ def _scenario_ssf(cfg: ScenarioConfig, side: str):
             rows.append(ResultRow(cfg.scenario, params, "ratio_mid_to_prediction", ratio))
         return rows
 
-    return [(lam, point, (lam,)) for lam in lams]
+    return [row for lam in lams for row in point(lam)]
 
 
 def _scenario_levinson(cfg: ScenarioConfig):
@@ -369,7 +356,7 @@ def _scenario_levinson(cfg: ScenarioConfig):
             rows.append(ResultRow(cfg.scenario, params, "target", target))
         return rows
 
-    return [(eps, point, (eps,)) for eps in eps_values]
+    return [row for eps in eps_values for row in point(eps)]
 
 
 def _scenario_kernels(cfg: ScenarioConfig):
@@ -395,7 +382,7 @@ def _scenario_kernels(cfg: ScenarioConfig):
                               "orthogonality", ortho, passed=ortho <= 1e-10))
         return rows
 
-    return [(lam, point, (lam,)) for lam in lams]
+    return [row for lam in lams for row in point(lam)]
 
 
 def _scenario_dirac(cfg: ScenarioConfig):
@@ -424,7 +411,7 @@ def _scenario_dirac(cfg: ScenarioConfig):
                       passed=dev <= 1e-9),
         ]
 
-    return [(0, algebra, ()), (1, discrete, ())]
+    return algebra() + discrete()
 
 
 def _scenario_identities(cfg: ScenarioConfig):
@@ -492,8 +479,8 @@ def _scenario_identities(cfg: ScenarioConfig):
         return [ResultRow(cfg.scenario, f"n={m}", "counting_average_bound",
                           float(ok), passed=ok)]
 
-    checks = [weyl, pbound, flip, arctan, average_bound]
-    return [(i, fn, ()) for i, fn in enumerate(checks)]
+    return [row for check in (weyl, pbound, flip, arctan, average_bound)
+            for row in check()]
 
 
 _RUNNERS = {
@@ -508,14 +495,12 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig):
-    """Execute a scenario, returning deterministically ordered rows.
+    """Execute a scenario, returning rows sorted on a stable key.
 
-    The runner yields independent point tasks; they are evaluated in
-    order, then every row is sorted on a stable key so the emitted CSV
-    does not depend on the task order.
+    The sort makes the emitted CSV independent of the order in which the
+    runner evaluates its points.
     """
-    tasks = _RUNNERS[cfg.scenario](cfg)
-    rows = [row for _, fn, args in tasks for row in fn(*args)]
+    rows = _RUNNERS[cfg.scenario](cfg)
     return sorted(rows, key=lambda r: (r.scenario, r.params, r.metric))
 
 

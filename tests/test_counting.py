@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diracssf.counting import (
+    JumpLocalizationError,
     LogSpectrum,
     arctan_trace_identity,
     check_flip,
@@ -26,6 +29,17 @@ def herm(rng, n, scale=1.0):
 def psd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T / n
+
+
+def interval_oracle(s, a, b, sign):
+    """Cauchy average from scipy's definite-pencil roots and midpoint counts (b > 0)."""
+    roots = np.sort(scipy.linalg.eigh(sign * s * np.eye(len(a)) - a, b, eigvals_only=True))
+    edges = np.concatenate([[-np.inf], roots, [np.inf]])
+    mids = np.concatenate([[roots[0] - 1.0], 0.5 * (roots[:-1] + roots[1:]),
+                           [roots[-1] + 1.0]])
+    return sum(int(np.count_nonzero(sign * np.linalg.eigvalsh(a + t * b) > s))
+               * mu_interval(lo, hi)
+               for t, lo, hi in zip(mids, edges[:-1], edges[1:]))
 
 
 class TestCountingQueries:
@@ -127,6 +141,64 @@ class TestMuAverage:
 
     def test_mu_interval_normalised(self):
         assert mu_interval(-np.inf, np.inf) == pytest.approx(1.0)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+               arrays(float, (n, n), elements=st.floats(-3.0, 3.0)),
+               arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))),
+           st.floats(0.05, 4.0), st.sampled_from([1, -1]))
+    def test_matches_interval_oracle(self, mats, s, sign):
+        a, m = mats
+        a = 0.5 * (a + a.T)
+        b = m @ m.T + 0.5 * np.eye(len(a))
+        expected = interval_oracle(s, a, b, sign)
+        assert mu_average_counting(s, a, b, sign=sign) == pytest.approx(expected, abs=1e-12)
+
+    def test_rank_deficient_b_reduces_to_its_range(self, rng):
+        # A = Q diag(A1, A2) Q^T, B = Q diag(B1, 0) Q^T: the A2 block never moves
+        for n, k in [(6, 2), (9, 5), (12, 1), (15, 14)]:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a1, a2 = herm(rng, k, 2.0), herm(rng, n - k, 2.0)
+            b1 = psd(rng, k) + 0.2 * np.eye(k)
+            a = q @ scipy.linalg.block_diag(a1, a2) @ q.T
+            b = q @ scipy.linalg.block_diag(b1, np.zeros((n - k, n - k))) @ q.T
+            for s in (0.3, 1.1):
+                for sign in (1, -1):
+                    fixed = int(np.count_nonzero(sign * np.linalg.eigvalsh(a2) > s))
+                    expected = interval_oracle(s, a1, b1, sign) + fixed
+                    assert mu_average_counting(s, 0.5 * (a + a.T), 0.5 * (b + b.T),
+                                               sign=sign) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed, dim", [(13, 46), (11, 55)])
+    def test_ill_conditioned_dense_identities_inputs(self, seed, dim):
+        # drawn as the dense-identities benchmark draws them; cond(B) 7e8 and 1.5e10
+        rng = np.random.default_rng(seed)
+        for d in rng.permutation(np.linspace(5, 100, 50).round().astype(int)):
+            a = rng.standard_normal((d, d))
+            s = float(abs(rng.standard_normal()) + 0.1)
+            if d == dim:
+                break
+        b = a @ a.T / dim
+        spec = LogSpectrum.from_eigenvalues(np.linalg.eigvalsh(b), zero_floor=1e-14)
+        _, rhs = arctan_trace_identity(s, spec)
+        assert abs(mu_average_counting(s, np.zeros_like(b), b) - rhs) <= 1e-10
+
+    @pytest.mark.parametrize("s, a, b, sign, expected", [
+        (1.0, np.diag([1.0]), np.ones((1, 1)), 1, 0.5),
+        (1.0, np.diag([1.0, 0.2, 3.0]), np.ones((3, 3)), 1, 1.5),
+        (1.0, np.diag([-1.0, 0.5]), np.eye(2), -1, 1.0 - math.atan(1.5) / math.pi),
+    ])
+    def test_threshold_in_the_spectrum_of_a(self, s, a, b, sign, expected):
+        assert mu_average_counting(s, a, b, sign=sign) == pytest.approx(expected, abs=1e-14)
+
+    def test_indefinite_perturbation_rejected(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            mu_average_counting(1.0, np.zeros((2, 2)), np.diag([1.0, -0.5]))
+
+    def test_singular_pencil_rejected(self):
+        # e2 spans ker B and is an eigenvector of A at exactly s, for every t
+        with pytest.raises(JumpLocalizationError, match="singular"):
+            mu_average_counting(1.0, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
 
 
 class TestArctanTrace:
