@@ -4,13 +4,30 @@ Everything here works on plain numpy arrays.  The log-domain batch
 integrator is the workhorse behind the Landau-basis norms and the
 Toeplitz moments: integrands of the form  exp(g_k(r))  with g_k peaking
 at wildly different magnitudes are integrated per-k on per-k intervals,
-entirely in the log domain (log-sum-exp over Gauss-Legendre nodes).
+entirely in the log domain (a single-pass row log-sum-exp over
+Gauss-Legendre nodes).  The per-k intervals come from two searches in
+u = log r: a safeguarded Newton search for the peak of g_k, and Illinois
+regula falsi for the radii where g_k has fallen a fixed number of nats
+below its peak.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
+
+# find_peak: half-width in u = log r of the central-difference stencil, and
+# the Newton/bisection step in u below which a row has converged
+PEAK_STEP = 1e-5
+PEAK_UTOL = 1e-10
+# bracket_drop: a row has converged when the log-integrand is within
+# DROP_GTOL nats of its target, or its bracket in u is narrower than
+# DROP_UTOL * max(1, |u|)
+DROP_GTOL = 1e-7
+DROP_UTOL = 1e-12
+# iteration caps: bracket expansion, Newton steps, regula falsi steps
+EXPAND_ITERS = 200
+PEAK_ITERS = 100
+DROP_ITERS = 100
 
 
 class QuadratureError(RuntimeError):
@@ -37,6 +54,29 @@ def gl_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _row_logsumexp(a):
+    """log(sum(exp(a), axis=1)) for a real 2-D array, in one exp pass.
+
+    The arithmetic is scipy.special.logsumexp's for real input: the
+    maximum of each row is split off with its multiplicity, so the result
+    is bitwise equal to ``logsumexp(a, axis=1)``.  Rows whose result is not
+    finite (NaN, all -inf, +inf entries) take log(sum(exp(row))) instead.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        top = np.max(a, axis=1)
+        at_top = a == top[:, None]
+        shifted = a - top[:, None]  # inf - inf only where at_top
+        np.exp(shifted, out=shifted)
+        np.putmask(shifted, at_top, 0.0)
+        count = np.count_nonzero(at_top, axis=1)
+        out = np.log1p(np.sum(shifted, axis=1) / count) + np.log(count) + top
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        with np.errstate(over="ignore", divide="ignore"):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
 def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
     """log of integral_{lo_k}^{hi_k} exp(log_f(r)) dr, one value per row.
 
@@ -59,7 +99,7 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
         x, w = gauss_legendre(n)
         nodes = half[:, None] * x[None, :] + mid[:, None]
         logw = np.log(half)[:, None] + np.log(w)[None, :]
-        cur = logsumexp(log_f(nodes) + logw, axis=1)
+        cur = _row_logsumexp(log_f(nodes) + logw)
         if prev is not None:
             with np.errstate(invalid="ignore"):
                 delta = np.abs(cur - prev)
@@ -105,13 +145,27 @@ def panel_integral(f, a, b, panel_width, *, order=16, tol=1e-12, max_order=256):
     )
 
 
-def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None, iters=90):
+def _checked(log_f, r, search):
+    """log_f(r), refusing NaN: a search cannot order NaN against its target."""
+    vals = log_f(r)
+    if np.any(np.isnan(vals)):
+        raise QuadratureError(f"{search}: log-integrand is NaN at a search point")
+    return vals
+
+
+def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None):
     """Vectorised unimodal peak search for per-row log-integrands.
 
     ``log_f`` maps an (m,) or (m, p) array of radii to values of the same
     shape.  Starting from the guesses ``r0``, the bracket is expanded
-    multiplicatively until the maximum sits strictly inside, then a
-    ternary search contracts it.  Returns the peak positions (m,).
+    multiplicatively until the maximum sits strictly inside.  Newton's
+    method on dg/du, u = log r, then finds the peak: both derivatives are
+    central differences on one (m, 3) stencil of half-width ``PEAK_STEP``
+    per step, each step shrinks the bracket by the sign of dg/du, and a
+    step that leaves the bracket or meets d2g/du2 >= 0 is replaced by
+    bisection in u.  A row still rising at ``hi_cap`` (a boundary peak,
+    as for compact support) returns ``hi_cap``.  Returns the peak
+    positions (m,); raises QuadratureError if a cap is hit.
     """
     r0 = np.asarray(r0, dtype=float)
     lo = np.maximum(r0 * 0.25, lo_cap)
@@ -120,9 +174,9 @@ def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None, iters=90):
         hi = np.minimum(hi, hi_cap)
         lo = np.minimum(lo, hi * 0.25)
     # expand until the midpoint value beats both edges
-    for _ in range(200):
+    for _ in range(EXPAND_ITERS):
         trip = np.stack([lo, np.sqrt(lo * hi), hi], axis=1)
-        vals = log_f(trip)
+        vals = _checked(log_f, trip, "find_peak")
         move_left = vals[:, 0] >= vals[:, 1]
         move_right = vals[:, 2] >= vals[:, 1]
         if hi_cap is not None:
@@ -132,67 +186,121 @@ def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None, iters=90):
         lo = np.where(move_left, np.maximum(lo * 0.25, lo_cap), lo)
         new_hi = np.where(move_right, hi * 4.0, hi)
         hi = np.minimum(new_hi, hi_cap) if hi_cap is not None else new_hi
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        pair = np.stack([m1, m2], axis=1)
-        vals = log_f(pair)
-        take_right = vals[:, 0] < vals[:, 1]
-        lo = np.where(take_right, m1, lo)
-        hi = np.where(take_right, hi, m2)
-    return 0.5 * (lo + hi)
+    else:
+        raise QuadratureError(
+            f"find_peak: bracket still not around the peak after {EXPAND_ITERS} "
+            f"expansions; worst edge excess {np.max(vals - vals[:, 1:2]):.3e}"
+        )
+    u_lo, u_hi = np.log(lo), np.log(hi)
+    at_cap = np.zeros(r0.shape, dtype=bool)
+    if hi_cap is not None:
+        # keep the stencil inside the cap: a row that reaches it ends its
+        # bracket one step short, unless it is still rising there
+        edge = hi >= hi_cap
+        cap = np.full(r0.shape, float(hi_cap))
+        below, at = _checked(log_f, np.stack([cap * np.exp(-PEAK_STEP), cap], axis=1),
+                             "find_peak").T
+        at_cap = edge & (at >= below)
+        u_hi = np.where(edge, np.log(cap) - PEAK_STEP, u_hi)
+    done = at_cap.copy()
+    u = np.clip(np.log(r0), u_lo, u_hi)
+    stencil = np.array([-PEAK_STEP, 0.0, PEAK_STEP])
+    for _ in range(PEAK_ITERS):
+        if np.all(done):
+            break
+        g = _checked(log_f, np.exp(u[:, None] + stencil), "find_peak")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d1 = (g[:, 2] - g[:, 0]) / (2.0 * PEAK_STEP)
+            d2 = (g[:, 2] - 2.0 * g[:, 1] + g[:, 0]) / PEAK_STEP**2
+            newton = u - d1 / d2
+        u_lo = np.where(d1 > 0, u, u_lo)
+        u_hi = np.where(d1 < 0, u, u_hi)
+        inside = (d2 < 0) & (newton > u_lo) & (newton < u_hi)
+        step = np.where(inside, newton, 0.5 * (u_lo + u_hi)) - u
+        step[done] = 0.0
+        u = u + step
+        done |= np.abs(step) <= PEAK_UTOL
+    if not np.all(done):
+        raise QuadratureError(
+            f"find_peak: Newton search not converged after {PEAK_ITERS} steps; "
+            f"largest step in log r {np.max(np.abs(step)):.3e}"
+        )
+    peak = np.exp(u)
+    if hi_cap is not None:
+        peak[at_cap] = hi_cap
+    return peak
 
 
-def bracket_drop(log_f, peak, g_peak, *, drop=80.0, side, hard_limit=None, iters=100):
+def bracket_drop(log_f, peak, g_peak, *, drop=80.0, side, hard_limit=None):
     """Find per-row radii where the log-integrand has fallen by ``drop``.
 
     side='left' searches in (0, peak], side='right' in [peak, inf) or up
-    to ``hard_limit`` (e.g. a compact support edge).  If the integrand at
-    the hard limit is still above the drop target the limit itself is
-    returned, which is what a boundary-peaked integrand needs.
+    to ``hard_limit`` (e.g. a compact support edge).  The outer end is
+    expanded until it lies below the target g_peak - drop; then Illinois
+    regula falsi in u = log r solves log_f = g_peak - drop to ``DROP_GTOL``
+    nats, bisecting in u wherever the secant point is not finite.  If the
+    integrand at the hard limit is still above the drop target the limit
+    itself is returned, which is what a boundary-peaked integrand needs.
+    Raises QuadratureError if a cap is hit.
     """
     peak = np.asarray(peak, dtype=float)
     target = g_peak - drop
+    at_limit = np.zeros(peak.shape, dtype=bool)
     if side == "left":
         outer = np.maximum(peak * 1e-12, 1e-300)
-        for _ in range(80):
-            vals = log_f(outer)
-            high = vals > target
-            if not np.any(high):
-                break
-            outer = np.where(high, outer * 1e-3, outer)
-            outer = np.maximum(outer, 1e-300)
-        lo, hi = outer, peak
     else:
-        step = np.maximum(peak, 1.0)
-        outer = peak + step
-        for _ in range(200):
-            if hard_limit is not None:
-                outer = np.minimum(outer, hard_limit)
-            vals = log_f(outer)
-            high = vals > target
-            if hard_limit is not None:
-                at_edge = outer >= hard_limit
-                if not np.any(high & ~at_edge):
-                    break
-                outer = np.where(high & ~at_edge, peak + (outer - peak) * 2.0, outer)
-            else:
-                if not np.any(high):
-                    break
-                outer = np.where(high, peak + (outer - peak) * 2.0, outer)
-        lo, hi = peak, outer
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        vals = log_f(mid)
-        above = vals > target
+        outer = peak + np.maximum(peak, 1.0)
+    for _ in range(EXPAND_ITERS):
+        if hard_limit is not None and side != "left":
+            outer = np.minimum(outer, hard_limit)
+            at_limit = outer >= hard_limit
+        vals = _checked(log_f, outer, "bracket_drop")
+        high = (vals > target) & ~at_limit
+        if not np.any(high):
+            break
         if side == "left":
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
+            outer = np.where(high, np.maximum(outer * 1e-3, 1e-300), outer)
         else:
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-    out = 0.5 * (lo + hi)
-    if side == "right" and hard_limit is not None:
-        edge_rows = log_f(np.asarray(hard_limit, dtype=float) * np.ones_like(peak)) > target
-        out = np.where(edge_rows, hard_limit, out)
+            outer = np.where(high, peak + (outer - peak) * 2.0, outer)
+    else:
+        raise QuadratureError(
+            f"bracket_drop: {side} bracket still above the target after "
+            f"{EXPAND_ITERS} expansions; worst excess {np.max((vals - target)[high]):.3e}"
+        )
+    at_limit &= vals > target
+    # regula falsi on f = log_f - target between the peak (f > 0) and the
+    # outer end (f <= 0); ``last`` is +1/-1 when the previous step moved the
+    # near/far end, so a second move of the same end halves the other's f
+    u_near, f_near = np.log(peak), g_peak - target
+    u_far, f_far = np.log(outer), vals - target
+    out = u_far.copy()
+    done = at_limit.copy()
+    last = np.zeros(peak.shape)
+    for _ in range(DROP_ITERS):
+        if np.all(done):
+            break
+        with np.errstate(invalid="ignore"):
+            u = u_far - f_far * (u_far - u_near) / (f_far - f_near)
+        width = np.abs(u_far - u_near)
+        secant = (u - u_near) * (u - u_far) < 0.0
+        u = np.where(secant, u, 0.5 * (u_near + u_far))
+        f = _checked(log_f, np.exp(u), "bracket_drop") - target
+        settled = ~done & ((np.abs(f) <= DROP_GTOL)
+                           | (width <= DROP_UTOL * np.maximum(1.0, np.abs(u))))
+        out = np.where(settled, u, out)
+        done |= settled
+        near = f > 0
+        f_far = np.where(near & (last == 1), 0.5 * f_far, f_far)
+        f_near = np.where(~near & (last == -1), 0.5 * f_near, f_near)
+        u_near, f_near = np.where(near, u, u_near), np.where(near, f, f_near)
+        u_far, f_far = np.where(near, u_far, u), np.where(near, f_far, f)
+        last = np.where(near, 1, -1)
+    if not np.all(done):
+        raise QuadratureError(
+            f"bracket_drop: {side} regula falsi not converged after {DROP_ITERS} "
+            f"steps; worst distance from the target {np.max(np.abs(f[~done])):.3e} nats"
+        )
+    out = np.exp(out)
+    if hard_limit is not None:
+        out[at_limit] = hard_limit
     return out

@@ -71,10 +71,12 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None,
 
     ``log_symbol`` maps radii to log U(r) (None means U == 1); ``support``
     optionally caps the integration at a compact-support edge R.  Peaks are
-    located per k, intervals bracket an 80-nat drop of the log-integrand,
-    and the Gauss-Legendre node count doubles until every log-integral is
-    stable to ``tol``.  Pass a dict as ``info`` to collect the rule
-    descriptor (max node count, outermost radius).
+    located per k by a safeguarded Newton search in log r seeded at the
+    flat-field peak sqrt((2k+1)/b0) (or at R for rows still rising there);
+    each interval ends where the log-integrand has fallen 80 nats, found by
+    regula falsi in log r; and the Gauss-Legendre node count doubles until
+    every log-integral is stable to ``tol``.  Pass a dict as ``info`` to
+    collect the rule descriptor (max node count, outermost radius).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     out = np.empty(ks.shape[0])

@@ -1,7 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
 from diracssf.landau import (
@@ -130,3 +134,173 @@ def test_log_integral_batch_failure_names_the_change_beside_a_zero_row():
 
     with pytest.raises(QuadratureError, match="last change"):
         log_integral_batch(log_f, [0.0, 0.0], [1.0, 1.0], n_max=512)
+
+
+# -- the _quad searches and the row log-sum-exp ----------------------------------
+
+
+def flat_log_integrand(k, b0=1.0):
+    """g_k(r) = (2k+1) log r - b0 r^2/2, peaked at sqrt((2k+1)/b0)."""
+    k = np.asarray(k, dtype=float)
+
+    def g(r):
+        r = np.asarray(r, dtype=float)
+        kk = k.reshape((-1,) + (1,) * (r.ndim - 1)) if r.ndim > 1 else k
+        with np.errstate(divide="ignore"):
+            return (2.0 * kk + 1.0) * np.log(r) - 0.5 * b0 * r * r
+
+    return g
+
+
+@pytest.mark.parametrize("b0", [1.0, 2.5])
+@pytest.mark.parametrize("guess", [0.2, 1.0, 3.0])
+def test_find_peak_matches_the_flat_field_peak(b0, guess):
+    from diracssf._quad import find_peak
+
+    k = np.arange(40001.0)
+    want = np.sqrt((2.0 * k + 1.0) / b0)
+    got = find_peak(flat_log_integrand(k, b0), guess * want)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bracket_drop_sits_80_nats_below_the_peak(side):
+    from diracssf._quad import bracket_drop
+
+    k = np.array([0.0, 1.0, 5.0, 50.0, 500.0, 37000.0])
+    g = flat_log_integrand(k)
+    peak = np.sqrt(2.0 * k + 1.0)
+    g_peak = g(peak)
+    edge = bracket_drop(g, peak, g_peak, side=side)
+    assert np.all(edge < peak) if side == "left" else np.all(edge > peak)
+    assert np.max(np.abs(g_peak - g(edge) - 80.0)) <= 1e-6
+
+
+def test_compact_support_rows_end_at_the_cap():
+    from diracssf._quad import bracket_drop, find_peak
+
+    # disc of radius 1 at b0 = 2: every k >= 1 peaks beyond the edge
+    k = np.array([1.0, 5.0, 40.0])
+    flat = flat_log_integrand(k, 2.0)
+
+    def g(r):
+        return np.where(np.asarray(r) <= 1.0, flat(r), -np.inf)
+
+    peak = find_peak(g, np.minimum(np.sqrt((2.0 * k + 1.0) / 2.0), 0.95), hi_cap=1.0)
+    assert np.all(peak == 1.0)
+    g_peak = g(peak)
+    assert np.all(bracket_drop(g, peak, g_peak, side="right", hard_limit=1.0) == 1.0)
+    left = bracket_drop(g, peak, g_peak, side="left")
+    assert np.max(np.abs(g_peak - g(left) - 80.0)) <= 1e-6
+
+
+def test_searches_refuse_a_nan_log_integrand():
+    from diracssf._quad import QuadratureError, bracket_drop, find_peak
+
+    def g(r):
+        return np.full(np.shape(r), np.nan)
+
+    with pytest.raises(QuadratureError, match="find_peak"):
+        find_peak(g, np.ones(3))
+    with pytest.raises(QuadratureError, match="bracket_drop"):
+        bracket_drop(g, np.ones(3), np.zeros(3), side="right")
+
+
+def test_searches_raise_at_their_iteration_caps(monkeypatch):
+    from diracssf import _quad
+
+    k = np.array([3.0, 900.0])
+    g = flat_log_integrand(k)
+    peak = np.sqrt(2.0 * k + 1.0)
+    # a log-integrand that never turns over or never falls exhausts the expansion
+    with pytest.raises(_quad.QuadratureError, match="find_peak.*expansions"):
+        _quad.find_peak(lambda r: np.log(r), np.ones(2))
+    with pytest.raises(_quad.QuadratureError, match="bracket_drop.*expansions"):
+        _quad.bracket_drop(lambda r: np.zeros(np.shape(r)), np.ones(2), np.zeros(2),
+                           side="right")
+    monkeypatch.setattr(_quad, "PEAK_ITERS", 1)
+    with pytest.raises(_quad.QuadratureError, match="find_peak.*largest step"):
+        _quad.find_peak(g, 3.0 * peak)
+    monkeypatch.setattr(_quad, "DROP_ITERS", 1)
+    with pytest.raises(_quad.QuadratureError, match="bracket_drop.*nats"):
+        _quad.bracket_drop(g, peak, g(peak), side="left")
+
+
+_SPECIAL = st.sampled_from([-np.inf, np.inf, np.nan])
+
+
+@st.composite
+def logsumexp_rows(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 24))
+    # quarter-integers make ties at the row maximum common
+    a = draw(arrays(np.float64, (m, n), elements=st.one_of(
+        st.integers(-40, 40).map(lambda i: i / 4.0),
+        st.floats(-700.0, 700.0),
+        st.just(-np.inf),
+    )))
+    for i in range(m):
+        kind = draw(st.sampled_from(["plain", "all -inf", "special"]))
+        if kind == "all -inf":
+            a[i] = -np.inf
+        elif kind == "special":
+            a[i, draw(st.integers(0, n - 1))] = draw(_SPECIAL)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(logsumexp_rows())
+def test_row_logsumexp_is_bitwise_scipy(a):
+    from scipy.special import logsumexp
+
+    from diracssf._quad import _row_logsumexp
+
+    got = _row_logsumexp(a)
+    want = logsumexp(a, axis=1)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- mpmath oracles across the whole truncation -----------------------------------
+
+
+def mp_log_integral(log_integrand, center, width):
+    """30-digit log of the integral over (0, inf) of exp(log_integrand(x)).
+
+    The integrand must peak near ``center`` and fall off on the scale
+    ``width``; the range is split there so tanh-sinh sees the peak.
+    """
+    with mp.workdps(30):
+        center, width = mp.mpf(center), mp.mpf(width)
+        shift = log_integrand(center)
+        cuts = sorted({mp.mpf(0), max(mp.mpf(0), center - 40 * width), center,
+                       center + 40 * width})
+        total = mp.quad(lambda x: mp.exp(log_integrand(x) - shift), cuts + [mp.inf])
+        return float(mp.log(total) + shift)
+
+
+def test_power_law_compression_matches_mpmath_at_full_depth():
+    # eigenvalue_k is the Gamma(k+1) average of (1 + 2u/b0)^(-alpha/2)
+    from diracssf.toeplitz import power_profile, suggest_truncation, toeplitz_radial_spectrum
+
+    alpha, b0 = 3.0, 1.0
+    prof = power_profile(alpha)
+    K = suggest_truncation(prof.law, 1e-4, b0)
+    assert K > 30000
+    model = toeplitz_radial_spectrum(prof, build_lll_basis(FieldSpec(b0), K))
+    for k in (0, 1, K // 2, K - 1):
+        want = mp_log_integral(
+            lambda u, k=k: k * mp.log(u) - u - alpha / 2 * mp.log1p(2 * u / b0),
+            max(k, 1), math.sqrt(k + 1.0)) - math.lgamma(k + 1.0)
+        assert abs(math.expm1(model.log_eigen_by_k[k] - want)) <= 1e-8, k
+
+
+def test_tanh_field_norms_match_mpmath_at_full_depth():
+    # phi = r^2/4 + tanh(r)/2 at b0 = 1, so exp(-2 phi) = exp(-r^2/2 - tanh r)
+    K = 1671
+    basis = build_lll_basis(FieldSpec(1.0, phi_tilde=lambda r: 0.5 * np.tanh(r)), K)
+    for k in (0, 1, K // 2, K - 1):
+        want = 0.5 * mp_log_integral(
+            lambda r, k=k: (2 * k + 1) * mp.log(r) - r * r / 2 - mp.tanh(r),
+            math.sqrt(2.0 * k + 1.0), 1.0)
+        assert abs(basis.log_norms[k] - want) <= 1e-8, k
