@@ -11,7 +11,8 @@ closed form from the pencil roots.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+
+from ._quad import _row_logsumexp
 
 THRESHOLD_FLAG_TOL = 1e-13
 PSD_TOL = 1e-12        # eigenvalues of B below -PSD_TOL * ||B|| make it indefinite
@@ -92,7 +93,7 @@ class LogSpectrum:
         lv = self.log_values[self.signs != 0]
         if lv.size == 0:
             return -np.inf
-        return float(logsumexp(p * lv))
+        return float(_row_logsumexp(p * lv[None, :])[0])
 
     def threshold_margin(self, s: float) -> float:
         """Min log-distance of any nonzero eigenvalue to the threshold."""

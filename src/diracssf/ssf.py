@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import panel_integral
+from ._quad import _row_logsumexp, panel_integral
 from .counting import LogSpectrum, _arctan_of_log_ratio, flag_near_threshold
 from .kernels1d import Grid1D
 from .landau import LLLBasis
@@ -309,11 +309,9 @@ def build_omega_full(lam: float, pot: PotentialSpec, basis: LLLBasis,
 
 
 def spectrum_logsum(log_values: np.ndarray) -> float:
-    from scipy.special import logsumexp
-
     if log_values.size == 0:
         return -math.inf
-    return float(logsumexp(log_values))
+    return float(_row_logsumexp(log_values[None, :])[0])
 
 
 class SsfEstimator:
@@ -397,10 +395,6 @@ class SsfEstimator:
                 )
 
     # -- outside the gap -----------------------------------------------
-
-    def omega1_spectrum(self, lam: float) -> LogSpectrum:
-        return build_omega1(lam, self.wplus_model.spectrum,
-                            self.wminus_model.spectrum, self.m)
 
     def outside_bracket(self, lam: float, eps: float, pair: str,
                         use_full_omega: bool = False,

@@ -180,3 +180,34 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+_SCIPY_PROBE = """
+import sys
+import diracssf
+loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']
+if len(sys.argv) > 1:
+    from diracssf import cli
+    code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])
+    assert code == 0, code
+    loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']
+print(sorted(set(loaded)))
+"""
+
+
+@pytest.mark.parametrize("config", [None, "levinson_power", "kernels"])
+def test_cold_path_loads_no_scipy(config, tmp_path):
+    # these two configs reach the most Gauss-Legendre orders; scipy is
+    # imported lazily only by the Bessel tail, levelset_count and gammaln
+    import diracssf
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracssf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = []
+    if config is not None:
+        cfg = os.path.join(os.path.dirname(src), "configs", f"{config}.cfg")
+        args = [cfg, str(tmp_path / f"{config}.csv")]
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

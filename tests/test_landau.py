@@ -1,4 +1,7 @@
 import math
+import time
+import tracemalloc
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -259,6 +262,182 @@ def test_row_logsumexp_is_bitwise_scipy(a):
     want = logsumexp(a, axis=1)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@st.composite
+def log_vectors(draw, allow_neg_inf):
+    elements = [st.integers(-40, 40).map(lambda i: i / 4.0), st.floats(-700.0, 700.0)]
+    if allow_neg_inf:
+        elements.append(st.just(-np.inf))
+    return draw(arrays(np.float64, draw(st.integers(0, 24)),
+                       elements=st.one_of(*elements)))
+
+
+def _bitwise_equal(got, want):
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_vectors(allow_neg_inf=True))
+def test_spectrum_logsum_is_bitwise_scipy(lv):
+    from scipy.special import logsumexp
+
+    from diracssf.ssf import spectrum_logsum
+
+    assert _bitwise_equal(spectrum_logsum(lv), float(logsumexp(lv)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_vectors(allow_neg_inf=False), st.data())
+def test_log_schatten_pth_power_is_bitwise_scipy(lv, data):
+    from scipy.special import logsumexp
+
+    from diracssf.counting import LogSpectrum
+
+    signs = data.draw(arrays(np.int8, lv.shape, elements=st.sampled_from([-1, 0, 1])))
+    spec = LogSpectrum(np.where(signs != 0, lv, 0.0), signs)
+    p = data.draw(st.integers(1, 4))
+    kept = spec.log_values[spec.signs != 0]
+    want = float(logsumexp(p * kept)) if kept.size else -np.inf
+    assert _bitwise_equal(spec.log_schatten_pth_power(p), want)
+
+
+# -- Gauss-Legendre rule against 40-digit roots ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _mp_recurrence_coefficients(n):
+    with mp.workdps(40):
+        return [(mp.mpf(2 * k + 1) / (k + 1), mp.mpf(k) / (k + 1)) for k in range(n)]
+
+
+def _mp_newton_step(coeffs, n, x):
+    """P_n(x) / P_n'(x) and P_n'(x), with P_n, P_{n-1} from the recurrence."""
+    p_prev, p = mp.mpf(1), x
+    for a, b in coeffs[1:]:
+        p_prev, p = p, a * (x * p) - b * p_prev
+    dp = n * (p_prev - x * p) / (1 - x * x)
+    return p / dp, dp
+
+
+def mp_gauss_legendre_node(n, x0):
+    """40-digit node and weight of the n-point rule nearest the double ``x0``.
+
+    One Newton step on P_n from an ulp-sized start leaves the root good
+    to about 1e-25; the next step measures that, and the weight
+    w = 2 / ((1 - x^2) P_n'(x)^2) is taken at the refined root.
+    """
+    coeffs = _mp_recurrence_coefficients(n)
+    with mp.workdps(40):
+        x = mp.mpf(float(x0))
+        x -= _mp_newton_step(coeffs, n, x)[0]
+        step, dp = _mp_newton_step(coeffs, n, x)
+        # d log w / dx = -2x / (1 - x^2) at a root, so this bounds the
+        # weight's own relative error far below the 1e-13 it is held to
+        assert abs(step) * 2 / (1 - x * x) <= 1e-16
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+# 2^-52 is the requirement; the rule reaches 0.6 * 2^-52, while running the
+# recurrence in 1 - x at every node would put the middle nodes at 1.0 * 2^-52
+GL_NODE_TOL = 0.75 * 2.0**-52
+
+
+def _assert_matches_mpmath(n, indices):
+    from diracssf._quad import gauss_legendre
+
+    x, w = gauss_legendre(n)
+    for i in indices:
+        xr, wr = mp_gauss_legendre_node(n, x[i])
+        assert abs(float(xr - mp.mpf(float(x[i])))) <= GL_NODE_TOL, (n, i)
+        assert abs(float((mp.mpf(float(w[i])) - wr) / wr)) <= 1e-13, (n, i)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 96, 128, 256])
+def test_gauss_legendre_matches_mpmath_at_every_node(n):
+    from diracssf._quad import gauss_legendre
+
+    x, w = gauss_legendre(n)
+    # ascending and exactly mirrored, so the upper half stands for every node
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    _assert_matches_mpmath(n, range(n // 2, n))
+
+
+@pytest.mark.parametrize("n", [1024, 8192])
+def test_gauss_legendre_matches_mpmath_at_sampled_nodes(n):
+    _assert_matches_mpmath(n, sorted({0, 1, 2, 3, n // 2, *range(0, n, n // 32)}))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 96, 128, 256])
+def test_gauss_legendre_is_exact_on_even_monomials(n):
+    from diracssf._quad import gauss_legendre
+
+    x, w = gauss_legendre(n)
+    j = np.arange(n)
+    got = (x[None, :] ** (2 * j[:, None])) @ w
+    assert np.max(np.abs(got - 2.0 / (2 * j + 1))) <= 2e-14
+
+
+@lru_cache(maxsize=None)
+def _scipy_rule(n):
+    from scipy.special import roots_legendre
+
+    start = time.perf_counter()
+    x, w = roots_legendre(n)
+    return x, w, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("n", [16, 64, 96, 128, 256, 1024, 4096, 8192])
+def test_gauss_legendre_agrees_with_scipy(n):
+    # scipy's own weights drift from the 40-digit ones (1.8e-9 at n = 1024),
+    # so the weights are only compared up to there
+    from diracssf._quad import gauss_legendre
+
+    x, w = gauss_legendre(n)
+    xs, ws, _ = _scipy_rule(n)
+    assert np.max(np.abs(x - xs)) <= 2 * 2.0**-52
+    if n <= 1024:
+        assert np.max(np.abs(w / ws - 1.0)) <= 1e-8
+
+
+def test_gauss_legendre_8192_fits_in_memory_and_time():
+    # a fresh (uncached) rule: no n x n intermediate, and no slower than
+    # twice scipy's Golub-Welsch rule on the same machine
+    from diracssf._quad import gauss_legendre
+
+    tracemalloc.start()
+    try:
+        gauss_legendre.__wrapped__(8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    start = time.perf_counter()
+    gauss_legendre.__wrapped__(8192)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 2.0 * _scipy_rule(8192)[2]
+
+
+def test_gauss_legendre_small_orders():
+    from diracssf._quad import gauss_legendre
+
+    assert np.array_equal(gauss_legendre(1)[0], [0.0])
+    assert np.array_equal(gauss_legendre(1)[1], [2.0])
+    x, w = gauss_legendre(3)
+    assert x[1] == 0.0
+    assert np.allclose(x, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], rtol=0, atol=2e-16)
+    assert np.allclose(w, [5 / 9, 8 / 9, 5 / 9], rtol=2e-16, atol=0)
+    with pytest.raises(ValueError, match="positive"):
+        gauss_legendre.__wrapped__(0)
+
+
+def test_gauss_legendre_raises_at_its_newton_cap(monkeypatch):
+    from diracssf import _quad
+
+    monkeypatch.setattr(_quad, "GL_NEWTON_ITERS", 1)
+    with pytest.raises(_quad.QuadratureError, match="Newton not converged"):
+        _quad.gauss_legendre.__wrapped__(64)
 
 
 # -- mpmath oracles across the whole truncation -----------------------------------

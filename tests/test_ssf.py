@@ -265,7 +265,8 @@ class TestOmegaFull:
             lam = 1.0 + 2.0**-j
             full = trace_arctan(build_omega_full(lam, pot_exp, basis_b2_64,
                                                  m=1.0).spectrum, 1.0)
-            diag = trace_arctan(est.omega1_spectrum(lam), 1.0)
+            diag = trace_arctan(build_omega1(lam, est.wplus_model.spectrum,
+                                             est.wminus_model.spectrum, est.m), 1.0)
             diffs.append(abs(full - diag))
         assert diffs[-1] < diffs[0]
 
