@@ -14,7 +14,7 @@ landau          magnetic field data, gap constant, LLL basis, ladder model
 counting        log-domain spectra, counting functions, trace identities
 toeplitz        Berezin-Toeplitz spectra of radial and general symbols
 kernels1d       longitudinal resolvent and scattering-type kernels
-asymptotics     closed-form counting laws and level-set comparators
+asymptotics     closed-form counting laws and law-vs-spectrum tables
 ssf             spectral-shift bracket estimators and Levinson ratios
 discrete_model  truncated matrix model of the free Dirac operator
 harness         config parsing, scenario runners, CSV emission

@@ -1,11 +1,11 @@
-"""Closed-form eigenvalue-counting laws and the level-set comparator.
+"""Closed-form eigenvalue-counting laws and the law-vs-spectrum comparator.
 
 Three regimes for the small-threshold counting function of a compressed
 nonnegative symbol: power-law tails give a power of the threshold times
 an angular integral, stretched-exponential tails give powers of |log s|,
-and compact support gives |log s| / log|log s|.  The level-set form
-(field strength / 2 pi times the area where the symbol exceeds s) is the
-geometric ancestor of all three and is exposed for cross-checks.
+and compact support gives |log s| / log|log s|.  All three descend from
+the level-set form, field strength / 2 pi times the area where the
+symbol exceeds s.
 """
 
 import math
@@ -95,90 +95,6 @@ def law_for_profile(profile: RadialProfile, b0: float) -> AsymptoticLaw:
     if isinstance(law, CompactSupportTail):
         return CompactSupportCount()
     raise TypeError(f"unsupported tail classification {law!r}")
-
-
-def levelset_count(u, s: float, b0: float, r_max: float = 1e6,
-                   samples: int = 4096):
-    """(b0 / 2 pi) * area of the super-level set {U > s}, with an error bar.
-
-    Radial callables are handled by root finding on a dense radial scan
-    (the level set is a union of annuli); 2-D callables fall back to grid
-    counting on an adaptive box.  Unbounded level sets are rejected.
-    """
-    from scipy.optimize import brentq
-
-    if not s > 0:
-        raise ValueError("level must be positive")
-    if isinstance(u, RadialProfile):
-        fn, support = u.eval, u.support_radius()
-    else:
-        fn, support = u, None
-
-    try:
-        probe = np.asarray(fn(np.array([0.5, 1.0])))
-        radial = probe.shape == (2,)
-    except TypeError:
-        radial = False
-
-    if radial:
-        if support is not None:
-            hi = support * 1.000001
-        else:
-            hi = 8.0
-            while float(fn(np.asarray(hi))) > s:
-                hi *= 2.0
-                if hi > r_max:
-                    raise ValueError("super-level set appears unbounded at the scan radius")
-            hi *= 1.5
-        xtol = 1e-13 * max(1.0, hi)
-        r = np.linspace(0.0, hi, samples)
-        vals = np.asarray(fn(r), dtype=float) - s
-        area = 0.0
-        inside = vals[0] > 0
-        start = 0.0
-        roots = []
-        for i in range(1, samples):
-            if (vals[i] > 0) != inside:
-                root = brentq(lambda x: float(fn(np.asarray(x))) - s, r[i - 1], r[i],
-                              xtol=xtol)
-                roots.append(root)
-                if inside:
-                    area += np.pi * (root**2 - start**2)
-                else:
-                    start = root
-                inside = not inside
-        if inside:
-            area += np.pi * (hi**2 - start**2)
-        err = 2.0 * np.pi * sum(roots) * 2.0 * xtol  # root tolerance footprint
-        return b0 / (2.0 * np.pi) * area, b0 / (2.0 * np.pi) * err
-
-    # general 2-D symbol: adaptive box + counting grid
-    box = 4.0
-    for _ in range(40):
-        edge = np.linspace(-box, box, 65)
-        xs, ys = np.meshgrid(edge, edge)
-        rr = np.hypot(xs, ys)
-        th = np.arctan2(ys, xs)
-        boundary = np.concatenate([rr[0], rr[-1], rr[:, 0], rr[:, -1]])
-        bvals = fn(boundary, np.concatenate([th[0], th[-1], th[:, 0], th[:, -1]]))
-        if np.max(bvals) <= s:
-            break
-        box *= 2.0
-    else:
-        raise ValueError("super-level set appears unbounded")
-    n = 1024
-    edge = np.linspace(-box, box, n)
-    h = edge[1] - edge[0]
-    xs, ys = np.meshgrid(edge, edge)
-    rr = np.hypot(xs, ys)
-    th = np.arctan2(ys, xs)
-    mask = fn(rr, th) > s
-    area = float(np.count_nonzero(mask)) * h * h
-    # perimeter cells dominate the error
-    per_cells = np.count_nonzero(mask[:-1, :] != mask[1:, :]) \
-        + np.count_nonzero(mask[:, :-1] != mask[:, 1:])
-    err = per_cells * h * h
-    return b0 / (2.0 * np.pi) * area, b0 / (2.0 * np.pi) * err
 
 
 @dataclass(frozen=True)

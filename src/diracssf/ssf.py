@@ -2,10 +2,12 @@
 
 Inside the gap the shift function is bracketed by eigenvalue counts of a
 scaled Toeplitz compression of the column-integrated potential entries;
-outside the gap by arctan-traces of a positive block operator assembled
-from longitudinal trigonometric moments.  Both brackets carry a
-(1 +- eps) slack and exclude unknown bounded terms, so every consumer
-works with ratios or differences where those terms are negligible.
+outside the gap by arctan-traces of the diagonal operator Omega1 built
+from the same two compressions.  The full block operator, assembled from
+longitudinal trigonometric moments, is kept as a reference for Omega1.
+Both brackets carry a (1 +- eps) slack and exclude unknown bounded terms,
+so every consumer works with ratios or differences where those terms are
+negligible.
 """
 
 import math
@@ -20,23 +22,19 @@ from .counting import LogSpectrum, _arctan_of_log_ratio, flag_near_threshold
 from .kernels1d import Grid1D
 from .landau import LLLBasis
 from .toeplitz import (CompactSupportTail, ExponentialTail, PowerLawTail,
-                       RadialProfile, ToeplitzModel, suggest_truncation,
-                       toeplitz_radial_spectrum)
+                       RadialProfile, ToeplitzModel, toeplitz_radial_spectrum)
 
 ARC_TAIL_TOL = 0.02
-PATH_CROSSCHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class LongitudinalProfile:
     """Nonnegative profile of the field-direction coordinate.
 
-    ``decay`` is the tail exponent used only to pick the quadrature
-    window; ``half_width`` can override it for rapidly decaying profiles.
+    Its integrals run over [-half_width, half_width].
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    decay: float = math.inf
     half_width: float = 16.0
 
     def integral(self) -> float:
@@ -195,45 +193,6 @@ def trace_arctan(spec: LogSpectrum, s: float) -> float:
     return float(np.sum(_arctan_of_log_ratio(lv, math.log(s))))
 
 
-def _cauchy_counting_integral(spec: LogSpectrum, scale: float) -> float:
-    """integral_0^inf dt/(1+t^2) n_+(scale * t; spec), jump by jump.
-
-    The integrand drops by one at t_j = lambda_j / scale; the integral is
-    accumulated as count * (arctan step) over the constancy intervals.
-    Summation by parts makes this equal to the plain sum of the arctans,
-    so it is not an independent evaluation of them.
-    """
-    lv = spec.log_values[spec.signs == 1][::-1]  # ascending eigenvalues
-    at = _arctan_of_log_ratio(lv - math.log(scale), 0.0)
-    counts = np.arange(lv.size, 0, -1, dtype=float)
-    return float(np.dot(counts, np.diff(at, prepend=0.0)))
-
-
-def trace_arctan_omega1(lam: float, s: float, wplus_spec: LogSpectrum,
-                        wminus_spec: LogSpectrum, m: float = 1.0) -> float:
-    """Tr arctan of the outside-gap diagonal operator at scale s.
-
-    Evaluated twice: as the direct arctan sum over the scaled spectrum
-    and as the pair of Cauchy-weighted counting integrals of the plain
-    compressions; the two paths must agree to 1e-10.  Both share
-    ``_arctan_of_log_ratio`` and the count-step sum reduces to the plain
-    sum, so the check guards only the Omega1 scale factors and the sign
-    masks, not the arctan evaluation itself.
-    """
-    omega1 = build_omega1(lam, wplus_spec, wminus_spec, m)
-    direct = trace_arctan(omega1, s)
-
-    scale_p = 2.0 * s * math.sqrt(abs(lam - m) / abs(lam + m))
-    scale_m = 2.0 * s * math.sqrt(abs(lam + m) / abs(lam - m))
-    via_counting = _cauchy_counting_integral(wplus_spec, scale_p) \
-        + _cauchy_counting_integral(wminus_spec, scale_m)
-    if abs(direct - via_counting) > PATH_CROSSCHECK_TOL * (1.0 + abs(direct)):
-        raise AssertionError(
-            f"arctan-trace paths disagree: {direct!r} vs {via_counting!r}"
-        )
-    return direct
-
-
 @dataclass(frozen=True)
 class OmegaModel:
     """Tensor-factored outside-gap block operator for a separable potential.
@@ -256,17 +215,13 @@ class OmegaModel:
 
 
 def build_omega_full(lam: float, pot: PotentialSpec, basis: LLLBasis,
-                     grid: Grid1D | None = None,
                      tau_model: ToeplitzModel | None = None,
                      m: float = 1.0) -> OmegaModel:
     """Assemble the full outside-gap operator and its spectrum."""
     if not abs(lam) > m:
         raise ValueError("outside-gap operator requires |lambda| > m")
     kappa = math.sqrt(lam * lam - m * m)
-    long_prof = pot.longitudinal
-    if grid is not None:
-        long_prof = LongitudinalProfile(long_prof.eval, long_prof.decay, grid.half_width)
-    m1, m2, m3 = long_prof.moments(kappa)
+    m1, m2, m3 = pot.longitudinal.moments(kappa)
     q = np.array([[m1, m2], [m2, m3]])
     q_eigs = np.clip(np.linalg.eigvalsh(q), 0.0, None)
 
@@ -318,40 +273,22 @@ class SsfEstimator:
     """Shared state for gap-edge shift-function estimates.
 
     Holds the Toeplitz compressions of the two column-integrated symbols
-    at a truncation adequate for the requested threshold range, plus the
-    bare transverse compression used by the outside-gap block operator.
+    in one basis, whose truncation must be adequate for the requested
+    threshold range.
     """
 
-    def __init__(self, pot: PotentialSpec, basis_plus: LLLBasis,
-                 basis_minus: LLLBasis | None = None, m: float = 1.0):
+    def __init__(self, pot: PotentialSpec, basis: LLLBasis, m: float = 1.0):
         self.pot = pot
         self.m = m
-        self.basis_plus = basis_plus
-        self.basis_minus = basis_minus if basis_minus is not None else basis_plus
-
-    @classmethod
-    def for_threshold(cls, pot: PotentialSpec, field, s_min: float, m: float = 1.0,
-                      k_cap: int = 200_000):
-        """Size the basis from the symbol law so counting at s_min is valid."""
-        from .landau import build_lll_basis
-
-        k_plus = min(suggest_truncation(pot.w_plus.law, s_min, field.b0), k_cap)
-        k_minus = min(suggest_truncation(pot.w_minus.law, s_min, field.b0), k_cap)
-        bp = build_lll_basis(field, max(k_plus, 8))
-        bm = bp if k_minus <= k_plus else build_lll_basis(field, k_minus)
-        return cls(pot, bp, bm, m)
+        self.basis = basis
 
     @cached_property
     def wplus_model(self) -> ToeplitzModel:
-        return toeplitz_radial_spectrum(self.pot.w_plus, self.basis_plus)
+        return toeplitz_radial_spectrum(self.pot.w_plus, self.basis)
 
     @cached_property
     def wminus_model(self) -> ToeplitzModel:
-        return toeplitz_radial_spectrum(self.pot.w_minus, self.basis_minus)
-
-    @cached_property
-    def tau_model(self) -> ToeplitzModel:
-        return toeplitz_radial_spectrum(self.pot.transverse, self.basis_plus)
+        return toeplitz_radial_spectrum(self.pot.w_minus, self.basis)
 
     # -- inside the gap ------------------------------------------------
 
@@ -396,9 +333,7 @@ class SsfEstimator:
 
     # -- outside the gap -----------------------------------------------
 
-    def outside_bracket(self, lam: float, eps: float, pair: str,
-                        use_full_omega: bool = False,
-                        grid: Grid1D | None = None) -> BracketEstimate:
+    def outside_bracket(self, lam: float, eps: float, pair: str) -> BracketEstimate:
         """arctan-trace bracket for the shift function outside the gap."""
         if not 0.0 < eps < 1.0:
             raise ValueError("slack eps must lie in (0, 1)")
@@ -413,15 +348,10 @@ class SsfEstimator:
                 "divergent asymptotics outside the gap pair H- with the +m edge "
                 "and H+ with the -m edge; other combinations are not estimated"
             )
-        if use_full_omega:
-            spec = build_omega_full(lam, self.pot, self.basis_plus, grid,
-                                    tau_model=self.tau_model, m=self.m).spectrum
-            tr_lo = trace_arctan(spec, 1.0 + eps)
-            tr_hi = trace_arctan(spec, 1.0 - eps)
-        else:
-            wp, wm = self.wplus_model.spectrum, self.wminus_model.spectrum
-            tr_lo = trace_arctan_omega1(lam, 1.0 + eps, wp, wm, self.m)
-            tr_hi = trace_arctan_omega1(lam, 1.0 - eps, wp, wm, self.m)
+        omega1 = build_omega1(lam, self.wplus_model.spectrum,
+                              self.wminus_model.spectrum, self.m)
+        tr_lo = trace_arctan(omega1, 1.0 + eps)
+        tr_hi = trace_arctan(omega1, 1.0 - eps)
         self._check_arctan_tail(lam, 1.0 - eps, tr_hi)
         if sign < 0:
             return BracketEstimate(-tr_hi / math.pi, -tr_lo / math.pi, eps)
@@ -463,9 +393,9 @@ class SsfEstimator:
         """Leading asymptotic value of the shift function near an edge."""
         from .asymptotics import law_for_profile
 
-        m = self.m
+        m, b0 = self.m, self.basis.field.b0
         if pair == "H-":
-            profile, b0 = self.pot.w_plus, self.basis_plus.field.b0
+            profile = self.pot.w_plus
             if side == "inside":
                 arg = 2.0 * math.sqrt((m - lam) / (m + lam))
                 return -law_for_profile(profile, b0).value(arg)
@@ -473,7 +403,7 @@ class SsfEstimator:
             return -self._outside_prefactor(profile) \
                 * law_for_profile(profile, b0).value(arg)
         if pair == "H+":
-            profile, b0 = self.pot.w_minus, self.basis_minus.field.b0
+            profile = self.pot.w_minus
             if side == "inside":
                 arg = 2.0 * math.sqrt((m + lam) / (m - lam))
                 return law_for_profile(profile, b0).value(arg)
@@ -563,8 +493,7 @@ def gap_edge_factor(pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
     return math.sqrt(prefactor) * factor
 
 
-def sweep_rows(estimator: SsfEstimator, lams, eps: float, pair: str,
-               side: str, use_full_omega: bool = False):
+def sweep_rows(estimator: SsfEstimator, lams, eps: float, pair: str, side: str):
     """(lambda, eps, lower, upper, prediction, midpoint/prediction) rows.
 
     Lambdas too far from the edge fall outside the validity window of the
@@ -575,7 +504,7 @@ def sweep_rows(estimator: SsfEstimator, lams, eps: float, pair: str,
         if side == "inside":
             br = estimator.inside_bracket(lam, eps, pair)
         else:
-            br = estimator.outside_bracket(lam, eps, pair, use_full_omega)
+            br = estimator.outside_bracket(lam, eps, pair)
         try:
             pred = estimator.predict(lam, side, pair)
         except ValueError:

@@ -28,8 +28,8 @@ from diracssf.discrete_model import (build_h0, check_gap, check_square_identity,
 from diracssf.kernels1d import Grid1D, RankTwoImS, im_s_grid_norm, im_s_schatten
 from diracssf.landau import FieldSpec, build_lll_basis
 from diracssf.ssf import (PotentialSpec, SsfEstimator, gap_edge_factor,
-                          gaussian_longitudinal, trace_arctan,
-                          trace_arctan_omega1, build_omega1, build_omega_full)
+                          gaussian_longitudinal, trace_arctan, build_omega1,
+                          build_omega_full)
 from diracssf.toeplitz import (disc_profile, gaussian_profile, power_profile,
                                suggest_truncation, toeplitz_radial_spectrum)
 
@@ -258,11 +258,11 @@ def test_criterion_07_factorised_compression(field_b2):
                         gaussian_longitudinal(), nu=5.0)
     basis = build_lll_basis(field_b2, 64)
     est = SsfEstimator(pot, basis, m=1.0)
+    tau = toeplitz_radial_spectrum(pot.transverse, basis)
     grid = Grid1D(16.0, 256)
     worst = 0.0
     for lam in (0.0, 0.5, 0.9):
-        factor = gap_edge_factor(pot, basis, grid, lam, "+", 1.0,
-                                 tau_model=est.tau_model)
+        factor = gap_edge_factor(pot, basis, grid, lam, "+", 1.0, tau_model=tau)
         sv = np.linalg.svd(factor, compute_uv=False)
         realized = np.sort(sv * sv)[::-1]
         scale = 0.5 * math.sqrt((1.0 + lam) / (1.0 - lam))
@@ -296,20 +296,19 @@ def test_criterion_08_arctan_paths(field_b2):
                 + mp.fsum(mp.atan(f_m * mp.exp(v) / s)
                           for v in wm.log_values[wm.signs == 1])
 
-    # trace_arctan_omega1 raises if its two evaluation paths drift past
-    # 1e-10; that guards the Omega1 scale factors and sign masks only, so
-    # the values are also held against the 30-digit arctan sum
+    # the production path (Omega1 scale factors, sign masks and the
+    # log-domain arctan) against a 30-digit sum with f+- in closed form
     worst = 0.0
     for j in range(2, 12):
         for s in (0.3, 1.0, 4.0):
             for lam in (1.0 + 2.0**-j, -1.0 - 2.0**-j):
-                got = trace_arctan_omega1(lam, s, wp, wm, 1.0)
+                got = trace_arctan(build_omega1(lam, wp, wm, 1.0), s)
                 want = oracle(lam, s)
                 worst = max(worst, float(abs(got - want) / abs(want)))
     ok = worst <= 1e-12
-    report(8, ok, f"Omega1 scale factors and sign masks agree across the two "
-                  f"paths to 1e-10; arctan trace within {worst:.1e} <= 1e-12 "
-                  f"of a 30-digit mpmath sum ({time.time() - t0:.2f}s)")
+    report(8, ok, f"Omega1 arctan trace within {worst:.1e} <= 1e-12 of a "
+                  f"30-digit mpmath sum with closed-form scale factors, both "
+                  f"edges ({time.time() - t0:.2f}s)")
     assert ok
 
 
@@ -371,12 +370,13 @@ def test_criterion_11_trace_growth(field_b2):
     basis = build_lll_basis(field_b2, 90)
     est = SsfEstimator(pot, basis, m=1.0)
     wp, wm = est.wplus_model.spectrum, est.wminus_model.spectrum
+    tau = toeplitz_radial_spectrum(pot.transverse, basis)
     diag_traces, diffs = [], []
     for j in range(2, 11):
         lam = 1.0 + 2.0**-j
         tr1 = trace_arctan(build_omega1(lam, wp, wm, 1.0), 1.0)
         tr = trace_arctan(build_omega_full(lam, pot, basis, m=1.0,
-                                           tau_model=est.tau_model).spectrum, 1.0)
+                                           tau_model=tau).spectrum, 1.0)
         diag_traces.append(tr1)
         diffs.append(abs(tr - tr1))
     growth = diag_traces[-1] / diag_traces[0]

@@ -12,7 +12,6 @@ from diracssf.asymptotics import (
     PowerLawCount,
     compare_law,
     law_for_profile,
-    levelset_count,
     phi_inf,
 )
 from diracssf.landau import build_lll_basis
@@ -39,6 +38,15 @@ class TestPowerLaw:
         law1 = PowerLawCount(3.0, 2.0 * np.pi, 1.0)
         law2 = PowerLawCount(3.0, 2.0 * np.pi, 2.0)
         assert law2.value(0.01) == pytest.approx(2.0 * law1.value(0.01))
+
+    @pytest.mark.parametrize("alpha, amp, b0", [(3.0, 1.0, 1.0), (4.0, 8.0, 2.0)])
+    def test_from_radial_matches_disc_level_set(self, alpha, amp, b0):
+        # {A (1 + r^2)^(-alpha/2) > s} is the disc r^2 < (A/s)^(2/alpha) - 1,
+        # so (b0/2 pi) |{U > s}| = (b0/2) ((A/s)^(2/alpha) - 1)
+        law = law_for_profile(power_profile(alpha, amp), b0)
+        for s in (1e-4, 1e-5):
+            levelset = 0.5 * b0 * ((amp / s) ** (2.0 / alpha) - 1.0)
+            assert abs(levelset / law.value(s) - 1.0) < 0.02
 
 
 class TestExponential:
@@ -95,41 +103,6 @@ class TestLawsIncrease:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-class TestLevelSets:
-    def test_inverse_power_law(self):
-        val, err = levelset_count(power_profile(3.0), 1e-3, 1.0)
-        assert val == pytest.approx(0.5 * (1e-3 ** (-2.0 / 3.0) - 1.0), rel=1e-9)
-        assert err < 1e-6
-
-    def test_disc_is_its_own_level_set(self):
-        val, _ = levelset_count(disc_profile(1.0), 0.5, 2.0)
-        assert val == pytest.approx(1.0, rel=1e-5)
-
-    def test_zero_function(self):
-        val, _ = levelset_count(lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                                0.5, 1.0)
-        assert val == 0.0
-
-    def test_unbounded_rejected(self):
-        with pytest.raises(ValueError):
-            levelset_count(lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                           0.5, 1.0)
-
-    def test_levelset_approaches_power_law(self):
-        law = law_for_profile(power_profile(3.0), 1.0)
-        for s in (1e-4, 1e-5):
-            val, _ = levelset_count(power_profile(3.0), s, 1.0)
-            assert abs(val / law.value(s) - 1.0) < 0.02
-
-    def test_two_dimensional_grid_path(self):
-        def sym(r, th):
-            return np.where(np.asarray(r) <= 1.0, 1.0, 0.0) * np.ones_like(th)
-
-        val, err = levelset_count(sym, 0.5, 2.0)
-        assert val == pytest.approx(1.0, abs=0.02)
-        assert err > 0.0
-
-
 class TestCompareLaw:
     def test_exponential_reference(self, basis_b2_220):
         model = toeplitz_radial_spectrum(gaussian_profile(1.0), basis_b2_220)
@@ -170,7 +143,7 @@ def test_compact_law_natural_log_point():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # brentq is imported inside levelset_count, its only user
+    # no module of the package uses scipy.optimize
     import diracssf
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracssf.__file__)))
@@ -198,7 +171,7 @@ print(sorted(set(loaded)))
 @pytest.mark.parametrize("config", [None, "levinson_power", "kernels"])
 def test_cold_path_loads_no_scipy(config, tmp_path):
     # these two configs reach the most Gauss-Legendre orders; scipy is
-    # imported lazily only by the Bessel tail, levelset_count and gammaln
+    # imported lazily only by the Bessel tail and gammaln
     import diracssf
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracssf.__file__)))

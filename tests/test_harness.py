@@ -5,6 +5,8 @@ from diracssf.cli import main
 from diracssf.harness import (
     ConfigError,
     ResultRow,
+    ScenarioConfig,
+    _estimator,
     all_rows_pass,
     emit_csv,
     format_value,
@@ -179,3 +181,21 @@ def test_ssf_scenarios_run():
         metrics = {r.metric for r in rows}
         assert {"bracket_lower", "bracket_upper", "prediction",
                 "ratio_mid_to_prediction"} <= metrics
+
+
+@pytest.mark.parametrize("m11, m33", [(1.0, 4.0), (4.0, 1.0)])
+def test_estimator_sizes_one_basis_for_both_edges(m11, m33):
+    # the basis that ships is sized for whichever column symbol needs more
+    # modes, so both edge compressions count correctly down to s_min
+    from diracssf.toeplitz import suggest_truncation
+
+    s_min = 1e-3
+    cfg = ScenarioConfig("ssf-outside", b0=1.0, law="power", amplitude=8.0,
+                         nu=5.0, m11=m11, m33=m33)
+    est = _estimator(cfg, s_min)
+    k_plus = suggest_truncation(est.pot.w_plus.law, s_min, 1.0)
+    k_minus = suggest_truncation(est.pot.w_minus.law, s_min, 1.0)
+    assert k_plus != k_minus
+    assert est.basis.K == max(k_plus, k_minus)
+    assert est.wplus_model.adequate_for(s_min)
+    assert est.wminus_model.adequate_for(s_min)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import diracssf.ssf as ssf
-from diracssf.counting import LogSpectrum, _arctan_of_log_ratio
+from diracssf.counting import LogSpectrum
 from diracssf.kernels1d import Grid1D
 from diracssf.landau import build_lll_basis
 from diracssf.ssf import (
@@ -18,9 +17,8 @@ from diracssf.ssf import (
     omega_threshold,
     sweep_rows,
     trace_arctan,
-    trace_arctan_omega1,
 )
-from diracssf.toeplitz import gaussian_profile, power_profile
+from diracssf.toeplitz import gaussian_profile, power_profile, toeplitz_radial_spectrum
 
 
 def diag_matrix(m11=1.0, m33=1.0, m13=0.0):
@@ -131,10 +129,15 @@ class TestInsideBracket:
 
 class TestOmega1:
     def test_scale_factor(self):
+        # (1/2) sqrt(|lam + m| / |lam - m|) on the +m family and the
+        # reciprocal (1/2) sqrt(|lam - m| / |lam + m|) on the -m family
         spec = LogSpectrum.from_eigenvalues([1.0])
         empty = LogSpectrum.from_log(np.empty(0))
-        out = build_omega1(1.25, spec, empty, 1.0)
-        assert np.exp(out.log_values[0]) == pytest.approx(1.5, rel=1e-12)
+        for lam, f_plus, f_minus in ((1.25, 1.5, 1.0 / 6.0), (-1.25, 1.0 / 6.0, 1.5)):
+            out = build_omega1(lam, spec, empty, 1.0)
+            assert np.exp(out.log_values[0]) == pytest.approx(f_plus, rel=1e-12)
+            out = build_omega1(lam, empty, spec, 1.0)
+            assert np.exp(out.log_values[0]) == pytest.approx(f_minus, rel=1e-12)
 
     def test_empty_minus_family(self):
         spec = LogSpectrum.from_eigenvalues([2.0, 1.0])
@@ -162,83 +165,14 @@ class TestTraceArctan:
         spec = LogSpectrum.from_eigenvalues([1.0, 2.0])
         assert trace_arctan(spec, 1e12) < 1e-11
 
-    def test_paths_agree_on_random_spectra(self, rng):
-        for _ in range(25):
-            wp = LogSpectrum.from_log(rng.standard_normal(30) * 8.0)
-            wm = LogSpectrum.from_log(rng.standard_normal(20) * 8.0)
-            lam = 1.0 + float(np.abs(rng.standard_normal())) + 1e-3
-            s = float(np.abs(rng.standard_normal()) + 0.1)
-            trace_arctan_omega1(lam, s, wp, wm, 1.0)  # raises on disagreement
-
-
-def scalar_cauchy_counting(spec, scale):
-    """Jump-by-jump loop that the vectorised cross-check must reproduce."""
-    lv = np.sort(spec.log_values[spec.signs == 1])
-    if lv.size == 0:
-        return 0.0
-    at = _arctan_of_log_ratio(lv - math.log(scale), 0.0)
-    total = 0.0
-    prev = 0.0
-    n = lv.size
-    for i in range(n):
-        total += (n - i) * (at[i] - prev)
-        prev = at[i]
-    return float(total)
-
-
-class TestCauchyCountingIntegral:
-    """The second evaluation path behind the criterion-8 cross-check."""
-
-    def assert_both_oracles(self, spec, scale):
-        got = ssf._cauchy_counting_integral(spec, scale)
-        tol = 1e-12 * (1.0 + abs(got))
-        assert abs(got - scalar_cauchy_counting(spec, scale)) <= tol
-        assert abs(got - trace_arctan(spec, scale)) <= tol
-
-    def test_random_spectra_with_ties(self, rng):
-        for size in (2, 7, 50, 400):
-            lv = rng.standard_normal(size) * 6.0
-            lv[: size // 2] = rng.choice(lv[size // 2:], size // 2)  # ties
-            spec = LogSpectrum.from_log(lv)
-            assert len(np.unique(spec.log_values)) < size
-            for scale in (1e-3, 0.7, 1.0, 50.0):
-                self.assert_both_oracles(spec, scale)
-
-    def test_both_far_branches_of_the_arctan(self):
-        # log-ratios beyond +30 and below -30 take the expansion branches
+    def test_far_branches_and_sign_mask(self):
+        # log-ratios beyond +-30 take the expansion branches; zero and
+        # negative entries contribute nothing
         lv = np.array([-95.0, -40.0, -30.5, -2.0, 0.0, 3.0, 30.5, 41.0, 88.0])
-        spec = LogSpectrum.from_log(lv)
-        x = lv - math.log(2.0)
-        assert np.any(x > 30.0) and np.any(x < -30.0)
-        self.assert_both_oracles(spec, 2.0)
-
-    def test_single_eigenvalue(self):
-        spec = LogSpectrum.from_eigenvalues([1.5])
-        assert ssf._cauchy_counting_integral(spec, 1.0) == pytest.approx(
-            math.atan(1.5), rel=1e-14)
-        self.assert_both_oracles(spec, 0.3)
-
-    def test_empty_spectrum(self):
-        assert ssf._cauchy_counting_integral(LogSpectrum.from_log(np.empty(0)), 1.0) == 0.0
-
-    def test_zero_and_negative_entries_are_ignored(self):
-        spec = LogSpectrum.from_eigenvalues([2.0, 0.0, -3.0, 0.25, 0.0, -0.1, 0.25])
-        positive = LogSpectrum.from_eigenvalues([2.0, 0.25, 0.25])
-        got = ssf._cauchy_counting_integral(spec, 0.5)
-        assert got == ssf._cauchy_counting_integral(positive, 0.5)
-        self.assert_both_oracles(spec, 0.5)
-        only_nonpositive = LogSpectrum.from_eigenvalues([0.0, -1.0, -4.0])
-        assert ssf._cauchy_counting_integral(only_nonpositive, 1.0) == 0.0
-
-    def test_cross_check_catches_a_perturbed_path(self, rng, monkeypatch):
-        wp = LogSpectrum.from_log(rng.standard_normal(30) * 4.0)
-        wm = LogSpectrum.from_log(rng.standard_normal(20) * 4.0)
-        trace_arctan_omega1(1.3, 0.8, wp, wm, 1.0)
-        exact = ssf._cauchy_counting_integral
-        monkeypatch.setattr(ssf, "_cauchy_counting_integral",
-                            lambda spec, scale: exact(spec, scale) + 1e-6)
-        with pytest.raises(AssertionError, match="paths disagree"):
-            trace_arctan_omega1(1.3, 0.8, wp, wm, 1.0)
+        spec = LogSpectrum.from_log(lv).union(LogSpectrum.from_eigenvalues([0.0, -3.0]))
+        want = math.fsum(math.atan(math.exp(v) / 2.0) for v in lv)
+        assert trace_arctan(spec, 2.0) == pytest.approx(want, rel=1e-14)
+        assert trace_arctan(LogSpectrum.from_eigenvalues([0.0, -1.0]), 1.0) == 0.0
 
 
 class TestOmegaFull:
@@ -290,10 +224,12 @@ class TestOutsideBracket:
         with pytest.raises(ValueError):
             est_exp.outside_bracket(1.01, 0.1, "H+")
 
-    def test_full_operator_close_to_diagonal(self, est_exp):
-        a = est_exp.outside_bracket(1.0 + 1e-4, 0.1, "H-")
-        b = est_exp.outside_bracket(1.0 + 1e-4, 0.1, "H-", use_full_omega=True)
-        assert abs(a.midpoint - b.midpoint) < 0.05 * abs(a.midpoint)
+    def test_full_operator_close_to_diagonal(self, est_exp, pot_exp, basis_b2_64):
+        lam = 1.0 + 1e-4
+        a = est_exp.outside_bracket(lam, 0.1, "H-")
+        full = build_omega_full(lam, pot_exp, basis_b2_64, m=1.0).spectrum
+        full_mid = -0.5 * (trace_arctan(full, 1.1) + trace_arctan(full, 0.9)) / math.pi
+        assert abs(a.midpoint - full_mid) < 0.05 * abs(a.midpoint)
 
 
 class TestPredictions:
@@ -338,6 +274,11 @@ class TestLevinsonRows:
             est_exp.levinson_rows([0.49], "H-", eps_bracket=0.1)
 
 
+@pytest.fixture(scope="module")
+def tau_b2_64(pot_exp, basis_b2_64):
+    return toeplitz_radial_spectrum(pot_exp.transverse, basis_b2_64)
+
+
 class TestGapEdgeFactorisation:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
     def test_flip_identity_at_finite_rank(self, pot_exp, basis_b2_64, lam):
@@ -351,11 +292,11 @@ class TestGapEdgeFactorisation:
         assert np.max(np.abs(via_svd[: good.sum()] / via_gram[good] - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
-    def test_matches_scaled_compression(self, pot_exp, basis_b2_64, lam):
+    def test_matches_scaled_compression(self, pot_exp, basis_b2_64, tau_b2_64, lam):
         est = SsfEstimator(pot_exp, basis_b2_64, m=1.0)
         grid = Grid1D(16.0, 256)
         factor = gap_edge_factor(pot_exp, basis_b2_64, grid, lam, "+", 1.0,
-                                 tau_model=est.tau_model)
+                                 tau_model=tau_b2_64)
         sv = np.linalg.svd(factor, compute_uv=False)
         realized = np.sort(sv * sv)[::-1]
         scale = 0.5 * math.sqrt((1.0 + lam) / (1.0 - lam))

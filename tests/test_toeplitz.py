@@ -209,14 +209,3 @@ def test_stretched_exponential_branch(field_b2):
     law = law_for_profile(prof, 2.0)
     (_, n, lawv, ratio, _), = compare_law(model, law, [1e-6]).rows
     assert 0.8 <= ratio <= 1.2
-
-
-def test_for_threshold_sizing(field_b2):
-    from diracssf.ssf import PotentialSpec, SsfEstimator, gaussian_longitudinal
-
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = mat[2, 2] = 1.0
-    pot = PotentialSpec(mat, gaussian_profile(1.0), gaussian_longitudinal(),
-                        nu=5.0)
-    est = SsfEstimator.for_threshold(pot, field_b2, 1e-6)
-    assert est.wplus_model.adequate_for(1e-6)
