@@ -75,17 +75,22 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None,
     flat-field peak sqrt((2k+1)/b0) (or at R for rows still rising there);
     each interval ends where the log-integrand has fallen 80 nats, found by
     regula falsi in log r; and the Gauss-Legendre node count doubles until
-    every log-integral is stable to ``tol``.  Pass a dict as ``info`` to
-    collect the rule descriptor (max node count, outermost radius).
+    every log-integral in a ``MOMENT_CHUNK``-row chunk is stable to
+    ``tol``.  The nodes of a chunk are evaluated in cache-sized row blocks
+    (``_quad.BLOCK_ELEMENTS``), for which the integrand reads k at the
+    block's rows; the block size never changes a value.  Pass a dict as
+    ``info`` to collect the rule descriptor (max node count, outermost
+    radius).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     out = np.empty(ks.shape[0])
     for start in range(0, ks.shape[0], MOMENT_CHUNK):
         k = ks[start:start + MOMENT_CHUNK]
 
-        def g(r, k=k):
+        def g(r, rows=slice(None), k=k):
             r = np.asarray(r, dtype=float)
-            kk = k.reshape((-1,) + (1,) * (r.ndim - 1)) if r.ndim > 1 else k
+            kk = k[rows]
+            kk = kk.reshape((-1,) + (1,) * (r.ndim - 1)) if r.ndim > 1 else kk
             with np.errstate(divide="ignore"):
                 val = (2.0 * kk + 1.0) * np.log(r) - 2.0 * fs.phi(r)
             if log_symbol is not None:

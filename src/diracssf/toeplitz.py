@@ -293,7 +293,7 @@ def _log_plane_integral(profile: RadialProfile, q: int, fs) -> float:
     with np.errstate(divide="ignore"):
         if support is not None:
             val = integrate(0.0, support,
-                            lambda r: q * profile.log_value(r) + np.log(r))
+                            lambda r, rows: q * profile.log_value(r) + np.log(r))
         else:
             # r = e^t: integrand becomes U(e^t)^q e^(2t)
             t_hi = np.log(16.0)
@@ -311,7 +311,7 @@ def _log_plane_integral(profile: RadialProfile, q: int, fs) -> float:
                         - np.log(qa - 2.0)
                     break
             val = integrate(-40.0, t_hi,
-                            lambda t: q * profile.log_value(np.exp(t)) + 2.0 * t)
+                            lambda t, rows: q * profile.log_value(np.exp(t)) + 2.0 * t)
             if tail is not None:
                 val = np.logaddexp(val, tail)
     return val + np.log(2.0 * np.pi)

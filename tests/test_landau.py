@@ -130,13 +130,153 @@ def test_combined_transverse_gap():
 def test_log_integral_batch_failure_names_the_change_beside_a_zero_row():
     from diracssf._quad import QuadratureError, log_integral_batch
 
-    def log_f(nodes):
+    def log_f(nodes, rows):
         out = np.sin(1e4 * nodes)  # second row never settles
         out[0] = -np.inf           # first row is a zero integrand
         return out
 
     with pytest.raises(QuadratureError, match="last change"):
         log_integral_batch(log_f, [0.0, 0.0], [1.0, 1.0], n_max=512)
+
+
+def test_log_integral_batch_rejects_an_empty_node_ladder():
+    from diracssf._quad import log_integral_batch
+
+    with pytest.raises(ValueError, match="ladder 256..128"):
+        log_integral_batch(lambda nodes, rows: nodes, [0.0], [1.0], n0=256, n_max=128)
+
+
+def test_panel_integral_rejects_an_empty_order_ladder():
+    from diracssf._quad import panel_integral
+
+    with pytest.raises(ValueError, match="ladder 512..256"):
+        panel_integral(np.cos, 0.0, 1.0, 1.0, order=512, max_order=256)
+
+
+def test_panel_integral_failure_counts_the_rules_it_compared():
+    from diracssf._quad import QuadratureError, panel_integral
+
+    # one rule on the ladder: nothing was compared, and no change is claimed
+    with pytest.raises(QuadratureError,
+                       match=r"1 rules compared \(orders 256\.\.256\), no change") as one:
+        panel_integral(np.cos, 0.0, 1.0, 1.0, order=256, max_order=256)
+    assert "last change" not in str(one.value)
+    # three rules (16, 32, 64) on an unresolved oscillation: a real, nonzero change
+    with pytest.raises(QuadratureError,
+                       match=r"3 rules compared \(orders 16\.\.64\), last change [1-9]"):
+        panel_integral(lambda x: np.sin(1e4 * x), 0.0, 1.0, 1.0, order=16, max_order=64)
+
+
+# -- cache-blocked node evaluation ---------------------------------------------
+
+
+def one_shot_log_integral(log_f, lo, hi, *, tol, n0, n_max=8192):
+    """The unblocked rule: each rung evaluates every row's nodes at once."""
+    from diracssf._quad import _row_logsumexp, gauss_legendre
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    prev = None
+    n = n0
+    while n <= n_max:
+        x, w = gauss_legendre(n)
+        nodes = half[:, None] * x[None, :] + mid[:, None]
+        logw = np.log(half)[:, None] + np.log(w)[None, :]
+        cur = _row_logsumexp(log_f(nodes, slice(None)) + logw)
+        if prev is not None:
+            with np.errstate(invalid="ignore"):
+                delta = np.abs(cur - prev)
+            delta[np.isneginf(cur) & np.isneginf(prev)] = 0.0
+            if np.max(delta) <= tol:
+                return cur, n
+        prev = cur
+        n *= 2
+    raise AssertionError("reference rule did not stabilise")
+
+
+def rowwise_log_integrand(k, zero_rows=(), calls=None):
+    """g_k(r) = (2k+1) log r - r^2/2, read at ``rows``; ``zero_rows`` are -inf.
+
+    ``calls`` collects (node count, rows) for every evaluation.
+    """
+    k = np.asarray(k, dtype=float)
+    zero = np.isin(np.arange(k.size), zero_rows)
+
+    def log_f(nodes, rows):
+        if calls is not None:
+            calls.append((nodes.shape[1], rows))
+        with np.errstate(divide="ignore"):
+            out = (2.0 * k[rows, None] + 1.0) * np.log(nodes) - 0.5 * nodes * nodes
+        out[zero[rows]] = -np.inf
+        return out
+
+    return log_f
+
+
+@pytest.mark.parametrize("m, zero_rows, budget", [
+    (1553, (1500,), None),   # ragged last block; a -inf row in a later block
+    (5, (), None),           # the whole batch is smaller than one block
+    (37, (30,), 100),        # a budget below one row: one row per block
+])
+def test_blocked_log_integral_is_bitwise_the_one_shot_rule(monkeypatch, m, zero_rows, budget):
+    from diracssf import _quad
+
+    if budget is not None:
+        monkeypatch.setattr(_quad, "BLOCK_ELEMENTS", budget)
+    k = np.random.default_rng(m).uniform(0.0, 400.0, m)
+    peak = np.sqrt(2.0 * k + 1.0)
+    lo, hi = np.maximum(peak - 13.0, 1e-3), peak + 13.0
+    calls = []
+    got = _quad.log_integral_batch(rowwise_log_integrand(k, zero_rows, calls), lo, hi,
+                                   tol=1e-10, n0=64)
+    want = one_shot_log_integral(rowwise_log_integrand(k, zero_rows), lo, hi,
+                                 tol=1e-10, n0=64)
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0])
+    assert np.all(np.isneginf(got[0][list(zero_rows)]))
+    # every rung tiles the batch with blocks of max(1, budget // n) rows
+    for n in {c[0] for c in calls}:
+        step = max(1, _quad.BLOCK_ELEMENTS // n)
+        starts = [rows.start for nn, rows in calls if nn == n]
+        assert starts == list(range(0, m, step))
+        assert all(rows.stop - rows.start == step for nn, rows in calls if nn == n)
+
+
+@pytest.mark.parametrize("case", ["tanh field", "disc support"])
+def test_blocked_radial_moments_are_bitwise_one_block_per_chunk(monkeypatch, case):
+    from diracssf import _quad
+    from diracssf.landau import MOMENT_CHUNK, log_radial_moments
+    from diracssf.toeplitz import disc_profile
+
+    if case == "tanh field":
+        fs, kwargs = FieldSpec(1.0, phi_tilde=lambda r: 0.5 * np.tanh(r)), {}
+    else:
+        fs, kwargs = FieldSpec(1.0), dict(log_symbol=disc_profile(1.3).log_value, support=1.3)
+    ks = np.arange(2 * MOMENT_CHUNK + 301)  # three chunks, the last one short
+    runs = []
+    for budget in (1 << 40, 1000, _quad.BLOCK_ELEMENTS):
+        monkeypatch.setattr(_quad, "BLOCK_ELEMENTS", budget)
+        info = {}
+        runs.append((log_radial_moments(fs, ks, info=info, **kwargs), info))
+    (want, want_info), *blocked = runs
+    for got, got_info in blocked:
+        assert np.array_equal(got, want)
+        assert got_info == want_info
+
+
+def test_radial_build_never_holds_a_chunk_by_nodes_matrix():
+    from diracssf.toeplitz import power_profile, toeplitz_radial_spectrum
+
+    tracemalloc.start()
+    try:
+        basis = build_lll_basis(FieldSpec(1.0), 4096)
+        toeplitz_radial_spectrum(power_profile(3.0), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, (
+        f"traced peak {peak / 2**20:.1f} MiB: node evaluation must be cache-blocked "
+        f"and never hold a full chunk x n matrix")
 
 
 # -- the _quad searches and the row log-sum-exp ----------------------------------
