@@ -16,9 +16,8 @@ import numpy as np
 
 from .counting import LogSpectrum
 from .kernels1d import Grid1D
-from .landau import LLLBasis, LadderModel, build_ladder
-from .ssf import PotentialSpec, omega_threshold
-from .toeplitz import ToeplitzModel, toeplitz_radial_spectrum
+from .landau import LadderModel, build_ladder
+from .ssf import PotentialSpec, SsfEstimator, omega_threshold
 
 
 @dataclass(frozen=True)
@@ -191,20 +190,18 @@ def _spinor_signature_eigs(pot: PotentialSpec, lam: float, m: float):
     return np.linalg.eigvalsh(sqrt_t @ s @ sqrt_t)
 
 
-def tdiv_spectrum(lam: float, pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
-                  m: float = 1.0, tau_model: ToeplitzModel | None = None) -> LogSpectrum:
+def tdiv_spectrum(est: SsfEstimator, lam: float, grid: Grid1D) -> LogSpectrum:
     """Nonzero spectrum of the divergent weighted-resolvent part in the gap.
 
     For a separable potential the operator factorises over (transverse
     Toeplitz) x (longitudinal resolvent modes) x (2x2 signed spinor
     block); the spectrum is the product set, assembled in the log domain.
     """
+    pot, m = est.pot, est.m
     if not abs(lam) < m:
         raise ValueError("gap-side construction requires |lambda| < m")
     kappa = math.sqrt(m * m - lam * lam)
-    if tau_model is None:
-        tau_model = toeplitz_radial_spectrum(pot.transverse, basis)
-    log_tau = tau_model.log_eigen_by_k
+    log_tau = est.transverse_model.log_eigen_by_k
     rho = _longitudinal_resolvent_modes(pot, grid, kappa)
     sigma = _spinor_signature_eigs(pot, lam, m)
 
@@ -223,10 +220,7 @@ def tdiv_spectrum(lam: float, pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
     return LogSpectrum(np.concatenate(logs), np.concatenate(signs))
 
 
-def tdiv_vs_omega_count(lam: float, pot: PotentialSpec, basis: LLLBasis,
-                        grid: Grid1D, s: float, m: float = 1.0,
-                        wplus_model: ToeplitzModel | None = None,
-                        tau_model: ToeplitzModel | None = None):
+def tdiv_vs_omega_count(est: SsfEstimator, lam: float, grid: Grid1D, s: float):
     """Counting comparison between the divergent part and its compression.
 
     Returns (count_tdiv, count_omega, difference) for the +m edge: the
@@ -234,11 +228,8 @@ def tdiv_vs_omega_count(lam: float, pot: PotentialSpec, basis: LLLBasis,
     the column-integrated compression.  Along a sweep toward the edge
     both counts diverge while the difference stays bounded.
     """
-    spec = tdiv_spectrum(lam, pot, basis, grid, m, tau_model)
-    count_tdiv = spec.n_plus(s)
-    if wplus_model is None:
-        wplus_model = toeplitz_radial_spectrum(pot.w_plus, basis)
-    mapped = s * omega_threshold(lam, "+", m)
-    wplus_model.require_adequate(mapped)
-    count_omega = wplus_model.spectrum.n_plus(mapped)
+    count_tdiv = tdiv_spectrum(est, lam, grid).n_plus(s)
+    mapped = s * omega_threshold(lam, "+", est.m)
+    est.wplus_model.require_adequate(mapped)
+    count_omega = est.wplus_model.spectrum.n_plus(mapped)
     return count_tdiv, count_omega, count_tdiv - count_omega

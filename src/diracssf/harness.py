@@ -112,8 +112,11 @@ def parse_config(text: str) -> ScenarioConfig:
                     values[attr] = int(raw)
                 else:
                     values[attr] = raw.strip()
+                if kind in (float, "floats") and not np.all(np.isfinite(values[attr])):
+                    raise ValueError
             except ValueError:
-                violations.append(f"key '{key}' in [{section}]: cannot parse {raw!r}")
+                violations.append(f"key '{key}' in [{section}]: cannot parse {raw!r} "
+                                  "(numbers must be finite)")
 
     if "scenario" not in values:
         violations.append("missing [scenario] name")
@@ -140,12 +143,16 @@ def _guard_violations(cfg: ScenarioConfig):
     if not cfg.nu > 3:
         out.append("potential guard: decay exponent nu must exceed 3 "
                    "(PotentialSpec invariant)")
-    if cfg.amplitude < 0 or cfg.m11 < 0 or cfg.m33 < 0:
-        out.append("potential guard: amplitudes must be nonnegative (sign-definiteness)")
+    if not cfg.amplitude > 0:
+        out.append("potential guard: amplitude must be positive (log-domain profiles)")
+    if cfg.m11 < 0 or cfg.m33 < 0:
+        out.append("potential guard: m11 and m33 must be nonnegative (sign-definiteness)")
     if cfg.m11 * cfg.m33 < cfg.m13 * cfg.m13:
         out.append("potential guard: matrix part must stay positive semidefinite")
     if not cfg.mass > 0:
         out.append("potential guard: mass must be positive")
+    if not cfg.long_width > 0:
+        out.append("potential guard: long_width must be positive (longitudinal gaussian width)")
     if cfg.law == "exponential" and not cfg.eta > 0:
         out.append("potential guard: exponential law needs eta > 0")
     if cfg.law == "compact" and not cfg.radius > 0:

@@ -3,8 +3,10 @@
 Inside the gap the shift function is bracketed by eigenvalue counts of a
 scaled Toeplitz compression of the column-integrated potential entries;
 outside the gap by arctan-traces of the diagonal operator Omega1 built
-from the same two compressions.  The full block operator, assembled from
-longitudinal trigonometric moments, is kept as a reference for Omega1.
+from the same two compressions, which are one compression pTp scaled:
+for V = M T(r) L(x3) the symbols are W+- = M_ii (integral L) T, i = 1, 3.
+The full block operator, assembled from longitudinal trigonometric
+moments, is kept as a reference for Omega1.
 Both brackets carry a (1 +- eps) slack and exclude unknown bounded terms,
 so every consumer works with ratios or differences where those terms are
 negligible.
@@ -110,8 +112,12 @@ class PotentialSpec:
     def longitudinal_integral(self) -> float:
         return self.longitudinal.integral()
 
+    def column_scale(self, diag_index: int) -> float:
+        """M_ii times the integral of L: the column symbol is this times T."""
+        return float(self.matrix_part[diag_index, diag_index].real) * self.longitudinal_integral
+
     def _column_profile(self, diag_index: int) -> RadialProfile:
-        scale = float(self.matrix_part[diag_index, diag_index].real) * self.longitudinal_integral
+        scale = self.column_scale(diag_index)
         trans = self.transverse
         if scale == 0.0:
             return RadialProfile(eval=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
@@ -169,17 +175,22 @@ class BracketEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def build_omega1(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
-                 m: float = 1.0) -> LogSpectrum:
-    """Spectrum of the diagonal outside-gap block operator.
+def omega1_log_factors(lam: float, m: float = 1.0) -> tuple[float, float]:
+    """Logs of the Omega1 scale factors (1/2) sqrt(|lam+-m| / |lam-+m|).
 
-    Scales the +m family by (1/2) sqrt(|lam+m| / |lam-m|) and the -m
-    family by the reciprocal factor, entirely in the log domain.
+    The first scales the +m family, the second the -m family.
     """
     if not abs(lam) > m:
         raise ValueError("outside-gap operator requires |lambda| > m")
     log_fp = math.log(0.5) + 0.5 * (math.log(abs(lam + m)) - math.log(abs(lam - m)))
     log_fm = math.log(0.5) + 0.5 * (math.log(abs(lam - m)) - math.log(abs(lam + m)))
+    return log_fp, log_fm
+
+
+def build_omega1(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
+                 m: float = 1.0) -> LogSpectrum:
+    """Spectrum of the diagonal outside-gap block operator, in log storage."""
+    log_fp, log_fm = omega1_log_factors(lam, m)
     return wplus_spec.scaled(log_fp).union(wminus_spec.scaled(log_fm))
 
 
@@ -214,10 +225,9 @@ class OmegaModel:
     trace_bound: float
 
 
-def build_omega_full(lam: float, pot: PotentialSpec, basis: LLLBasis,
-                     tau_model: ToeplitzModel | None = None,
-                     m: float = 1.0) -> OmegaModel:
+def build_omega_full(est: "SsfEstimator", lam: float) -> OmegaModel:
     """Assemble the full outside-gap operator and its spectrum."""
+    pot, m = est.pot, est.m
     if not abs(lam) > m:
         raise ValueError("outside-gap operator requires |lambda| > m")
     kappa = math.sqrt(lam * lam - m * m)
@@ -235,9 +245,7 @@ def build_omega_full(lam: float, pot: PotentialSpec, basis: LLLBasis,
     )
     spinor_eigs = np.clip(np.linalg.eigvalsh(spinor), 0.0, None)
 
-    if tau_model is None:
-        tau_model = toeplitz_radial_spectrum(pot.transverse, basis)
-    log_tau = tau_model.log_eigen_by_k
+    log_tau = est.transverse_model.log_eigen_by_k
 
     logs = []
     for qa in q_eigs:
@@ -245,18 +253,13 @@ def build_omega_full(lam: float, pot: PotentialSpec, basis: LLLBasis,
             if qa <= 0.0 or cb <= 0.0:
                 continue
             logs.append(log_tau + math.log(qa) + math.log(cb) - math.log(2.0 * kappa))
-    if logs:
-        spectrum = LogSpectrum.from_log(np.concatenate(logs))
-    else:
-        spectrum = LogSpectrum.from_log(np.empty(0))
+    spectrum = LogSpectrum.from_log(np.concatenate(logs) if logs else np.empty(0))
 
-    trace_sum = float(np.sum(q_eigs) * np.sum(spinor_eigs)
-                      * np.exp(spectrum_logsum(log_tau)) / (2.0 * kappa))
-    i_long = pot.longitudinal_integral
-    w_plus_tr = mp[0, 0].real * i_long * float(np.exp(spectrum_logsum(log_tau)))
-    w_minus_tr = mp[2, 2].real * i_long * float(np.exp(spectrum_logsum(log_tau)))
-    bound = math.sqrt(abs(lam + m) / abs(lam - m)) * w_plus_tr \
-        + math.sqrt(abs(lam - m) / abs(lam + m)) * w_minus_tr
+    tau_trace = float(np.exp(spectrum_logsum(log_tau)))
+    trace_sum = float(np.sum(q_eigs) * np.sum(spinor_eigs) * tau_trace / (2.0 * kappa))
+    # Tr W+- = M_ii (integral L) Tr pTp
+    bound = tau_trace * (math.sqrt(abs(lam + m) / abs(lam - m)) * pot.column_scale(0)
+                         + math.sqrt(abs(lam - m) / abs(lam + m)) * pot.column_scale(2))
     if trace_sum > bound * (1.0 + 1e-9):
         raise AssertionError(f"trace bound violated: {trace_sum} > {bound}")
     return OmegaModel(lam, m, (m1, m2, m3), q_eigs, spinor_eigs, log_tau,
@@ -272,9 +275,9 @@ def spectrum_logsum(log_values: np.ndarray) -> float:
 class SsfEstimator:
     """Shared state for gap-edge shift-function estimates.
 
-    Holds the Toeplitz compressions of the two column-integrated symbols
-    in one basis, whose truncation must be adequate for the requested
-    threshold range.
+    Holds the Toeplitz compression of the transverse profile in one
+    basis, whose truncation must be adequate for the requested threshold
+    range, and the two column-symbol compressions as scaled views of it.
     """
 
     def __init__(self, pot: PotentialSpec, basis: LLLBasis, m: float = 1.0):
@@ -283,12 +286,36 @@ class SsfEstimator:
         self.basis = basis
 
     @cached_property
+    def transverse_model(self) -> ToeplitzModel:
+        """pTp: the estimator's one radial quadrature."""
+        return toeplitz_radial_spectrum(self.pot.transverse, self.basis)
+
+    def _column_model(self, profile: RadialProfile, diag_index: int) -> ToeplitzModel:
+        """pWp for W = M_ii (integral L) T: pTp times that scale, no quadrature."""
+        tau, scale = self.transverse_model, self.pot.column_scale(diag_index)
+        if scale == 0.0 or tau.log_eigen_by_k is None:  # the zero operator
+            return ToeplitzModel(self.basis, profile,
+                                 LogSpectrum.from_eigenvalues(np.zeros(self.basis.K)))
+        log_scale = math.log(scale)
+        return ToeplitzModel(self.basis, profile, tau.spectrum.scaled(log_scale),
+                             log_eigen_by_k=tau.log_eigen_by_k + log_scale)
+
+    @cached_property
     def wplus_model(self) -> ToeplitzModel:
-        return toeplitz_radial_spectrum(self.pot.w_plus, self.basis)
+        return self._column_model(self.pot.w_plus, 0)
 
     @cached_property
     def wminus_model(self) -> ToeplitzModel:
-        return toeplitz_radial_spectrum(self.pot.w_minus, self.basis)
+        return self._column_model(self.pot.w_minus, 2)
+
+    def _edge(self, pair: str):
+        """(edge sign e, column symbol, its compression): H- diverges at the
+        +m edge (e = 1, W+), H+ at the -m edge (e = -1, W-)."""
+        if pair == "H-":
+            return 1.0, self.pot.w_plus, self.wplus_model
+        if pair == "H+":
+            return -1.0, self.pot.w_minus, self.wminus_model
+        raise ValueError("pair must be 'H+' or 'H-'")
 
     # -- inside the gap ------------------------------------------------
 
@@ -302,25 +329,15 @@ class SsfEstimator:
             raise ValueError("inside bracket requires |lambda| < m")
         if not 0.0 < eps < 1.0:
             raise ValueError("slack eps must lie in (0, 1)")
-        toward_plus = lam >= 0.0
-        if (pair == "H+" and toward_plus) or (pair == "H-" and not toward_plus):
+        e, _, model = self._edge(pair)
+        if (lam >= 0.0) != (e > 0):
             return BracketEstimate(0.0, 0.0, eps, None, bounded=True)
-        if pair == "H-":
-            t = omega_threshold(lam, "+", self.m)
-            model = self.wplus_model
-            s_lo, s_hi = (1.0 - eps) * t, (1.0 + eps) * t
-            self._check_thresholds(model, (s_lo, s_hi))
-            lower = -float(model.spectrum.n_plus(s_lo))
-            upper = -float(model.spectrum.n_plus(s_hi))
-        elif pair == "H+":
-            t = omega_threshold(lam, "-", self.m)
-            model = self.wminus_model
-            s_lo, s_hi = (1.0 - eps) * t, (1.0 + eps) * t
-            self._check_thresholds(model, (s_lo, s_hi))
-            lower = float(model.spectrum.n_plus(s_hi))
-            upper = float(model.spectrum.n_plus(s_lo))
-        else:
-            raise ValueError("pair must be 'H+' or 'H-'")
+        t = omega_threshold(lam, "+" if e > 0 else "-", self.m)
+        s_lo, s_hi = (1.0 - eps) * t, (1.0 + eps) * t
+        self._check_thresholds(model, (s_lo, s_hi))
+        # H- counts -n_+ at the +m edge, H+ counts +n_+ at the -m edge
+        lower, upper = sorted((-e * model.spectrum.n_plus(s_lo),
+                               -e * model.spectrum.n_plus(s_hi)))
         return BracketEstimate(lower, upper, eps, t)
 
     def _check_thresholds(self, model: ToeplitzModel, thresholds):
@@ -339,11 +356,8 @@ class SsfEstimator:
             raise ValueError("slack eps must lie in (0, 1)")
         if not abs(lam) > self.m:
             raise ValueError("outside bracket requires |lambda| > m")
-        if pair == "H-" and lam > self.m:
-            sign = -1.0
-        elif pair == "H+" and lam < -self.m:
-            sign = 1.0
-        else:
+        e, _, _ = self._edge(pair)
+        if not e * lam > self.m:
             raise ValueError(
                 "divergent asymptotics outside the gap pair H- with the +m edge "
                 "and H+ with the -m edge; other combinations are not estimated"
@@ -353,9 +367,9 @@ class SsfEstimator:
         tr_lo = trace_arctan(omega1, 1.0 + eps)
         tr_hi = trace_arctan(omega1, 1.0 - eps)
         self._check_arctan_tail(lam, 1.0 - eps, tr_hi)
-        if sign < 0:
-            return BracketEstimate(-tr_hi / math.pi, -tr_lo / math.pi, eps)
-        return BracketEstimate(tr_lo / math.pi, tr_hi / math.pi, eps)
+        # H- (+m edge) carries the minus sign, H+ (-m edge) the plus sign
+        lower, upper = sorted((-e * tr_lo / math.pi, -e * tr_hi / math.pi))
+        return BracketEstimate(lower, upper, eps)
 
     def _check_arctan_tail(self, lam: float, s: float, trace_value: float):
         """Abort when the truncated arctan sum visibly misses tail mass.
@@ -365,7 +379,8 @@ class SsfEstimator:
         the computed trace.
         """
         budget = max(ARC_TAIL_TOL, 1e-2 * abs(trace_value))
-        for model, edge in ((self.wplus_model, "+"), (self.wminus_model, "-")):
+        for model, log_f in zip((self.wplus_model, self.wminus_model),
+                                omega1_log_factors(lam, self.m)):
             spec = model.spectrum
             lv = spec.log_values[spec.signs == 1][::-1]  # ascending
             if lv.size < 4:
@@ -378,39 +393,26 @@ class SsfEstimator:
             tail_geo = math.exp(lv[0]) * ratio / (1.0 - ratio)
             tail_pow = math.exp(lv[0]) * lv.size
             tail_sum = min(tail_geo, tail_pow) if ratio > 0.99 else tail_geo
-            factor = 0.5 * math.sqrt(abs(lam + self.m) / abs(lam - self.m))
-            if edge == "-":
-                factor = 0.5 * math.sqrt(abs(lam - self.m) / abs(lam + self.m))
-            if factor * tail_sum / s > budget:
+            tail = math.exp(log_f) * tail_sum / s
+            if tail > budget:
                 raise TruncatedTailError(
-                    f"arctan tail estimate {factor * tail_sum / s:.3e} exceeds "
+                    f"arctan tail estimate {tail:.3e} exceeds "
                     f"budget {budget:.3e}; enlarge the basis"
                 )
 
     # -- leading-order predictions and Levinson ratios ------------------
 
     def predict(self, lam: float, side: str, pair: str) -> float:
-        """Leading asymptotic value of the shift function near an edge."""
+        """Leading asymptotic value of the shift function near the edge e m:
+        -e law(2 sqrt(|lam - e m| / |lam + e m|)) on both sides of the gap."""
         from .asymptotics import law_for_profile
 
-        m, b0 = self.m, self.basis.field.b0
-        if pair == "H-":
-            profile = self.pot.w_plus
-            if side == "inside":
-                arg = 2.0 * math.sqrt((m - lam) / (m + lam))
-                return -law_for_profile(profile, b0).value(arg)
-            arg = 2.0 * math.sqrt(abs(lam - m) / abs(lam + m))
-            return -self._outside_prefactor(profile) \
-                * law_for_profile(profile, b0).value(arg)
-        if pair == "H+":
-            profile = self.pot.w_minus
-            if side == "inside":
-                arg = 2.0 * math.sqrt((m + lam) / (m - lam))
-                return law_for_profile(profile, b0).value(arg)
-            arg = 2.0 * math.sqrt(abs(lam + m) / abs(lam - m))
-            return self._outside_prefactor(profile) \
-                * law_for_profile(profile, b0).value(arg)
-        raise ValueError("pair must be 'H+' or 'H-'")
+        e, profile, _ = self._edge(pair)
+        arg = 2.0 * math.sqrt(abs(lam - e * self.m) / abs(lam + e * self.m))
+        value = law_for_profile(profile, self.basis.field.b0).value(arg)
+        if side != "inside":
+            value *= self._outside_prefactor(profile)
+        return -e * value
 
     @staticmethod
     def _outside_prefactor(profile: RadialProfile) -> float:
@@ -421,8 +423,7 @@ class SsfEstimator:
         return 0.5
 
     def levinson_target(self, pair: str) -> float:
-        profile = self.pot.w_plus if pair == "H-" else self.pot.w_minus
-        return self._outside_prefactor(profile)
+        return self._outside_prefactor(self._edge(pair)[1])
 
     def levinson_rows(self, eps_sequence, pair: str = "H-",
                       eps_bracket: float = 0.1):
@@ -433,11 +434,11 @@ class SsfEstimator:
         eps decreases.
         """
         target = self.levinson_target(pair)
-        sgn = 1.0 if pair == "H-" else -1.0
+        e = self._edge(pair)[0]
         rows = []
         for eps in eps_sequence:
-            lam_in = sgn * self.m * (1.0 - eps)
-            lam_out = sgn * self.m / (1.0 - eps)
+            lam_in = e * self.m * (1.0 - eps)
+            lam_out = e * self.m / (1.0 - eps)
             inside = self.inside_bracket(lam_in, eps_bracket, pair)
             outside = self.outside_bracket(lam_out, eps_bracket, pair)
             if inside.midpoint == 0.0:
@@ -457,9 +458,8 @@ class TruncatedTailError(RuntimeError):
 
 # -- finite-rank realisation of the factorised gap-edge operators --------
 
-def gap_edge_factor(pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
-                    lam: float, sign: str, m: float = 1.0,
-                    tau_model: ToeplitzModel | None = None) -> np.ndarray:
+def gap_edge_factor(est: SsfEstimator, grid: Grid1D, lam: float,
+                    sign: str) -> np.ndarray:
     """Explicit factor K of the scaled gap-edge operator c * K^H K.
 
     The transverse action of the square-rooted potential is realised
@@ -470,11 +470,10 @@ def gap_edge_factor(pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
     literally at finite rank, so the nonzero spectra of K^H K and K K^H
     must coincide exactly.
     """
+    pot, m = est.pot, est.m
     if not abs(lam) < m:
         raise ValueError("gap-edge factorisation requires |lambda| < m")
-    if tau_model is None:
-        tau_model = toeplitz_radial_spectrum(pot.transverse, basis)
-    theta = np.exp(0.5 * tau_model.log_eigen_by_k)
+    theta = np.exp(0.5 * est.transverse_model.log_eigen_by_k)
 
     x = grid.nodes
     w = grid.trapezoid_weights
@@ -484,11 +483,8 @@ def gap_edge_factor(pot: PotentialSpec, basis: LLLBasis, grid: Grid1D,
     eigval, eigvec = np.linalg.eigh(pot.matrix_part)
     sqrt_m = (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.conj().T
     row = sqrt_m[0] if sign == "+" else sqrt_m[2]
-
-    if sign == "+":
-        prefactor = 0.5 * math.sqrt((m + lam) / (m - lam))
-    else:
-        prefactor = 0.5 * math.sqrt((m - lam) / (m + lam))
+    # the gap-edge operator is the compression over its threshold map
+    prefactor = 1.0 / omega_threshold(lam, sign, m)
     factor = np.kron(np.diag(theta), np.kron(sqrt_long, row))
     return math.sqrt(prefactor) * factor
 

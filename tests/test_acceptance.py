@@ -258,11 +258,10 @@ def test_criterion_07_factorised_compression(field_b2):
                         gaussian_longitudinal(), nu=5.0)
     basis = build_lll_basis(field_b2, 64)
     est = SsfEstimator(pot, basis, m=1.0)
-    tau = toeplitz_radial_spectrum(pot.transverse, basis)
     grid = Grid1D(16.0, 256)
     worst = 0.0
     for lam in (0.0, 0.5, 0.9):
-        factor = gap_edge_factor(pot, basis, grid, lam, "+", 1.0, tau_model=tau)
+        factor = gap_edge_factor(est, grid, lam, "+")
         sv = np.linalg.svd(factor, compute_uv=False)
         realized = np.sort(sv * sv)[::-1]
         scale = 0.5 * math.sqrt((1.0 + lam) / (1.0 - lam))
@@ -370,13 +369,11 @@ def test_criterion_11_trace_growth(field_b2):
     basis = build_lll_basis(field_b2, 90)
     est = SsfEstimator(pot, basis, m=1.0)
     wp, wm = est.wplus_model.spectrum, est.wminus_model.spectrum
-    tau = toeplitz_radial_spectrum(pot.transverse, basis)
     diag_traces, diffs = [], []
     for j in range(2, 11):
         lam = 1.0 + 2.0**-j
         tr1 = trace_arctan(build_omega1(lam, wp, wm, 1.0), 1.0)
-        tr = trace_arctan(build_omega_full(lam, pot, basis, m=1.0,
-                                           tau_model=tau).spectrum, 1.0)
+        tr = trace_arctan(build_omega_full(est, lam).spectrum, 1.0)
         diag_traces.append(tr1)
         diffs.append(abs(tr - tr1))
     growth = diag_traces[-1] / diag_traces[0]

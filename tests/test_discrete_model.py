@@ -12,8 +12,8 @@ from diracssf.discrete_model import (
 )
 from diracssf.kernels1d import Grid1D
 from diracssf.landau import build_lll_basis
-from diracssf.ssf import PotentialSpec, gaussian_longitudinal
-from diracssf.toeplitz import gaussian_profile, toeplitz_radial_spectrum
+from diracssf.ssf import PotentialSpec, SsfEstimator, gaussian_longitudinal
+from diracssf.toeplitz import gaussian_profile
 
 
 @pytest.fixture(scope="module")
@@ -94,22 +94,19 @@ def setup(field_b2):
     mat[0, 0] = mat[2, 2] = 1.0
     pot = PotentialSpec(mat, gaussian_profile(1.0, amplitude=1.0),
                         gaussian_longitudinal(), nu=5.0)
-    basis = build_lll_basis(field_b2, 80)
+    est = SsfEstimator(pot, build_lll_basis(field_b2, 80), m=1.0)
     grid = Grid1D(20.0, 256)
-    tau = toeplitz_radial_spectrum(pot.transverse, basis)
-    wp = toeplitz_radial_spectrum(pot.w_plus, basis)
-    return pot, basis, grid, tau, wp
+    return est, grid
 
 
 class TestDivergentPartCounts:
 
     def test_counts_diverge_difference_bounded(self, setup):
-        pot, basis, grid, tau, wp = setup
+        est, grid = setup
         tdiv_counts, omega_counts, diffs = [], [], []
         for j in range(4, 17):
             lam = 1.0 - 2.0**-j
-            ct, co, diff = tdiv_vs_omega_count(lam, pot, basis, grid, 1.0, 1.0,
-                                               wplus_model=wp, tau_model=tau)
+            ct, co, diff = tdiv_vs_omega_count(est, lam, grid, 1.0)
             tdiv_counts.append(ct)
             omega_counts.append(co)
             diffs.append(abs(diff))
@@ -118,20 +115,19 @@ class TestDivergentPartCounts:
         assert max(diffs) <= 3
 
     def test_large_threshold_empty(self, setup):
-        pot, basis, grid, tau, wp = setup
-        ct, co, diff = tdiv_vs_omega_count(0.9, pot, basis, grid, 1e9, 1.0,
-                                           wplus_model=wp, tau_model=tau)
+        est, grid = setup
+        ct, co, diff = tdiv_vs_omega_count(est, 0.9, grid, 1e9)
         assert ct == co == diff == 0
 
     def test_divergent_part_has_both_signs(self, setup):
-        pot, basis, grid, tau, _ = setup
-        spec = tdiv_spectrum(0.5, pot, basis, grid, 1.0, tau_model=tau)
+        est, grid = setup
+        spec = tdiv_spectrum(est, 0.5, grid)
         assert spec.n_plus(1e-6) > 0
         assert spec.n_minus(1e-6) > 0
         # positive family dominates near the upper edge
         assert spec.n_plus(0.1) > spec.n_minus(0.1)
 
     def test_gap_guard(self, setup):
-        pot, basis, grid, tau, _ = setup
+        est, grid = setup
         with pytest.raises(ValueError):
-            tdiv_spectrum(1.5, pot, basis, grid, 1.0, tau_model=tau)
+            tdiv_spectrum(est, 1.5, grid)

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracssf.cli import main
 from diracssf.harness import (
+    _SCHEMA,
+    LAWS,
+    SCENARIOS,
     ConfigError,
     ResultRow,
     ScenarioConfig,
     _estimator,
+    _field,
+    _potential,
     all_rows_pass,
     emit_csv,
     format_value,
@@ -56,11 +63,75 @@ class TestConfigParsing:
             parse_config(text)
         assert len(err.value.violations) >= 4
 
+    def test_zero_amplitude_names_guard(self):
+        # every transverse profile takes log(amplitude)
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nname = levinson\n[potential]\namplitude = 0\n")
+        assert any("amplitude must be positive" in v for v in err.value.violations)
+
+    def test_zero_edge_entry_is_valid(self):
+        cfg = parse_config("[scenario]\nname = levinson\n[potential]\nm33 = 0\n")
+        assert cfg.m33 == 0.0
+
+    def test_non_finite_number_is_error(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nname = levinson\n[potential]\nm33 = inf\n"
+                         "[sweep]\nlambdas = 0.5,nan\n")
+        assert sum("cannot parse" in v for v in err.value.violations) == 2
+
     def test_float_lists(self):
         cfg = parse_config("[scenario]\nname = kernels\n[sweep]\n"
                            "lambdas = 1.5,2.0\neps_values = 1e-2\n")
         assert cfg.lambdas == (1.5, 2.0)
         assert cfg.eps_values == (0.01,)
+
+
+# numbers mostly positive with magnitudes 1e-6..1e6, plus negatives, zeros
+# and the non-finite words; list entries also favour (0, 1), where eps
+# values and thresholds live
+_MAGNITUDES = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+_NUMBERS = st.one_of(
+    *[_MAGNITUDES.map(repr)] * 6, _MAGNITUDES.map(lambda v: repr(-v)),
+    st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"]))
+_ENTRIES = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr),
+                     _NUMBERS)
+_WORDS = {"scenario": SCENARIOS + ("bogus",), "law": LAWS + ("bogus",),
+          "phi_tilde": ("none", "tanh", "bogus")}
+
+
+@st.composite
+def config_texts(draw):
+    """Config text setting the scenario and about a sixth of the other keys."""
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (attr, kind) in keys.items():
+            if section != "scenario" and draw(st.integers(0, 5)):
+                continue
+            if kind == "floats":
+                raw = ",".join(draw(st.lists(_ENTRIES, max_size=3)))
+            elif kind is float:
+                raw = draw(_NUMBERS)
+            elif kind is int:
+                raw = str(draw(st.integers(-2, 100)))
+            else:
+                raw = draw(st.sampled_from(_WORDS[attr]))
+            lines.append(f"{key} = {raw}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(config_texts())
+def test_every_accepted_config_builds_and_round_trips(text):
+    # validate may only reject with a ConfigError; what it accepts must
+    # build its field and potential, and survive serialize_config
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    _field(cfg)
+    _potential(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestValueFormatting:

@@ -62,6 +62,61 @@ class TestPotentialSpec:
                                                               rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def basis_b1_4000(field_b1):
+    return build_lll_basis(field_b1, 4000)
+
+
+class TestScaledEdgeCompressions:
+    """The edge models are pTp scaled by M_ii (integral L), with no quadrature."""
+
+    @pytest.mark.parametrize("m11, m33", [(1.0, 4.0), (4.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("case", ["gaussian_b2_k64", "power4_b1_k4000"])
+    def test_match_direct_quadrature(self, request, case, m11, m33):
+        if case == "gaussian_b2_k64":
+            profile, basis = gaussian_profile(1.0), request.getfixturevalue("basis_b2_64")
+        else:
+            profile = power_profile(4.0, amplitude=8.0)
+            basis = request.getfixturevalue("basis_b1_4000")
+        pot = PotentialSpec(diag_matrix(m11, m33), profile, gaussian_longitudinal(), nu=5.0)
+        est = SsfEstimator(pot, basis, m=1.0)
+        for model, symbol in ((est.wplus_model, pot.w_plus), (est.wminus_model, pot.w_minus)):
+            direct = toeplitz_radial_spectrum(symbol, basis)
+            if direct.log_eigen_by_k is None:
+                # a zero entry compresses to the zero operator on both paths
+                assert model.log_eigen_by_k is None
+                assert np.array_equal(model.spectrum.signs, direct.spectrum.signs)
+                assert np.array_equal(model.spectrum.log_values, direct.spectrum.log_values)
+                continue
+            dev = np.abs(model.log_eigen_by_k - direct.log_eigen_by_k)
+            assert np.max(dev) <= 1e-10
+            assert np.max(np.abs(model.spectrum.log_values
+                                 - direct.spectrum.log_values)) <= 1e-10
+            assert model.profile is symbol
+
+    def test_one_radial_quadrature_per_estimator(self, monkeypatch, field_b2):
+        import diracssf.ssf as ssf_module
+        from diracssf.discrete_model import tdiv_vs_omega_count
+
+        calls = []
+        direct = ssf_module.toeplitz_radial_spectrum
+
+        def counted(profile, basis):
+            calls.append(profile)
+            return direct(profile, basis)
+
+        monkeypatch.setattr(ssf_module, "toeplitz_radial_spectrum", counted)
+        pot = PotentialSpec(diag_matrix(), gaussian_profile(1.0, amplitude=8.0),
+                            gaussian_longitudinal(), nu=5.0)
+        est = SsfEstimator(pot, build_lll_basis(field_b2, 90), m=1.0)
+        est.levinson_rows([1e-2, 1e-3], "H-", eps_bracket=0.1)
+        est.levinson_rows([1e-2], "H+", eps_bracket=0.1)
+        build_omega_full(est, 1.1)
+        gap_edge_factor(est, Grid1D(16.0, 64), 0.5, "+")
+        tdiv_vs_omega_count(est, 0.9, Grid1D(16.0, 64), 1.0)
+        assert calls == [pot.transverse]
+
+
 class TestThresholdMap:
     def test_symmetric_point(self):
         assert omega_threshold(0.0, "+") == pytest.approx(2.0)
@@ -176,17 +231,17 @@ class TestTraceArctan:
 
 
 class TestOmegaFull:
-    def test_mixing_moment_vanishes_for_even_profile(self, pot_exp, basis_b2_64):
-        om = build_omega_full(1.1, pot_exp, basis_b2_64, m=1.0)
+    def test_mixing_moment_vanishes_for_even_profile(self, est_exp):
+        om = build_omega_full(est_exp, 1.1)
         assert abs(om.moments[1]) < 1e-14
 
-    def test_trace_bound_holds_along_sweep(self, pot_exp, basis_b2_64):
+    def test_trace_bound_holds_along_sweep(self, est_exp):
         for j in range(2, 9):
-            om = build_omega_full(1.0 + 2.0**-j, pot_exp, basis_b2_64, m=1.0)
+            om = build_omega_full(est_exp, 1.0 + 2.0**-j)
             assert om.trace_sum <= om.trace_bound * (1.0 + 1e-12)
 
-    def test_moment_sum_is_longitudinal_integral(self, pot_exp, basis_b2_64):
-        om = build_omega_full(1.25, pot_exp, basis_b2_64, m=1.0)
+    def test_moment_sum_is_longitudinal_integral(self, pot_exp, est_exp):
+        om = build_omega_full(est_exp, 1.25)
         assert om.moments[0] + om.moments[2] == pytest.approx(
             pot_exp.longitudinal_integral, rel=1e-10)
 
@@ -197,8 +252,7 @@ class TestOmegaFull:
         diffs = []
         for j in (2, 6, 10):
             lam = 1.0 + 2.0**-j
-            full = trace_arctan(build_omega_full(lam, pot_exp, basis_b2_64,
-                                                 m=1.0).spectrum, 1.0)
+            full = trace_arctan(build_omega_full(est, lam).spectrum, 1.0)
             diag = trace_arctan(build_omega1(lam, est.wplus_model.spectrum,
                                              est.wminus_model.spectrum, est.m), 1.0)
             diffs.append(abs(full - diag))
@@ -224,10 +278,10 @@ class TestOutsideBracket:
         with pytest.raises(ValueError):
             est_exp.outside_bracket(1.01, 0.1, "H+")
 
-    def test_full_operator_close_to_diagonal(self, est_exp, pot_exp, basis_b2_64):
+    def test_full_operator_close_to_diagonal(self, est_exp):
         lam = 1.0 + 1e-4
         a = est_exp.outside_bracket(lam, 0.1, "H-")
-        full = build_omega_full(lam, pot_exp, basis_b2_64, m=1.0).spectrum
+        full = build_omega_full(est_exp, lam).spectrum
         full_mid = -0.5 * (trace_arctan(full, 1.1) + trace_arctan(full, 0.9)) / math.pi
         assert abs(a.midpoint - full_mid) < 0.05 * abs(a.midpoint)
 
@@ -274,16 +328,11 @@ class TestLevinsonRows:
             est_exp.levinson_rows([0.49], "H-", eps_bracket=0.1)
 
 
-@pytest.fixture(scope="module")
-def tau_b2_64(pot_exp, basis_b2_64):
-    return toeplitz_radial_spectrum(pot_exp.transverse, basis_b2_64)
-
-
 class TestGapEdgeFactorisation:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
-    def test_flip_identity_at_finite_rank(self, pot_exp, basis_b2_64, lam):
+    def test_flip_identity_at_finite_rank(self, est_exp, lam):
         grid = Grid1D(16.0, 256)
-        factor = gap_edge_factor(pot_exp, basis_b2_64, grid, lam, "+", 1.0)
+        factor = gap_edge_factor(est_exp, grid, lam, "+")
         sv = np.linalg.svd(factor, compute_uv=False)
         via_svd = np.sort(sv * sv)[::-1]
         gram = factor @ factor.conj().T
@@ -292,11 +341,10 @@ class TestGapEdgeFactorisation:
         assert np.max(np.abs(via_svd[: good.sum()] / via_gram[good] - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
-    def test_matches_scaled_compression(self, pot_exp, basis_b2_64, tau_b2_64, lam):
+    def test_matches_scaled_compression(self, pot_exp, basis_b2_64, lam):
         est = SsfEstimator(pot_exp, basis_b2_64, m=1.0)
         grid = Grid1D(16.0, 256)
-        factor = gap_edge_factor(pot_exp, basis_b2_64, grid, lam, "+", 1.0,
-                                 tau_model=tau_b2_64)
+        factor = gap_edge_factor(est, grid, lam, "+")
         sv = np.linalg.svd(factor, compute_uv=False)
         realized = np.sort(sv * sv)[::-1]
         scale = 0.5 * math.sqrt((1.0 + lam) / (1.0 - lam))
