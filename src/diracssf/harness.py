@@ -131,6 +131,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def _guard_violations(cfg: ScenarioConfig):
     """Re-run the downstream module guards at parse time."""
+    from .ssf import min_longitudinal_width
+
     out = []
     if cfg.scenario not in SCENARIOS:
         out.append(f"unknown scenario '{cfg.scenario}' (choose from {', '.join(SCENARIOS)})")
@@ -153,6 +155,9 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("potential guard: mass must be positive")
     if not cfg.long_width > 0:
         out.append("potential guard: long_width must be positive (longitudinal gaussian width)")
+    elif cfg.long_width < min_longitudinal_width():
+        out.append(f"potential guard: long_width must be at least {min_longitudinal_width()!r} "
+                   "(the fixed longitudinal panels cannot resolve a narrower gaussian)")
     if cfg.law == "exponential" and not cfg.eta > 0:
         out.append("potential guard: exponential law needs eta > 0")
     if cfg.law == "compact" and not cfg.radius > 0:
@@ -352,9 +357,14 @@ def _scenario_levinson(cfg: ScenarioConfig):
                "compact": (0.35, 0.65)}[cfg.law]
 
     def point(eps):
+        try:
+            levinson = est.levinson_rows([eps], eps_bracket=cfg.eps_bracket)
+        except ZeroDivisionError:
+            # no eigenvalue clears the inside threshold: the ratio is undefined
+            return [ResultRow(cfg.scenario, f"eps={format_value(eps)}", "ratio",
+                              math.nan, passed=False)]
         rows = []
-        for eps_, lam_in, lam_out, mid_in, mid_out, ratio, target in est.levinson_rows(
-                [eps], eps_bracket=cfg.eps_bracket):
+        for eps_, lam_in, lam_out, mid_in, mid_out, ratio, target in levinson:
             params = f"eps={format_value(eps_)}"
             rows.append(ResultRow(cfg.scenario, params, "mid_inside", mid_in))
             rows.append(ResultRow(cfg.scenario, params, "mid_outside", mid_out))

@@ -314,3 +314,19 @@ class TestLogSpectrumOrdering:
         assert len(out) == len(a) + len(b)
         pos = np.concatenate([a.log_values[a.signs == 1], b.log_values[b.signs == 1]])
         assert np.array_equal(out.log_values[out.signs == 1][::-1], np.sort(pos))
+
+
+class TestLogSpectrumCounting:
+    @settings(deadline=None, max_examples=300)
+    @given(log_spectra(), st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+    def test_counts_non_increasing_in_s(self, spec, s1, s2):
+        lo, hi = min(s1, s2), max(s1, s2)
+        assert spec.n_plus(lo) >= spec.n_plus(hi)
+        assert spec.n_minus(lo) >= spec.n_minus(hi)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0))
+    def test_threshold_is_open(self, v):
+        spec = LogSpectrum.from_eigenvalues([v])
+        assert spec.n_plus(abs(v)) == 0
+        assert spec.n_minus(abs(v)) == 0

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,57 @@ def test_square_identity_massless():
     h0 = build_h0(1.0, 0.0, 6, 8, 10.0)
     interior, _ = check_square_identity(h0)
     assert interior < 1e-10
+
+
+def dense_square_identity(h0):
+    """The square identity from one dense product of the full matrix."""
+    L, N, m = h0.L, h0.N, h0.m
+    b0 = h0.ladder.b0
+    p_sq = np.diag(h0.momenta**2)
+    minus_levels = 2.0 * b0 * np.arange(L)
+    plus_levels = 2.0 * b0 * (np.arange(L) + 1.0)
+
+    def block(levels):
+        return np.kron(np.diag(levels), np.eye(N)) + np.kron(np.eye(L), p_sq) \
+            + m * m * np.eye(L * N)
+
+    reference = np.zeros_like(h0.matrix)
+    ln = L * N
+    for i, levels in enumerate((minus_levels, plus_levels, minus_levels, plus_levels)):
+        reference[i * ln:(i + 1) * ln, i * ln:(i + 1) * ln] = block(levels)
+    diff = np.abs(h0.matrix @ h0.matrix - reference)
+    full = float(np.max(diff))
+    mask = h0.interior_mask()
+    interior = float(np.max(diff[np.ix_(mask, mask)]))
+    return interior, full
+
+
+@pytest.mark.parametrize("b0, m, L, N, X", [
+    (1.0, 1.0, 8, 32, 20.0), (1.0, 2.0, 8, 32, 20.0), (2.5, 0.5, 5, 12, 7.0),
+    (1.0, 1.0, 1, 16, 20.0), (1.0, 0.0, 6, 8, 10.0),
+])
+def test_fiber_square_identity_matches_dense_product(b0, m, L, N, X):
+    h0 = build_h0(b0, m, L, N, X)
+    assert check_square_identity(h0) == dense_square_identity(h0)
+
+
+def test_off_fiber_entry_is_refused(h0_ref):
+    # couple momentum 0 to momentum 1 inside the first spinor block
+    doctored = h0_ref.matrix.copy()
+    doctored[0, 1] = doctored[1, 0] = 1e-3
+    with pytest.raises(AssertionError, match="fibers not decoupled"):
+        check_square_identity(dataclasses.replace(h0_ref, matrix=doctored))
+
+
+def test_square_identity_peak_memory(h0_ref):
+    # a dense 1024 x 1024 product and its reference peak at 24 MiB
+    tracemalloc.start()
+    try:
+        check_square_identity(h0_ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_gap_equals_mass(h0_ref):

@@ -22,6 +22,7 @@ from diracssf.harness import (
     run_scenario,
     serialize_config,
 )
+from diracssf.ssf import gaussian_longitudinal
 
 MINIMAL = """
 [scenario]
@@ -134,6 +135,21 @@ def test_every_accepted_config_builds_and_round_trips(text):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("width", ["1e-3", "1e-6"])
+def test_unresolvable_long_width_is_refused(width):
+    with pytest.raises(ConfigError, match="long_width must be at least 0.02"):
+        parse_config(f"[scenario]\nname = levinson\n[potential]\nlong_width = {width}\n")
+    with pytest.raises(ValueError, match="below 0.02"):
+        gaussian_longitudinal(float(width))
+
+
+def test_unit_long_width_unchanged():
+    cfg = parse_config("[scenario]\nname = levinson\n[potential]\nlong_width = 1.0\n")
+    assert cfg.long_width == 1.0
+    integral = _potential(cfg).longitudinal.integral()
+    assert integral == pytest.approx(np.sqrt(np.pi), rel=1e-14)
+
+
 class TestValueFormatting:
     def test_plain_range(self):
         assert format_value(1.5) == "1.5"
@@ -150,6 +166,11 @@ class TestValueFormatting:
     def test_seventeen_digits_survive_round_trip(self):
         for v in (1.0 / 3.0, 1e-7 * np.pi, 123456.789012345):
             assert float(format_value(v)) == v
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.floats(allow_nan=False))
+    def test_every_float_round_trips(self, v):
+        assert float(format_value(v)) == v
 
 
 class TestCsvEmission:
@@ -185,6 +206,22 @@ class TestScenarios:
         metrics = {r.metric for r in rows}
         assert "min_abs_eigenvalue" in metrics
         assert "square_identity_interior" in metrics
+
+    def test_vanished_inside_count_fails_only_its_eps(self, tmp_path, capsys):
+        # at amplitude 0.05 no eigenvalue clears the inside threshold at
+        # eps = 0.1, so that ratio is undefined; eps = 1e-4 still counts
+        text = ("[scenario]\nname = levinson\n[field]\nb0 = 2.0\n"
+                "[potential]\nlaw = exponential\namplitude = 0.05\n"
+                "[sweep]\neps_values = {}\n")
+        path = tmp_path / "cfg.ini"
+        path.write_text(text.format("1e-1,1e-4"))
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        lines = out.read_text().splitlines()
+        assert "levinson,eps=0.10000000000000001,ratio,nan,nan,fail" in lines
+        assert sum("eps=0.1" in line for line in lines) == 1
+        alone = run_scenario(parse_config(text.format("1e-4")))
+        assert set(rows_to_csv_bytes(alone).decode().splitlines()) <= set(lines)
 
     def test_levinson_scenario_rows(self):
         cfg = parse_config(
