@@ -54,7 +54,7 @@ for k in (0, 3, 10, 30):
 print("\n  the count creeps toward |log s|/log|log s| only at log-log speed:")
 for s in (1e-10, 1e-20, 1e-40):
     n = model_d.spectrum.n_plus(s)
-    law = law_for_profile(disc_profile(1.0), 2.0).value(s)
+    law = law_for_profile(disc_profile(1.0), 2.0)(s)
     print(f"  s={s:.0e}: count {n:>3}  law {law:7.2f}  ratio {n / law:.3f}")
 
 banner("Power-law symbol (1+r^2)^(-3/2), field strength 1")

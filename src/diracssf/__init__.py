@@ -12,9 +12,10 @@ Modules
 dirac_algebra   4x4 Dirac matrix algebra and potential structure checks
 landau          magnetic field data, gap constant, LLL basis, ladder model
 counting        log-domain spectra, counting functions, trace identities
-toeplitz        Berezin-Toeplitz spectra of radial and general symbols
+toeplitz        Berezin-Toeplitz spectra of radial and general symbols,
+                decay classes and their counting laws
 kernels1d       longitudinal resolvent and scattering-type kernels
-asymptotics     closed-form counting laws and law-vs-spectrum tables
+asymptotics     law-vs-spectrum ratio tables
 ssf             spectral-shift bracket estimators and Levinson ratios
 discrete_model  truncated matrix model of the free Dirac operator
 harness         config parsing, scenario runners, CSV emission

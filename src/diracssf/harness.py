@@ -129,9 +129,22 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+# Sweep energies are in units of mass (each runner multiplies them by it);
+# the window each estimator accepts, with the invariant it protects.
+_LAMBDA_RULES = {
+    "ssf-inside": ("|lambda| < 1 (SsfEstimator.inside_bracket: inside the gap)",
+                   lambda lam: abs(lam) < 1.0),
+    "ssf-outside": ("lambda > 1 (SsfEstimator.outside_bracket: the pair H- "
+                    "diverges above the +m edge)", lambda lam: lam > 1.0),
+    "kernels": ("|lambda| > 1 (longitudinal kernels: outside the gap)",
+                lambda lam: abs(lam) > 1.0),
+}
+
+
 def _guard_violations(cfg: ScenarioConfig):
     """Re-run the downstream module guards at parse time."""
     from .ssf import min_longitudinal_width
+    from .toeplitz import LOG_DOMAIN_EDGE
 
     out = []
     if cfg.scenario not in SCENARIOS:
@@ -172,12 +185,17 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("truncation guard: grid_x must be positive (Grid1D)")
     if not 0.0 < cfg.eps_bracket < 1.0:
         out.append("sweep guard: eps_bracket must lie in (0, 1) (BracketEstimate)")
-    for lam in cfg.lambdas:
-        if abs(lam) == cfg.mass:
-            out.append(f"sweep guard: lambda {lam} sits exactly on a gap edge")
+    if cfg.scenario in _LAMBDA_RULES:
+        rule, ok = _LAMBDA_RULES[cfg.scenario]
+        out += [f"sweep guard: {cfg.scenario} needs {rule} in units of mass, got lambda {lam!r}"
+                for lam in cfg.lambdas if not ok(lam)]
     for s in cfg.s_values:
         if not s > 0:
             out.append("sweep guard: counting thresholds must be positive")
+        elif (cfg.scenario == "toeplitz-asymptotics" and cfg.law != "power"
+              and not s < LOG_DOMAIN_EDGE):
+            out.append(f"sweep guard: threshold {s!r} must lie in (0, 1/e), the domain "
+                       f"of the log-scale {cfg.law} counting law")
     for eps in cfg.eps_values:
         if not 0.0 < eps < 1.0:
             out.append("sweep guard: eps values must lie in (0, 1)")
@@ -309,19 +327,16 @@ def _scenario_toeplitz(cfg: ScenarioConfig):
     model = toeplitz_radial_spectrum(profile, basis)
     law = law_for_profile(profile, cfg.b0)
     lo, hi = _law_bracket(cfg.law)
-
-    def point(s):
-        comparison = compare_law(model, law, [s])
-        s_, n, lawv, ratio, halfwidth = comparison.rows[0]
-        params = f"law={cfg.law};s={format_value(s_)}"
-        return [
+    rows = []
+    for s, n, lawv, ratio, halfwidth in compare_law(model, law, s_values).rows:
+        params = f"law={cfg.law};s={format_value(s)}"
+        rows += [
             ResultRow(cfg.scenario, params, "n_plus", float(n)),
             ResultRow(cfg.scenario, params, "law_value", lawv),
             ResultRow(cfg.scenario, params, "count_to_law_ratio", ratio,
                       error=halfwidth, passed=lo <= ratio <= hi),
         ]
-
-    return [row for s in s_values for row in point(s)]
+    return rows
 
 
 def _scenario_ssf(cfg: ScenarioConfig, side: str):

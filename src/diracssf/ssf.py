@@ -7,6 +7,9 @@ from the same two compressions, which are one compression pTp scaled:
 for V = M T(r) L(x3) the symbols are W+- = M_ii (integral L) T, i = 1, 3.
 The full block operator, assembled from longitudinal trigonometric
 moments, is kept as a reference for Omega1.
+Leading-order predictions read the transverse tail law: its counting
+law n(s) and, outside the gap, its outside-to-inside constant
+(1 / (2 cos(pi/alpha)) for power tails, 1/2 otherwise).
 Both brackets carry a (1 +- eps) slack and exclude unknown bounded terms,
 so every consumer works with ratios or differences where those terms are
 negligible.
@@ -23,8 +26,7 @@ from ._quad import _row_logsumexp, panel_integral
 from .counting import LogSpectrum, _arctan_of_log_ratio, flag_near_threshold
 from .kernels1d import Grid1D
 from .landau import LLLBasis
-from .toeplitz import (CompactSupportTail, ExponentialTail, PowerLawTail,
-                       RadialProfile, ToeplitzModel, toeplitz_radial_spectrum)
+from .toeplitz import RadialProfile, ToeplitzModel, toeplitz_radial_spectrum
 
 ARC_TAIL_TOL = 0.02
 
@@ -82,16 +84,6 @@ def gaussian_longitudinal(width: float = 1.0, half_width: float = 16.0) -> Longi
     )
 
 
-def _scaled_tail(law, scale: float):
-    if isinstance(law, PowerLawTail):
-        return PowerLawTail(law.alpha, law.u_value * scale)
-    if isinstance(law, ExponentialTail):
-        return law
-    if isinstance(law, CompactSupportTail):
-        return CompactSupportTail(law.radius, law.lower * scale)
-    raise TypeError(f"unknown tail law {law!r}")
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Separable matrix potential M * T(r_perp) * L(x3) with decay metadata.
@@ -137,11 +129,11 @@ class PotentialSpec:
         trans = self.transverse
         if scale == 0.0:
             return RadialProfile(eval=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                                 law=_scaled_tail(trans.law, 0.0))
+                                 law=trans.law.scaled(0.0))
         log_scale = math.log(scale)
         return RadialProfile(
             eval=lambda r: scale * np.asarray(trans.eval(r), dtype=float),
-            law=_scaled_tail(trans.law, scale),
+            law=trans.law.scaled(scale),
             log_eval=lambda r: log_scale + trans.log_value(r),
         )
 
@@ -420,26 +412,17 @@ class SsfEstimator:
 
     def predict(self, lam: float, side: str, pair: str) -> float:
         """Leading asymptotic value of the shift function near the edge e m:
-        -e law(2 sqrt(|lam - e m| / |lam + e m|)) on both sides of the gap."""
-        from .asymptotics import law_for_profile
-
+        -e n(2 sqrt(|lam - e m| / |lam + e m|)) on both sides of the gap, with
+        the edge symbol's counting law n, times its outside prefactor outside."""
         e, profile, _ = self._edge(pair)
         arg = 2.0 * math.sqrt(abs(lam - e * self.m) / abs(lam + e * self.m))
-        value = law_for_profile(profile, self.basis.field.b0).value(arg)
+        value = profile.law.count(arg, self.basis.field.b0)
         if side != "inside":
-            value *= self._outside_prefactor(profile)
+            value *= profile.law.outside_prefactor()
         return -e * value
 
-    @staticmethod
-    def _outside_prefactor(profile: RadialProfile) -> float:
-        """Ratio of the outside to the inside leading constant."""
-        law = profile.law
-        if isinstance(law, PowerLawTail):
-            return 1.0 / (2.0 * math.cos(math.pi / law.alpha))
-        return 0.5
-
     def levinson_target(self, pair: str) -> float:
-        return self._outside_prefactor(self._edge(pair)[1])
+        return self._edge(pair)[1].law.outside_prefactor()
 
     def levinson_rows(self, eps_sequence, pair: str = "H-",
                       eps_bracket: float = 0.1):

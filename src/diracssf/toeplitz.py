@@ -5,6 +5,14 @@ momentum and each eigenvalue is a ratio of weighted radial moments,
 evaluated as a difference of log-integrals.  General bounded symbols go
 through a dense hermitian matrix whose (j, k) entry picks out the
 (j-k)-th angular Fourier coefficient of the symbol.
+
+A radial symbol's decay class is one of three tail laws, and each tail
+owns everything that depends on its class: the small-threshold counting
+law n(s) of pUp (a power of s for power tails, powers of |log s| for
+stretched exponentials, |log s| / log|log s| for compact support, all
+from the level-set form b0 / 2 pi times the area where U > s), the basis
+depth that resolves a threshold, its rescaling by a constant factor, and
+the outside-to-inside constant of the Levinson ratio.
 """
 
 import math
@@ -39,6 +47,26 @@ class PowerLawTail:
     def log_model(self, r):
         return np.log(self.u_value) - self.alpha * np.log(r)
 
+    def count(self, s: float, b0: float) -> float:
+        """n(s) ~ s^(-2/alpha) * b0/(4 pi) * integral of u^(2/alpha) d theta."""
+        if not s > 0:
+            raise ValueError("threshold must be positive")
+        angular_integral = 2.0 * np.pi * self.u_value ** (2.0 / self.alpha)
+        return s ** (-2.0 / self.alpha) * b0 / (4.0 * np.pi) * angular_integral
+
+    def depth(self, target: float, b0: float) -> float:
+        """Index k where the predicted lambda_k falls to ``target``."""
+        # lambda_k ~ u (2k/b0)^(-alpha/2)
+        return 0.5 * b0 * (max(self.u_value, 1e-300) / target) ** (2.0 / self.alpha)
+
+    def scaled(self, c: float) -> "PowerLawTail":
+        """The tail of c * U."""
+        return PowerLawTail(self.alpha, self.u_value * c)
+
+    def outside_prefactor(self) -> float:
+        """Ratio of the outside to the inside leading constant."""
+        return 1.0 / (2.0 * math.cos(math.pi / self.alpha))
+
 
 @dataclass(frozen=True)
 class ExponentialTail:
@@ -50,6 +78,48 @@ class ExponentialTail:
     def log_model(self, r):
         return -self.eta * np.asarray(r, dtype=float) ** (2.0 * self.beta)
 
+    def count(self, s: float, b0: float) -> float:
+        """Three-branch law in the stretch exponent beta, valid on (0, 1/e)."""
+        _require_log_domain(s)
+        al = abs(math.log(s))
+        if self.beta < 1.0:
+            return 0.5 * b0 * self.eta ** (-1.0 / self.beta) * al ** (1.0 / self.beta)
+        if self.beta == 1.0:
+            return al / math.log1p(2.0 * self.eta / b0)
+        return self.beta / (self.beta - 1.0) * al / math.log(al)
+
+    def depth(self, target: float, b0: float) -> float:
+        al = abs(np.log(target))
+        if self.beta == 1.0:
+            # lambda_k ~ (b0 / (b0 + 2 eta))^k
+            return al / np.log1p(2.0 * self.eta / b0)
+        if self.beta < 1.0:
+            # invert lambda_k ~ exp(-eta (2k/b0)^beta)
+            return 0.5 * b0 * (al / self.eta) ** (1.0 / self.beta) + al
+        # log-log slow regime; the count law plus generous slack
+        return self.beta / (self.beta - 1.0) * al / max(np.log(al), 1.0) + 4.0 * al
+
+    def scaled(self, c: float) -> "ExponentialTail":
+        return self
+
+    def outside_prefactor(self) -> float:
+        return 0.5
+
+
+LOG_DOMAIN_EDGE = math.exp(-1.0)
+
+
+def _require_log_domain(s: float):
+    if not 0.0 < s < LOG_DOMAIN_EDGE:
+        raise ValueError("threshold must lie in (0, 1/e) for the log-scale laws")
+
+
+def phi_inf(s: float) -> float:
+    """|log s| / log|log s|, the compact-support law on (0, 1/e)."""
+    _require_log_domain(s)
+    al = abs(math.log(s))
+    return al / math.log(al)
+
 
 @dataclass(frozen=True)
 class CompactSupportTail:
@@ -57,6 +127,24 @@ class CompactSupportTail:
 
     radius: float
     lower: float = 1.0
+
+    def count(self, s: float, b0: float) -> float:
+        """n(s) ~ |log s| / log|log s| on (0, 1/e); no shape parameters."""
+        return phi_inf(s)
+
+    def depth(self, target: float, b0: float) -> float:
+        # lambda_k ~ (b0 R^2/2)^k / k!: solve k (ln k - ln(e b0 R^2/2)) = |ln target|
+        c = np.log(abs(np.log(target)) + 3.0)
+        k = abs(np.log(target)) / max(c - np.log(b0 * self.radius**2 / 2.0) - 1.0, 0.5) + 8.0
+        for _ in range(40):
+            k = abs(np.log(target)) / max(np.log(k) - np.log(b0 * self.radius**2 / 2.0) - 1.0, 0.5) + 8.0
+        return k
+
+    def scaled(self, c: float) -> "CompactSupportTail":
+        return CompactSupportTail(self.radius, self.lower * c)
+
+    def outside_prefactor(self) -> float:
+        return 0.5
 
 
 @dataclass(frozen=True)
@@ -344,27 +432,4 @@ def suggest_truncation(law, s_min: float, b0: float, margin: float = 1.6) -> int
     Uses the law's predicted eigenvalue decay; callers must still verify
     adequacy a posteriori on the computed spectrum.
     """
-    target = s_min * ADEQUACY_MARGIN
-    if isinstance(law, ExponentialTail):
-        al = abs(np.log(target))
-        if law.beta == 1.0:
-            # lambda_k ~ (b0 / (b0 + 2 eta))^k
-            k = al / np.log1p(2.0 * law.eta / b0)
-        elif law.beta < 1.0:
-            # invert lambda_k ~ exp(-eta (2k/b0)^beta)
-            k = 0.5 * b0 * (al / law.eta) ** (1.0 / law.beta) + al
-        else:
-            # log-log slow regime; the count law plus generous slack
-            k = law.beta / (law.beta - 1.0) * al / max(np.log(al), 1.0) + 4.0 * al
-    elif isinstance(law, PowerLawTail):
-        # lambda_k ~ u (2k/b0)^(-alpha/2)
-        k = 0.5 * b0 * (max(law.u_value, 1e-300) / target) ** (2.0 / law.alpha)
-    elif isinstance(law, CompactSupportTail):
-        # lambda_k ~ (b0 R^2/2)^k / k!: solve k (ln k - ln(e b0 R^2/2)) = |ln target|
-        c = np.log(abs(np.log(target)) + 3.0)
-        k = abs(np.log(target)) / max(c - np.log(b0 * law.radius**2 / 2.0) - 1.0, 0.5) + 8.0
-        for _ in range(40):
-            k = abs(np.log(target)) / max(np.log(k) - np.log(b0 * law.radius**2 / 2.0) - 1.0, 0.5) + 8.0
-    else:
-        raise TypeError(f"unknown law {law!r}")
-    return int(np.ceil(margin * k)) + 8
+    return int(np.ceil(margin * law.depth(s_min * ADEQUACY_MARGIN, b0))) + 8

@@ -80,6 +80,39 @@ class TestConfigParsing:
                          "[sweep]\nlambdas = 0.5,nan\n")
         assert sum("cannot parse" in v for v in err.value.violations) == 2
 
+    # sweep energies are in units of mass: these either crashed in run
+    # (OverflowError on the edge, ValueError off the estimator's side) or
+    # were refused for an energy that was not on an edge
+    @pytest.mark.parametrize("scenario, mass, lam", [
+        ("ssf-inside", 2.0, 1.0), ("ssf-inside", 1.0, 1.5),
+        ("ssf-outside", 1.0, 0.5), ("ssf-outside", 1.0, -1.5),
+        ("ssf-outside", 1.0, 1.0), ("kernels", 1.0, 0.5), ("kernels", 1.0, -1.0),
+    ])
+    def test_lambda_outside_the_estimator_window_is_refused(self, scenario, mass, lam):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[scenario]\nname = {scenario}\n[potential]\nmass = {mass}\n"
+                         f"[sweep]\nlambdas = {lam}\n")
+        assert any(f"{scenario} needs" in v and "in units of mass" in v
+                   for v in err.value.violations)
+
+    @pytest.mark.parametrize("law", ["exponential", "compact"])
+    def test_log_scale_law_threshold_must_be_below_one_over_e(self, law):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[scenario]\nname = toeplitz-asymptotics\n[potential]\n"
+                         f"law = {law}\n[sweep]\ns_values = 1e-4,0.5\n")
+        assert err.value.violations == [
+            "sweep guard: threshold 0.5 must lie in (0, 1/e), the domain of the "
+            f"log-scale {law} counting law"]
+
+    def test_power_law_threshold_above_one_runs(self, tmp_path):
+        # the power law holds on every s > 0: the row fails honestly
+        path = tmp_path / "cfg.ini"
+        path.write_text("[scenario]\nname = toeplitz-asymptotics\n[potential]\n"
+                        "law = power\n[sweep]\ns_values = 2\n")
+        out = tmp_path / "rows.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "count_to_law_ratio,0.0," in out.read_text()
+
     def test_float_lists(self):
         cfg = parse_config("[scenario]\nname = kernels\n[sweep]\n"
                            "lambdas = 1.5,2.0\neps_values = 1e-2\n")
@@ -276,6 +309,16 @@ def test_cli_failing_rows_exit_two(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     assert main(["run", "--config", str(path), "--out", out]) == 2
     assert "fail" in open(out).read()
+
+
+@pytest.mark.parametrize("scenario", ["ssf-outside", "kernels"])
+def test_lambda_equal_to_mass_runs_above_the_edge(scenario):
+    # lambda = 2 at mass 2 is the energy 4 > m, not a gap edge
+    cfg = parse_config(f"[scenario]\nname = {scenario}\n[field]\nb0 = 2.0\n"
+                       "[potential]\namplitude = 8.0\nmass = 2.0\n"
+                       "[sweep]\nlambdas = 2.0\n")
+    rows = run_scenario(cfg)
+    assert rows and all(r.params.startswith("lambda=4") for r in rows)
 
 
 def test_ssf_scenarios_run():

@@ -368,13 +368,9 @@ def test_sweep_rows_shape(est_exp):
 
 
 def test_outside_prefactor_large_exponent_limit():
-    from diracssf.ssf import SsfEstimator
-    from diracssf.toeplitz import PowerLawTail
-
     # power tails approach the exponential/compact constant 1/2
-    assert SsfEstimator._outside_prefactor(
-        power_profile(1e9)) == pytest.approx(0.5, rel=1e-9)
-    assert SsfEstimator._outside_prefactor(power_profile(4.0)) > 0.5
+    assert power_profile(1e9).law.outside_prefactor() == pytest.approx(0.5, rel=1e-9)
+    assert power_profile(4.0).law.outside_prefactor() > 0.5
 
 
 def test_outside_ratio_converges_to_prediction(basis_b2_64):

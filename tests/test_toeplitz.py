@@ -183,6 +183,28 @@ class TestTruncationRules:
             model = toeplitz_radial_spectrum(profile, basis)
             assert model.adequate_for(s_min), (law, k)
 
+    # the unjittered deep-basis benchmark cases; the depth rules size
+    # every toeplitz-asymptotics basis, so K must not move
+    @pytest.mark.parametrize("law, b0, s_min, k", [
+        (PowerLawTail(alpha=3.0), 1.0, 1e-4, 37141),
+        (PowerLawTail(alpha=3.5), 1.0, 1e-4, 8008),
+        (ExponentialTail(eta=0.05), 1.0, 1e-40, 1671),
+        (ExponentialTail(eta=1.0), 2.0, 1e-60, 343),
+        (CompactSupportTail(radius=1.0), 2.0, 1e-40, 78),
+    ])
+    def test_deep_basis_sizes_are_pinned(self, law, b0, s_min, k):
+        assert suggest_truncation(law, s_min, b0) == k
+
+
+def test_scaled_tails():
+    # a constant factor c scales u and the lower bound; the exponential
+    # class has no amplitude parameter
+    assert PowerLawTail(3.0, 2.0).scaled(4.0) == PowerLawTail(3.0, 8.0)
+    assert ExponentialTail(0.5, 2.0).scaled(4.0) == ExponentialTail(0.5, 2.0)
+    assert CompactSupportTail(1.5, 2.0).scaled(0.0) == CompactSupportTail(1.5, 0.0)
+    assert ExponentialTail(1.0).outside_prefactor() == 0.5
+    assert CompactSupportTail(1.0).outside_prefactor() == 0.5
+
 
 def test_tail_consistency_checks():
     assert gaussian_profile(1.0).tail_consistent(radii=(4.0, 6.0, 8.0))
