@@ -4,9 +4,10 @@
     diracssf validate --config scenario.cfg
     diracssf list-scenarios
 
-``run`` exits 0 only when every pass/fail row passes; validation errors
-exit 1, failed rows exit 2.  Scenarios run serially; --threads is still
-accepted so existing command lines keep working, and it is ignored.
+``run`` exits 0 only when every pass/fail row passes; validation errors,
+a basis too small for the run and an unwritable --out exit 1, failed rows
+exit 2.  Scenarios run serially; --threads is still accepted so existing
+command lines keep working, and it is ignored.
 """
 
 import argparse
@@ -14,6 +15,8 @@ import sys
 
 from .harness import (SCENARIOS, ConfigError, all_rows_pass, emit_csv,
                       parse_config, run_scenario)
+from .ssf import TruncatedTailError
+from .toeplitz import TruncationError
 
 
 def _load(path: str):
@@ -58,9 +61,17 @@ def main(argv=None) -> int:
         print(f"config ok: scenario '{cfg.scenario}'")
         return 0
 
-    rows = run_scenario(cfg)
+    try:
+        rows = run_scenario(cfg)
+    except (TruncationError, TruncatedTailError) as exc:
+        print(f"run stopped: {exc}", file=sys.stderr)
+        return 1
     out = args.out or f"{cfg.scenario}.csv"
-    emit_csv(rows, out)
+    try:
+        emit_csv(rows, out)
+    except OSError as exc:
+        print(f"cannot write results: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(rows)} rows to {out}")
     if not all_rows_pass(rows):
         failed = [r for r in rows if r.passed is False]

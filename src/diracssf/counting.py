@@ -153,8 +153,11 @@ def _pencil_roots(a, b, shift: float):
     eigenvalues mu of the hermitian R^T (a + t0 b - shift)^(-1) R, so a
     double root comes out twice.  An eigvalsh error of eps * max|mu| moves
     root j by that times (t_j - t0)^2, so the centre t0 walks a fixed
-    ladder until that gain, measured in the Cauchy weight, stays below
-    RECENTRE_GAIN; this also re-centres when shift is an eigenvalue of a.
+    ladder and yields the roots at every centre where that gain, measured
+    in the Cauchy weight, stays below RECENTRE_GAIN; this also re-centres
+    when shift is an eigenvalue of a.  A root next to t0 makes max|mu| so
+    large that a genuine root's mu falls below the zero cut; the caller
+    then moves on to the next centre.
     """
     w, q = np.linalg.eigh(b)
     scale_b = np.max(np.abs(w), initial=0.0)
@@ -164,7 +167,8 @@ def _pencil_roots(a, b, shift: float):
                          "A + tB nondecreasing in t")
     keep = w > 1e-14 * scale_b
     if not np.any(keep):
-        return np.empty(0)
+        yield np.empty(0)
+        return
     r = q[:, keep] * np.sqrt(w[keep])
 
     unit = (np.linalg.norm(a) + abs(shift)) / scale_b
@@ -181,10 +185,7 @@ def _pencil_roots(a, b, shift: float):
         gain = np.max(np.abs(mu), initial=0.0) * np.max(
             (roots - t0) ** 2 / (1.0 + roots ** 2), initial=0.0)
         if gain < RECENTRE_GAIN:
-            return roots
-    raise JumpLocalizationError(
-        f"no centre keeps det(A + tB - {shift!r}) well conditioned; the pencil "
-        "is singular if shift is an eigenvalue of A on the kernel of B")
+            yield roots
 
 
 def mu_average_counting(s: float, a, b, sign: int = 1) -> float:
@@ -201,8 +202,9 @@ def mu_average_counting(s: float, a, b, sign: int = 1) -> float:
 
     with mu((t, inf)) = 1/2 - arctan(t)/pi.  The counts at one probe left
     and one probe right of every root must differ by the number of roots;
-    a lost or spurious root raises JumpLocalizationError.  An indefinite B
-    raises ValueError.
+    a lost or spurious root moves to the next centre of the root search,
+    and JumpLocalizationError is raised when no centre explains the counts.
+    An indefinite B raises ValueError.
     """
     if not s > 0:
         raise ValueError("counting threshold s must be positive")
@@ -213,20 +215,19 @@ def mu_average_counting(s: float, a, b, sign: int = 1) -> float:
     if a.shape != b.shape:
         raise ValueError("dimension mismatch between A and B")
 
-    roots = _pencil_roots(a, b, sign * s)
-    far = 2.0 * (1.0 + np.max(np.abs(roots), initial=0.0))
-
     def count(t):
         return int(np.count_nonzero(sign * np.linalg.eigvalsh(a + t * b) > s))
 
-    low, high = count(-sign * far), count(sign * far)
-    if high - low != roots.size:
-        raise JumpLocalizationError(
-            f"counts {low} and {high} on either side of the pencil roots differ "
-            f"by {high - low}, but det(A + tB - {sign * s!r}) has {roots.size} "
-            "roots")
-    # mu is symmetric, so mu((-inf, t)) = mu((-t, inf))
-    return low + float(np.sum(mu_interval(sign * roots, np.inf)))
+    for roots in _pencil_roots(a, b, sign * s):
+        far = 2.0 * (1.0 + np.max(np.abs(roots), initial=0.0))
+        low, high = count(-sign * far), count(sign * far)
+        if high - low == roots.size:
+            # mu is symmetric, so mu((-inf, t)) = mu((-t, inf))
+            return low + float(np.sum(mu_interval(sign * roots, np.inf)))
+    raise JumpLocalizationError(
+        f"no centre gives roots of det(A + tB - {sign * s!r}) that explain the "
+        "counts on either side; the pencil is singular if the shift is an "
+        "eigenvalue of A on the kernel of B")
 
 
 def _arctan_of_log_ratio(log_num, log_den) -> np.ndarray:

@@ -3,9 +3,11 @@
 Configs are INI-style text (sections in square brackets, lowercase
 snake-case keys, decimal or scientific numbers).  Validation collects
 every violation instead of stopping at the first, and each guard names
-the library invariant it protects.  Scenario points run independently
-and in order; rows are sorted on a stable key before emission, so reruns
-produce byte-identical CSV files.
+the library invariant it protects.  Each scenario has one runner in
+``_RUNNERS``, which calls the library once per scenario (Levinson once
+per eps, so a vanished inside count fails only its own row); each decay
+law's profile and declared brackets sit in ``_LAWS``.  Rows are sorted on
+a stable key before emission, so reruns produce byte-identical CSV files.
 """
 
 import configparser
@@ -16,17 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCENARIOS = (
-    "toeplitz-asymptotics",
-    "ssf-inside",
-    "ssf-outside",
-    "levinson",
-    "kernels",
-    "dirac-check",
-    "identities",
-)
+from .asymptotics import compare_law, law_for_profile
+from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbound,
+                       check_pushnitski_bound, check_weyl, mu_average_counting)
+from .dirac_algebra import anticommutation_residual, dirac_matrices
+from .discrete_model import build_h0, check_gap, check_square_identity, fiber_eigenvalues
+from .kernels1d import Grid1D, RankTwoImS, im_s_norm_rows
+from .landau import FieldSpec, build_lll_basis
+from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
+                  min_longitudinal_width, sweep_rows)
+from .toeplitz import (LOG_DOMAIN_EDGE, disc_profile, gaussian_profile, power_profile,
+                       suggest_truncation, toeplitz_radial_spectrum)
 
-LAWS = ("exponential", "power", "compact")
+# law -> (transverse profile of a config, declared count/law ratio bracket,
+#         declared Levinson ratio bracket)
+_LAWS = {
+    "exponential": (lambda cfg: gaussian_profile(eta=cfg.eta, amplitude=cfg.amplitude),
+                    (0.9, 1.1), (0.35, 0.65)),
+    "power": (lambda cfg: power_profile(exponent=cfg.nu - 1.0, amplitude=cfg.amplitude),
+              (0.85, 1.15), (0.55, 0.9)),
+    "compact": (lambda cfg: disc_profile(radius=cfg.radius, height=cfg.amplitude),
+                (0.6, 1.4), (0.35, 0.65)),
+}
+LAWS = tuple(_LAWS)
 
 class ConfigError(ValueError):
     """Carries the full list of config violations."""
@@ -143,9 +157,6 @@ _LAMBDA_RULES = {
 
 def _guard_violations(cfg: ScenarioConfig):
     """Re-run the downstream module guards at parse time."""
-    from .ssf import min_longitudinal_width
-    from .toeplitz import LOG_DOMAIN_EDGE
-
     out = []
     if cfg.scenario not in SCENARIOS:
         out.append(f"unknown scenario '{cfg.scenario}' (choose from {', '.join(SCENARIOS)})")
@@ -201,6 +212,8 @@ def _guard_violations(cfg: ScenarioConfig):
             out.append("sweep guard: eps values must lie in (0, 1)")
     if cfg.n_random < 1:
         out.append("sweep guard: n_random must be positive")
+    if cfg.seed < 0:
+        out.append("sweep guard: seed must be nonnegative (numpy.random.default_rng)")
     return out
 
 
@@ -263,8 +276,6 @@ def emit_csv(rows, path):
 # -- scenario building blocks ---------------------------------------------
 
 def _field(cfg: ScenarioConfig):
-    from .landau import FieldSpec
-
     if cfg.phi_tilde == "tanh":
         amp = cfg.phi_amp
         return FieldSpec(cfg.b0, lambda r: amp * np.tanh(r))
@@ -272,18 +283,10 @@ def _field(cfg: ScenarioConfig):
 
 
 def _transverse(cfg: ScenarioConfig):
-    from .toeplitz import disc_profile, gaussian_profile, power_profile
-
-    if cfg.law == "exponential":
-        return gaussian_profile(eta=cfg.eta, amplitude=cfg.amplitude)
-    if cfg.law == "power":
-        return power_profile(exponent=cfg.nu - 1.0, amplitude=cfg.amplitude)
-    return disc_profile(radius=cfg.radius, height=cfg.amplitude)
+    return _LAWS[cfg.law][0](cfg)
 
 
 def _potential(cfg: ScenarioConfig):
-    from .ssf import PotentialSpec, gaussian_longitudinal
-
     matrix = np.zeros((4, 4), dtype=complex)
     matrix[0, 0] = cfg.m11
     matrix[2, 2] = cfg.m33
@@ -293,42 +296,26 @@ def _potential(cfg: ScenarioConfig):
 
 
 def _estimator(cfg: ScenarioConfig, s_min: float):
-    from .landau import build_lll_basis
-    from .ssf import SsfEstimator
-    from .toeplitz import suggest_truncation
-
     pot = _potential(cfg)
-    fieldspec = _field(cfg)
-    if cfg.k > 0:
-        k = cfg.k
-    else:
-        k = max(suggest_truncation(pot.w_plus.law, s_min, cfg.b0),
-                suggest_truncation(pot.w_minus.law, s_min, cfg.b0), 8)
-    basis = build_lll_basis(fieldspec, k)
-    return SsfEstimator(pot, basis, m=cfg.mass)
+    k = cfg.k if cfg.k > 0 else max(suggest_truncation(pot.w_plus.law, s_min, cfg.b0),
+                                    suggest_truncation(pot.w_minus.law, s_min, cfg.b0), 8)
+    return SsfEstimator(pot, build_lll_basis(_field(cfg), k), m=cfg.mass)
 
 
-def _law_bracket(law: str):
-    # declared brackets for count/law ratios per decay class
-    return {"exponential": (0.9, 1.1), "power": (0.85, 1.15),
-            "compact": (0.6, 1.4)}[law]
+def _edge_floor(cfg: ScenarioConfig, lams) -> float:
+    """Smallest level an H- bracket counts at, over the energies ``lams``."""
+    return min(edge_threshold(lam, 1.0, cfg.mass) for lam in lams) * (1.0 - cfg.eps_bracket)
 
 
 def _scenario_toeplitz(cfg: ScenarioConfig):
-    from .asymptotics import compare_law, law_for_profile
-    from .landau import build_lll_basis
-    from .toeplitz import suggest_truncation, toeplitz_radial_spectrum
-
     profile = _transverse(cfg)
     s_values = cfg.s_values or (1e-4, 3e-4, 1e-3)
-    fs = _field(cfg)
     k = cfg.k or suggest_truncation(profile.law, min(s_values), cfg.b0)
-    basis = build_lll_basis(fs, k)
-    model = toeplitz_radial_spectrum(profile, basis)
-    law = law_for_profile(profile, cfg.b0)
-    lo, hi = _law_bracket(cfg.law)
+    model = toeplitz_radial_spectrum(profile, build_lll_basis(_field(cfg), k))
+    lo, hi = _LAWS[cfg.law][1]
     rows = []
-    for s, n, lawv, ratio, halfwidth in compare_law(model, law, s_values).rows:
+    for s, n, lawv, ratio, halfwidth in compare_law(
+            model, law_for_profile(profile, cfg.b0), s_values).rows:
         params = f"law={cfg.law};s={format_value(s)}"
         rows += [
             ResultRow(cfg.scenario, params, "n_plus", float(n)),
@@ -340,179 +327,141 @@ def _scenario_toeplitz(cfg: ScenarioConfig):
 
 
 def _scenario_ssf(cfg: ScenarioConfig, side: str):
-    from .ssf import sweep_rows
-
-    pair = "H-"
     lams = cfg.lambdas or ((0.9, 0.99) if side == "inside" else (1.1, 1.01))
-    lams = tuple(lam * cfg.mass for lam in lams)
-    t_min = min(2.0 * math.sqrt(abs(abs(lam) - cfg.mass) / (abs(lam) + cfg.mass))
-                for lam in lams)
-    est = _estimator(cfg, t_min * (1.0 - cfg.eps_bracket))
-
-    def point(lam):
-        rows = []
-        for lam_, eps, lower, upper, pred, ratio in sweep_rows(
-                est, [lam], cfg.eps_bracket, pair, side):
-            params = f"lambda={format_value(lam_)};eps={format_value(eps)}"
-            rows.append(ResultRow(cfg.scenario, params, "bracket_lower", lower))
-            rows.append(ResultRow(cfg.scenario, params, "bracket_upper", upper))
-            rows.append(ResultRow(cfg.scenario, params, "prediction", pred))
-            rows.append(ResultRow(cfg.scenario, params, "ratio_mid_to_prediction", ratio))
-        return rows
-
-    return [row for lam in lams for row in point(lam)]
+    lams = [lam * cfg.mass for lam in lams]
+    est = _estimator(cfg, _edge_floor(cfg, lams))
+    rows = []
+    for lam, eps, lower, upper, pred, ratio in sweep_rows(est, lams, cfg.eps_bracket,
+                                                          "H-", side):
+        params = f"lambda={format_value(lam)};eps={format_value(eps)}"
+        rows += [
+            ResultRow(cfg.scenario, params, "bracket_lower", lower),
+            ResultRow(cfg.scenario, params, "bracket_upper", upper),
+            ResultRow(cfg.scenario, params, "prediction", pred),
+            ResultRow(cfg.scenario, params, "ratio_mid_to_prediction", ratio),
+        ]
+    return rows
 
 
 def _scenario_levinson(cfg: ScenarioConfig):
     eps_values = tuple(sorted(cfg.eps_values or (1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
                               reverse=True))
-    t_min = min(2.0 * math.sqrt(e / (2.0 - e)) for e in eps_values)
-    est = _estimator(cfg, t_min * (1.0 - cfg.eps_bracket))
-    bracket = {"exponential": (0.35, 0.65), "power": (0.55, 0.9),
-               "compact": (0.35, 0.65)}[cfg.law]
-
-    def point(eps):
+    # levinson_rows counts at lambda_in = m (1 - eps) and lambda_out = m / (1 - eps)
+    est = _estimator(cfg, _edge_floor(cfg, [lam for eps in eps_values for lam in
+                                            (cfg.mass * (1.0 - eps), cfg.mass / (1.0 - eps))]))
+    lo, hi = _LAWS[cfg.law][2]
+    rows = []
+    for eps in eps_values:
+        params = f"eps={format_value(eps)}"
         try:
-            levinson = est.levinson_rows([eps], eps_bracket=cfg.eps_bracket)
+            [(_, _, _, mid_in, mid_out, ratio, target)] = est.levinson_rows(
+                [eps], eps_bracket=cfg.eps_bracket)
         except ZeroDivisionError:
             # no eigenvalue clears the inside threshold: the ratio is undefined
-            return [ResultRow(cfg.scenario, f"eps={format_value(eps)}", "ratio",
-                              math.nan, passed=False)]
-        rows = []
-        for eps_, lam_in, lam_out, mid_in, mid_out, ratio, target in levinson:
-            params = f"eps={format_value(eps_)}"
-            rows.append(ResultRow(cfg.scenario, params, "mid_inside", mid_in))
-            rows.append(ResultRow(cfg.scenario, params, "mid_outside", mid_out))
-            rows.append(ResultRow(cfg.scenario, params, "ratio", ratio,
-                                  passed=bracket[0] <= ratio <= bracket[1]))
-            rows.append(ResultRow(cfg.scenario, params, "target", target))
-        return rows
-
-    return [row for eps in eps_values for row in point(eps)]
+            rows.append(ResultRow(cfg.scenario, params, "ratio", math.nan, passed=False))
+            continue
+        rows += [
+            ResultRow(cfg.scenario, params, "mid_inside", mid_in),
+            ResultRow(cfg.scenario, params, "mid_outside", mid_out),
+            ResultRow(cfg.scenario, params, "ratio", ratio, passed=lo <= ratio <= hi),
+            ResultRow(cfg.scenario, params, "target", target),
+        ]
+    return rows
 
 
 def _scenario_kernels(cfg: ScenarioConfig):
-    from .kernels1d import Grid1D, RankTwoImS, im_s_norm_rows
-
     lams = cfg.lambdas or (1.01, 1.5, 2.0, 5.0)
-    lams = tuple(lam * cfg.mass for lam in lams)
+    lams = [lam * cfg.mass for lam in lams]
     grid = Grid1D(200.0, 2**14)
-
-    def point(lam):
-        rows = []
-        for lam_, p, closed, gridv in im_s_norm_rows([lam], 2.0, (1, 2, 4),
-                                                     cfg.mass, grid):
-            params = f"lambda={format_value(lam_)};p={p}"
-            rel = abs(closed - gridv) / gridv
-            rows.append(ResultRow(cfg.scenario, params, "norm_closed_form", closed))
-            rows.append(ResultRow(cfg.scenario, params, "norm_grid", gridv))
-            rows.append(ResultRow(cfg.scenario, params, "relative_difference", rel,
-                                  passed=rel <= 1e-6))
-        ops = RankTwoImS(lam, 2.0, cfg.mass, half_width=grid.half_width)
-        ortho = abs(ops.inner_vu())
+    rows = []
+    for lam, p, closed, gridv in im_s_norm_rows(lams, 2.0, (1, 2, 4), cfg.mass, grid):
+        params = f"lambda={format_value(lam)};p={p}"
+        rel = abs(closed - gridv) / gridv
+        rows += [
+            ResultRow(cfg.scenario, params, "norm_closed_form", closed),
+            ResultRow(cfg.scenario, params, "norm_grid", gridv),
+            ResultRow(cfg.scenario, params, "relative_difference", rel, passed=rel <= 1e-6),
+        ]
+    for lam in lams:
+        ortho = abs(RankTwoImS(lam, 2.0, cfg.mass, half_width=grid.half_width).inner_vu())
         rows.append(ResultRow(cfg.scenario, f"lambda={format_value(lam)}",
                               "orthogonality", ortho, passed=ortho <= 1e-10))
-        return rows
-
-    return [row for lam in lams for row in point(lam)]
+    return rows
 
 
 def _scenario_dirac(cfg: ScenarioConfig):
-    from .dirac_algebra import anticommutation_residual, dirac_matrices
-    from .discrete_model import (build_h0, check_gap, check_square_identity,
-                                 fiber_eigenvalues)
+    res = anticommutation_residual(dirac_matrices())
+    h0 = build_h0(cfg.b0, cfg.mass, cfg.ladder_l, cfg.grid_n, cfg.grid_x)
+    interior, full = check_square_identity(h0)
+    smallest = check_gap(h0)
+    dev = float(np.max(np.abs(fiber_eigenvalues(h0) - h0.eigenvalues)))
+    return [
+        ResultRow(cfg.scenario, "", "anticommutation_residual", res, passed=res <= 1e-12),
+        ResultRow(cfg.scenario, "", "square_identity_interior", interior,
+                  passed=interior <= 1e-10),
+        ResultRow(cfg.scenario, "", "square_identity_full", full),
+        ResultRow(cfg.scenario, "", "min_abs_eigenvalue", smallest,
+                  passed=abs(smallest - cfg.mass) <= 1e-9 * cfg.mass),
+        ResultRow(cfg.scenario, "", "fiber_formula_deviation", dev, passed=dev <= 1e-9),
+    ]
 
-    def algebra():
-        res = anticommutation_residual(dirac_matrices())
-        return [ResultRow(cfg.scenario, "", "anticommutation_residual", res,
-                          passed=res <= 1e-12)]
 
-    def discrete():
-        h0 = build_h0(cfg.b0, cfg.mass, cfg.ladder_l, cfg.grid_n, cfg.grid_x)
-        interior, full = check_square_identity(h0)
-        smallest = check_gap(h0)
-        fiber = fiber_eigenvalues(h0)
-        dev = float(np.max(np.abs(fiber - h0.eigenvalues)))
-        return [
-            ResultRow(cfg.scenario, "", "square_identity_interior", interior,
-                      passed=interior <= 1e-10),
-            ResultRow(cfg.scenario, "", "square_identity_full", full),
-            ResultRow(cfg.scenario, "", "min_abs_eigenvalue", smallest,
-                      passed=abs(smallest - cfg.mass) <= 1e-9 * cfg.mass),
-            ResultRow(cfg.scenario, "", "fiber_formula_deviation", dev,
-                      passed=dev <= 1e-9),
-        ]
-
-    return algebra() + discrete()
+def _symmetric(rng, dim):
+    a = rng.standard_normal((dim, dim))
+    return 0.5 * (a + a.T)
 
 
 def _scenario_identities(cfg: ScenarioConfig):
-    from .counting import (LogSpectrum, arctan_trace_identity, check_flip,
-                           check_pbound, check_pushnitski_bound, check_weyl,
-                           mu_average_counting)
+    n, seed = cfg.n_random, cfg.seed
 
-    n = cfg.n_random
+    rng = np.random.default_rng(seed)
+    weyl = all(check_weyl(*(np.abs(rng.standard_normal(2)) + 0.05),
+                          _symmetric(rng, 12), _symmetric(rng, 12)) for _ in range(n))
 
-    def herm(rng, dim, scale=1.0):
-        a = rng.standard_normal((dim, dim)) * scale
-        return 0.5 * (a + a.T)
+    rng = np.random.default_rng(seed + 1)
+    pbound = True
+    for _ in range(n):
+        a = rng.standard_normal((10, 10))
+        spec = LogSpectrum.from_eigenvalues(np.linalg.eigvalsh(a @ a.T))
+        for p in (1, 2, 4):
+            pbound &= check_pbound(float(np.abs(rng.standard_normal()) + 0.1), spec, p)
 
-    def weyl():
-        rng = np.random.default_rng(cfg.seed)
-        ok = all(check_weyl(*(np.abs(rng.standard_normal(2)) + 0.05),
-                            herm(rng, 12), herm(rng, 12)) for _ in range(n))
-        return [ResultRow(cfg.scenario, f"n={n}", "weyl_inequality",
-                          float(ok), passed=ok)]
+    rng = np.random.default_rng(seed + 2)
+    flip = all(check_flip(rng.standard_normal((int(rng.integers(2, 9)),
+                                               int(rng.integers(2, 9)))), s=0.3)
+               for _ in range(n))
 
-    def pbound():
-        rng = np.random.default_rng(cfg.seed + 1)
-        ok = True
-        for _ in range(n):
-            a = rng.standard_normal((10, 10))
-            spec = LogSpectrum.from_eigenvalues(np.linalg.eigvalsh(a @ a.T))
-            for p in (1, 2, 4):
-                ok &= check_pbound(float(np.abs(rng.standard_normal()) + 0.1), spec, p)
-        return [ResultRow(cfg.scenario, f"n={n}", "schatten_counting_bound",
-                          float(ok), passed=ok)]
+    rng = np.random.default_rng(seed + 3)
+    n_arctan = max(n // 4, 8)
+    worst = 0.0
+    for _ in range(n_arctan):
+        dim = int(rng.integers(3, 30))
+        a = rng.standard_normal((dim, dim))
+        psd = a @ a.T / dim
+        spec = LogSpectrum.from_eigenvalues(np.linalg.eigvalsh(psd), zero_floor=1e-14)
+        s = float(np.abs(rng.standard_normal()) + 0.1)
+        lhs, rhs = arctan_trace_identity(s, spec)
+        quad = mu_average_counting(s, np.zeros_like(psd), psd)
+        worst = max(worst, abs(lhs - rhs), abs(quad - rhs))
 
-    def flip():
-        rng = np.random.default_rng(cfg.seed + 2)
-        ok = all(check_flip(rng.standard_normal((int(rng.integers(2, 9)),
-                                                 int(rng.integers(2, 9)))), s=0.3)
-                 for _ in range(n))
-        return [ResultRow(cfg.scenario, f"n={n}", "flip_identity",
-                          float(ok), passed=ok)]
+    rng = np.random.default_rng(seed + 4)
+    n_average = max(n // 2, 10)
+    average = True
+    for _ in range(n_average):
+        t1 = _symmetric(rng, 8)
+        a = rng.standard_normal((8, 8))
+        average &= check_pushnitski_bound(0.6, 0.8, t1, a @ a.T / 8.0)
 
-    def arctan():
-        rng = np.random.default_rng(cfg.seed + 3)
-        m = max(n // 4, 8)
-        worst = 0.0
-        for _ in range(m):
-            dim = int(rng.integers(3, 30))
-            a = rng.standard_normal((dim, dim))
-            psd = a @ a.T / dim
-            spec = LogSpectrum.from_eigenvalues(np.linalg.eigvalsh(psd),
-                                                zero_floor=1e-14)
-            s = float(np.abs(rng.standard_normal()) + 0.1)
-            lhs, rhs = arctan_trace_identity(s, spec)
-            quad = mu_average_counting(s, np.zeros_like(psd), psd)
-            worst = max(worst, abs(lhs - rhs), abs(quad - rhs))
-        return [ResultRow(cfg.scenario, f"n={m}", "arctan_trace_max_deviation",
-                          worst, passed=worst <= 1e-10)]
-
-    def average_bound():
-        rng = np.random.default_rng(cfg.seed + 4)
-        m = max(n // 2, 10)
-        ok = True
-        for _ in range(m):
-            t1 = herm(rng, 8)
-            a = rng.standard_normal((8, 8))
-            ok &= check_pushnitski_bound(0.6, 0.8, t1, a @ a.T / 8.0)
-        return [ResultRow(cfg.scenario, f"n={m}", "counting_average_bound",
-                          float(ok), passed=ok)]
-
-    return [row for check in (weyl, pbound, flip, arctan, average_bound)
-            for row in check()]
+    return [
+        ResultRow(cfg.scenario, f"n={n}", "weyl_inequality", float(weyl), passed=weyl),
+        ResultRow(cfg.scenario, f"n={n}", "schatten_counting_bound", float(pbound),
+                  passed=pbound),
+        ResultRow(cfg.scenario, f"n={n}", "flip_identity", float(flip), passed=flip),
+        ResultRow(cfg.scenario, f"n={n_arctan}", "arctan_trace_max_deviation", worst,
+                  passed=worst <= 1e-10),
+        ResultRow(cfg.scenario, f"n={n_average}", "counting_average_bound",
+                  float(average), passed=average),
+    ]
 
 
 _RUNNERS = {
@@ -524,6 +473,7 @@ _RUNNERS = {
     "dirac-check": _scenario_dirac,
     "identities": _scenario_identities,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig):

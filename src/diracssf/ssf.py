@@ -7,8 +7,9 @@ from the same two compressions, which are one compression pTp scaled:
 for V = M T(r) L(x3) the symbols are W+- = M_ii (integral L) T, i = 1, 3.
 The full block operator, assembled from longitudinal trigonometric
 moments, is kept as a reference for Omega1.
+Both sides count at one threshold map t(lam), ``edge_threshold``.
 Leading-order predictions read the transverse tail law: its counting
-law n(s) and, outside the gap, its outside-to-inside constant
+law n(t) and, outside the gap, its outside-to-inside constant
 (1 / (2 cos(pi/alpha)) for power tails, 1/2 otherwise).
 Both brackets carry a (1 +- eps) slack and exclude unknown bounded terms,
 so every consumer works with ratios or differences where those terms are
@@ -148,19 +149,26 @@ class PotentialSpec:
         return self._column_profile(2)
 
 
+def edge_threshold(lam: float, edge: float, m: float = 1.0) -> float:
+    """Threshold map 2 sqrt(|lam - edge m| / |lam + edge m|) at the edge
+    edge * m (edge = +-1), on either side of the gap; it collapses to 0 as
+    lam approaches that edge, which is the divergence mechanism."""
+    return 2.0 * math.sqrt(abs(lam - edge * m) / abs(lam + edge * m))
+
+
 def omega_threshold(lam: float, sign: str, m: float = 1.0) -> float:
     """Threshold map factor for the scaled gap-edge compressions.
 
     Counting at level s on the scaled operator equals counting the plain
-    compression at s times this factor; it collapses to 0 as lam
-    approaches the matching edge, which is the divergence mechanism.
+    compression at s times this factor, ``edge_threshold`` at the edge
+    +-m named by ``sign``, inside the gap.
     """
     if not abs(lam) < m:
         raise ValueError("threshold map defined only inside the gap")
     if sign == "+":
-        return 2.0 * math.sqrt((m - lam) / (m + lam))
+        return edge_threshold(lam, 1.0, m)
     if sign == "-":
-        return 2.0 * math.sqrt((m + lam) / (m - lam))
+        return edge_threshold(lam, -1.0, m)
     raise ValueError("sign must be '+' or '-'")
 
 
@@ -412,11 +420,10 @@ class SsfEstimator:
 
     def predict(self, lam: float, side: str, pair: str) -> float:
         """Leading asymptotic value of the shift function near the edge e m:
-        -e n(2 sqrt(|lam - e m| / |lam + e m|)) on both sides of the gap, with
-        the edge symbol's counting law n, times its outside prefactor outside."""
+        -e n(edge_threshold(lam, e)) on both sides of the gap, with the edge
+        symbol's counting law n, times its outside prefactor outside."""
         e, profile, _ = self._edge(pair)
-        arg = 2.0 * math.sqrt(abs(lam - e * self.m) / abs(lam + e * self.m))
-        value = profile.law.count(arg, self.basis.field.b0)
+        value = profile.law.count(edge_threshold(lam, e, self.m), self.basis.field.b0)
         if side != "inside":
             value *= profile.law.outside_prefactor()
         return -e * value

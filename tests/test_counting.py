@@ -191,6 +191,15 @@ class TestMuAverage:
     def test_threshold_in_the_spectrum_of_a(self, s, a, b, sign, expected):
         assert mu_average_counting(s, a, b, sign=sign) == pytest.approx(expected, abs=1e-14)
 
+    def test_root_next_to_the_first_centre_keeps_the_far_root(self):
+        # the root near t = 0 makes one mu ~ 5e13, which cut the root at
+        # t = 0.5 (mu = -2) as noise; the counts then differed by 2 against
+        # 1 root and raised JumpLocalizationError
+        a = np.array([[0.25, 5e-8], [5e-8, 0.0]])
+        b = 0.5 * np.eye(2)
+        assert mu_average_counting(0.25, a, b) == pytest.approx(
+            interval_oracle(0.25, a, b, 1), abs=1e-12)
+
     def test_indefinite_perturbation_rejected(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             mu_average_counting(1.0, np.zeros((2, 2)), np.diag([1.0, -0.5]))
@@ -330,3 +339,51 @@ class TestLogSpectrumCounting:
         spec = LogSpectrum.from_eigenvalues([v])
         assert spec.n_plus(abs(v)) == 0
         assert spec.n_minus(abs(v)) == 0
+
+
+def dense_counts(matrix, s):
+    """(n_+, n_-) of a symmetric matrix at s from a dense eigvalsh."""
+    ev = np.linalg.eigvalsh(matrix)
+    return int(np.count_nonzero(ev > s)), int(np.count_nonzero(-ev > s))
+
+
+_ENTRIES = st.floats(-10.0, 10.0, allow_subnormal=False)
+_THRESHOLDS = st.floats(1e-3, 1e3)
+
+
+class TestIdentityProperties:
+    """The identities scenario's checks against a dense eigvalsh count oracle."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(float, (n, n), elements=_ENTRIES), arrays(float, (n, n), elements=_ENTRIES))),
+        _THRESHOLDS, _THRESHOLDS)
+    def test_weyl(self, pair, s1, s2):
+        t1, t2 = (0.5 * (a + a.T) for a in pair)
+        assert check_weyl(s1, s2, t1, t2)
+        (ps, ms), (p1, m1), (p2, m2) = (dense_counts(t1 + t2, s1 + s2),
+                                        dense_counts(t1, s1), dense_counts(t2, s2))
+        assert ps <= p1 + p2 and ms <= m1 + m2
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 12).flatmap(lambda n: arrays(float, (n, n), elements=_ENTRIES)),
+           _THRESHOLDS, st.sampled_from([1, 2, 4]))
+    def test_pbound(self, a, s, p):
+        t = 0.5 * (a + a.T)
+        ev = np.linalg.eigvalsh(t)
+        assert check_pbound(s, LogSpectrum.from_eigenvalues(ev), p)
+        # Markov: each of the n eigenvalues with |lambda| > s adds a term
+        # (|lambda| / s)^p >= 1 to s^-p times the p-th Schatten power
+        scaled_schatten = np.sum((np.abs(ev) / s) ** p)
+        for n in dense_counts(t, s):
+            assert n <= scaled_schatten
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+        lambda shape: arrays(float, shape, elements=_ENTRIES)), _THRESHOLDS)
+    def test_flip(self, b, s):
+        assert check_flip(b, s=s)
+        k = min(b.shape)
+        left = np.sort(np.linalg.eigvalsh(b.T @ b))[::-1][:k]
+        right = np.sort(np.linalg.eigvalsh(b @ b.T))[::-1][:k]
+        assert np.count_nonzero(left > s) == np.count_nonzero(right > s)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from diracssf.harness import (
     serialize_config,
 )
 from diracssf.ssf import gaussian_longitudinal
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 MINIMAL = """
 [scenario]
@@ -118,6 +122,28 @@ class TestConfigParsing:
                            "lambdas = 1.5,2.0\neps_values = 1e-2\n")
         assert cfg.lambdas == (1.5, 2.0)
         assert cfg.eps_values == (0.01,)
+
+    def test_negative_seed_is_refused(self):
+        # numpy.random.default_rng rejects a negative seed, which the
+        # identities scenario used to hit only in run
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nname = identities\n[sweep]\nseed = -1\n")
+        assert err.value.violations == [
+            "sweep guard: seed must be nonnegative (numpy.random.default_rng)"]
+        assert parse_config("[scenario]\nname = identities\n[sweep]\nseed = 0\n").seed == 0
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_parses_into_the_registries(path):
+    cfg = parse_config(path.read_text())
+    assert cfg.scenario in SCENARIOS
+    assert cfg.law in LAWS
+
+
+def test_shipped_configs_cover_every_scenario_and_law():
+    cfgs = [parse_config(path.read_text()) for path in CONFIGS]
+    assert {cfg.scenario for cfg in cfgs} == set(SCENARIOS)
+    assert {cfg.law for cfg in cfgs} == set(LAWS)
 
 
 # numbers mostly positive with magnitudes 1e-6..1e6, plus negatives, zeros
@@ -296,6 +322,31 @@ class TestCli:
 
     def test_missing_config(self, capsys):
         assert main(["run", "--config", "/nonexistent.cfg"]) == 1
+
+    def _refused(self, capsys, argv, message):
+        # a refused run exits 1 with one stderr line and no traceback
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.csv"
+        self._refused(capsys, ["run", "--config", self._write(tmp_path, MINIMAL),
+                               "--out", str(out)], "No such file or directory")
+
+    def test_too_small_k_for_the_counting_threshold(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "[scenario]\nname = toeplitz-asymptotics\n"
+                                    "[truncation]\nk = 10\n")
+        self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
+                      "basis K=10 inadequate for threshold")
+
+    def test_too_small_k_for_the_arctan_tail(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "[scenario]\nname = ssf-outside\n[field]\nb0 = 2.0\n"
+                                    "[potential]\namplitude = 8.0\n"
+                                    "[truncation]\nk = 10\n[sweep]\nlambdas = 1.01\n")
+        self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
+                      "arctan tail estimate")
 
 
 def test_cli_failing_rows_exit_two(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diracssf import harness
 from diracssf.counting import LogSpectrum
 from diracssf.kernels1d import Grid1D
 from diracssf.landau import build_lll_basis
@@ -12,8 +16,10 @@ from diracssf.ssf import (
     SsfEstimator,
     build_omega1,
     build_omega_full,
+    edge_threshold,
     gap_edge_factor,
     gaussian_longitudinal,
+    omega1_log_factors,
     omega_threshold,
     sweep_rows,
     trace_arctan,
@@ -132,6 +138,68 @@ class TestThresholdMap:
     def test_rejects_outside_gap(self):
         with pytest.raises(ValueError):
             omega_threshold(1.5, "+")
+
+
+_MASSES = st.floats(1e-3, 1e3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_MASSES, st.floats(1e-12, 1e6))
+def test_omega1_factors_invert_the_edge_thresholds(m, excess):
+    # outside the gap Omega1 counts W+ at (1 -+ eps) / f+ and W- at
+    # (1 -+ eps) / f-, so 1 / f+- is the threshold map at the edge +-m
+    lam = m * (1.0 + excess)
+    log_fp, log_fm = omega1_log_factors(lam, m)
+    assert math.exp(-log_fp) == pytest.approx(edge_threshold(lam, 1.0, m), rel=1e-14)
+    assert math.exp(-log_fm) == pytest.approx(edge_threshold(lam, -1.0, m), rel=1e-14)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_MASSES, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_inside_threshold_map_is_the_edge_threshold(m, u):
+    lam = m * u
+    assert omega_threshold(lam, "+", m) == edge_threshold(lam, 1.0, m)
+    assert omega_threshold(lam, "-", m) == edge_threshold(lam, -1.0, m)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["ssf_inside", "ssf_outside",
+                                  "levinson_exponential", "levinson_power"])
+def test_harness_basis_floor_is_below_every_counted_level(monkeypatch, name):
+    # the basis is sized for the smallest threshold the harness expects;
+    # record it and every level the scenario's brackets actually count W+ at.
+    # Inside, the bracket counts at edge_threshold itself; outside, Omega1
+    # weighs W+ at (1 - eps) / f+ with f+ in the log form that
+    # test_omega1_factors_invert_the_edge_thresholds pins to 1e-14
+    floors, inside_levels, outside_levels = [], [], []
+    build = harness._estimator
+
+    def recording_estimator(cfg, s_min):
+        floors.append(s_min)
+        est = build(cfg, s_min)
+        inside, outside = est.inside_bracket, est.outside_bracket
+
+        def inside_bracket(lam, eps, pair):
+            br = inside(lam, eps, pair)
+            if not br.bounded:
+                inside_levels.append(br.threshold * (1.0 - eps))
+            return br
+
+        def outside_bracket(lam, eps, pair):
+            outside_levels.append((1.0 - eps)
+                                  * math.exp(-omega1_log_factors(lam, est.m)[0]))
+            return outside(lam, eps, pair)
+
+        est.inside_bracket, est.outside_bracket = inside_bracket, outside_bracket
+        return est
+
+    monkeypatch.setattr(harness, "_estimator", recording_estimator)
+    harness.run_scenario(harness.parse_config((CONFIGS / f"{name}.cfg").read_text()))
+    assert len(floors) == 1 and inside_levels + outside_levels
+    assert all(floors[0] <= level for level in inside_levels)
+    assert all(floors[0] <= level * (1.0 + 1e-14) for level in outside_levels)
 
 
 class TestInsideBracket:
