@@ -6,8 +6,11 @@ every violation instead of stopping at the first, and each guard names
 the library invariant it protects.  Each scenario has one runner in
 ``_RUNNERS``, which calls the library once per scenario (Levinson once
 per eps, so a vanished inside count fails only its own row); each decay
-law's profile and declared brackets sit in ``_LAWS``.  Rows are sorted on
-a stable key before emission, so reruns produce byte-identical CSV files.
+law's profile and declared brackets sit in ``_LAWS``.  The
+Toeplitz-asymptotics basis is sized from the law's count and kept only
+under the exact-count certificate of ``ToeplitzModel``.  Rows are sorted
+on a stable key before emission, so reruns produce byte-identical CSV
+files.
 """
 
 import configparser
@@ -26,9 +29,9 @@ from .discrete_model import build_h0, check_gap, check_square_identity, fiber_ei
 from .kernels1d import Grid1D, RankTwoImS, im_s_norm_rows
 from .landau import FieldSpec, build_lll_basis
 from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
-                  min_longitudinal_width, sweep_rows)
-from .toeplitz import (LOG_DOMAIN_EDGE, disc_profile, gaussian_profile, power_profile,
-                       suggest_truncation, toeplitz_radial_spectrum)
+                  min_longitudinal_width, omega1_log_factors, sweep_rows)
+from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian_profile,
+                       power_profile, suggest_truncation, toeplitz_radial_spectrum)
 
 # law -> (transverse profile of a config, declared count/law ratio bracket,
 #         declared Levinson ratio bracket)
@@ -303,15 +306,41 @@ def _estimator(cfg: ScenarioConfig, s_min: float):
 
 
 def _edge_floor(cfg: ScenarioConfig, lams) -> float:
-    """Smallest level an H- bracket counts at, over the energies ``lams``."""
-    return min(edge_threshold(lam, 1.0, cfg.mass) for lam in lams) * (1.0 - cfg.eps_bracket)
+    """Smallest level an H- bracket counts W+ at, over the energies ``lams``.
+
+    Inside the gap that is (1 - eps) t(lambda); outside, Omega1's arctan
+    trace compares log(f+ mu) with log(1 - eps), so the level is
+    exp(log(1 - eps) - log f+) in the same floats.
+    """
+    keep = 1.0 - cfg.eps_bracket
+    return min(math.exp(math.log(keep) - omega1_log_factors(lam, cfg.mass)[0])
+               if lam > cfg.mass else edge_threshold(lam, 1.0, cfg.mass) * keep
+               for lam in lams)
+
+
+def _toeplitz_model(cfg: ScenarioConfig, profile, s_values):
+    """Radial compression whose counts at ``s_values`` are exact.
+
+    A user-set k is used as given.  Otherwise K comes from the law's count
+    at the smallest threshold and is kept when the count certificate holds
+    at every threshold; if not, the basis is built once more at the
+    depth-margin size of ``suggest_truncation``.
+    """
+    field, s_min = _field(cfg), min(s_values)
+    if cfg.k:
+        return toeplitz_radial_spectrum(profile, build_lll_basis(field, cfg.k))
+    model = toeplitz_radial_spectrum(
+        profile, build_lll_basis(field, count_truncation(profile.law, s_min, cfg.b0)))
+    if all(model.count_certified(s) for s in s_values):
+        return model
+    return toeplitz_radial_spectrum(
+        profile, build_lll_basis(field, suggest_truncation(profile.law, s_min, cfg.b0)))
 
 
 def _scenario_toeplitz(cfg: ScenarioConfig):
     profile = _transverse(cfg)
     s_values = cfg.s_values or (1e-4, 3e-4, 1e-3)
-    k = cfg.k or suggest_truncation(profile.law, min(s_values), cfg.b0)
-    model = toeplitz_radial_spectrum(profile, build_lll_basis(_field(cfg), k))
+    model = _toeplitz_model(cfg, profile, s_values)
     lo, hi = _LAWS[cfg.law][1]
     rows = []
     for s, n, lawv, ratio, halfwidth in compare_law(

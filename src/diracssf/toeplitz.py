@@ -13,6 +13,17 @@ stretched exponentials, |log s| / log|log s| for compact support, all
 from the level-set form b0 / 2 pi times the area where U > s), the basis
 depth that resolves a threshold, its rescaling by a constant factor, and
 the outside-to-inside constant of the Levinson ratio.
+
+Two truncation rules size a radial basis.  ``suggest_truncation`` inverts
+the law for an eigenvalue depth of ``ADEQUACY_MARGIN`` times the smallest
+threshold; the gap-edge estimators use it (the arctan trace needs tail
+mass), and the Toeplitz-asymptotics scenario uses it only as the fallback
+when the count certificate fails.  ``count_truncation`` sizes K from the
+law's count instead, and ``ToeplitzModel.count_certified`` accepts it: for
+a radially nonincreasing U, lambda_k is the mean of U under densities
+p_k ~ r^(2k+1) e^(-2 phi) whose ratio p_(k+1) / p_k ~ r^2 increases, so
+lambda_k is nonincreasing in k for every phi-tilde (monotone likelihood
+ratio), and n_+(s) is exact once lambda_(K-1) < s.
 """
 
 import math
@@ -22,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import gauss_legendre, log_integral_batch
-from .counting import LogSpectrum
+from .counting import THRESHOLD_FLAG_TOL, LogSpectrum, flag_near_threshold
 from .landau import LLLBasis, log_radial_moments
 
 ADEQUACY_MARGIN = 1e-3
@@ -153,11 +164,14 @@ class RadialProfile:
 
     ``log_eval`` should be supplied whenever ``eval`` underflows inside
     the relevant moment peaks (e.g. Gaussian tails at large radii).
+    ``nonincreasing`` declares U nonincreasing in r, which the count
+    certificate of ``ToeplitzModel`` requires.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     law: PowerLawTail | ExponentialTail | CompactSupportTail
     log_eval: Callable[[np.ndarray], np.ndarray] | None = None
+    nonincreasing: bool = False
 
     def log_value(self, r):
         if self.log_eval is not None:
@@ -196,6 +210,7 @@ def gaussian_profile(eta: float = 1.0, amplitude: float = 1.0) -> RadialProfile:
         eval=lambda r: amplitude * np.exp(-eta * np.asarray(r, dtype=float) ** 2),
         law=ExponentialTail(eta=eta, beta=1.0),
         log_eval=lambda r: log_amp - eta * np.asarray(r, dtype=float) ** 2,
+        nonincreasing=eta >= 0.0,
     )
 
 
@@ -206,6 +221,7 @@ def power_profile(exponent: float, amplitude: float = 1.0) -> RadialProfile:
         eval=lambda r: amplitude * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-0.5 * exponent),
         law=PowerLawTail(alpha=exponent, u_value=amplitude),
         log_eval=lambda r: log_amp - 0.5 * exponent * np.log1p(np.asarray(r, dtype=float) ** 2),
+        nonincreasing=exponent >= 0.0,
     )
 
 
@@ -221,7 +237,8 @@ def disc_profile(radius: float = 1.0, height: float = 1.0) -> RadialProfile:
         r = np.asarray(r, dtype=float)
         return np.where(r <= radius, log_h, -np.inf)
 
-    return RadialProfile(eval=ev, law=CompactSupportTail(radius=radius, lower=height), log_eval=lev)
+    return RadialProfile(eval=ev, law=CompactSupportTail(radius=radius, lower=height),
+                         log_eval=lev, nonincreasing=height >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -237,20 +254,53 @@ class ToeplitzModel:
     def K(self):
         return self.basis.K
 
+    def _smallest_log(self) -> float:
+        """log of the smallest positive kept eigenvalue (inf if none)."""
+        return float(np.min(self.spectrum.log_values[self.spectrum.signs == 1],
+                            initial=np.inf))
+
     def adequate_for(self, s: float) -> bool:
         """Truncation rule: the smallest kept eigenvalue must sit well
         below the counting threshold (factor 1e-3)."""
-        smallest = np.min(self.spectrum.log_values[self.spectrum.signs == 1], initial=np.inf)
+        smallest = self._smallest_log()
         if np.isinf(smallest):
             return True  # zero operator is adequate at every threshold
         return smallest < np.log(s) + np.log(ADEQUACY_MARGIN)
 
+    def _certificate_failure(self, s: float) -> str | None:
+        """The first failing condition of the count certificate at s, or None."""
+        if self.profile is None or not self.profile.nonincreasing:
+            return "the symbol is not flagged radially nonincreasing"
+        lv = self.log_eigen_by_k
+        if lv is None:
+            return None  # zero symbol: the count is 0 at every K
+        rises = np.flatnonzero(np.diff(lv) > 0.0)
+        if rises.size:
+            return f"the computed eigenvalues are not nonincreasing in k (rise at k={rises[0] + 1})"
+        if not lv[-1] < np.log(s):
+            return f"lambda_(K-1) = exp({lv[-1]:.6g}) is not below s = exp({np.log(s):.6g})"
+        if flag_near_threshold(self.spectrum, s):
+            return f"an eigenvalue lies within {THRESHOLD_FLAG_TOL:g} (log scale) of the threshold"
+        return None
+
+    def count_certified(self, s: float) -> bool:
+        """Exact-count certificate: n_+(s) of the full compression equals
+        the count at this K.  It needs a symbol flagged nonincreasing,
+        computed lambda_k nonincreasing in k, lambda_(K-1) < s and no
+        eigenvalue flagged near s."""
+        return self._certificate_failure(s) is None
+
     def require_adequate(self, s: float):
-        if not self.adequate_for(s):
+        """Pass when the depth margin holds at s or the count is certified."""
+        if self.adequate_for(s):
+            return
+        failure = self._certificate_failure(s)
+        if failure is not None:
             raise TruncationError(
                 f"basis K={self.K} inadequate for threshold {s:g}: "
-                f"smallest log-eigenvalue {np.min(self.spectrum.log_values):.2f} "
-                f"vs required {np.log(s) + np.log(ADEQUACY_MARGIN):.2f}"
+                f"smallest positive log-eigenvalue {self._smallest_log():.2f} "
+                f"vs required {np.log(s) + np.log(ADEQUACY_MARGIN):.2f}, "
+                f"and the count is not certified: {failure}"
             )
 
 
@@ -430,6 +480,18 @@ def suggest_truncation(law, s_min: float, b0: float, margin: float = 1.6) -> int
     """Basis size so the adequacy rule holds at threshold ``s_min``.
 
     Uses the law's predicted eigenvalue decay; callers must still verify
-    adequacy a posteriori on the computed spectrum.
+    adequacy a posteriori on the computed spectrum.  It sizes the gap-edge
+    estimators, and the Toeplitz-asymptotics scenario only when the count
+    certificate fails at the ``count_truncation`` size.
     """
     return int(np.ceil(margin * law.depth(s_min * ADEQUACY_MARGIN, b0))) + 8
+
+
+def count_truncation(law, s_min: float, b0: float) -> int:
+    """Basis size from the law's count at ``s_min``, with the 1.6 margin
+    and 8 spare modes of ``suggest_truncation``.
+
+    ``ToeplitzModel.count_certified`` decides a posteriori whether the
+    count at this size is exact.
+    """
+    return int(np.ceil(1.6 * law.count(s_min, b0))) + 8

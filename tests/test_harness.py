@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracssf import harness
 from diracssf.cli import main
 from diracssf.harness import (
     _SCHEMA,
@@ -24,9 +26,12 @@ from diracssf.harness import (
     run_scenario,
     serialize_config,
 )
-from diracssf.ssf import gaussian_longitudinal
+from diracssf.ssf import gaussian_longitudinal, omega1_log_factors
+from diracssf.toeplitz import (RadialProfile, count_truncation, gaussian_profile,
+                               suggest_truncation, toeplitz_radial_spectrum)
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.cfg"))
 
 MINIMAL = """
 [scenario]
@@ -389,8 +394,6 @@ def test_ssf_scenarios_run():
 def test_estimator_sizes_one_basis_for_both_edges(m11, m33):
     # the basis that ships is sized for whichever column symbol needs more
     # modes, so both edge compressions count correctly down to s_min
-    from diracssf.toeplitz import suggest_truncation
-
     s_min = 1e-3
     cfg = ScenarioConfig("ssf-outside", b0=1.0, law="power", amplitude=8.0,
                          nu=5.0, m11=m11, m33=m33)
@@ -401,3 +404,84 @@ def test_estimator_sizes_one_basis_for_both_edges(m11, m33):
     assert est.basis.K == max(k_plus, k_minus)
     assert est.wplus_model.adequate_for(s_min)
     assert est.wminus_model.adequate_for(s_min)
+
+
+# -- toeplitz-asymptotics basis sizing ------------------------------------
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+@pytest.fixture
+def built_sizes(monkeypatch):
+    """The K of every basis the harness builds, in order."""
+    sizes = []
+    build = harness.build_lll_basis
+
+    def recording_build(field, K, *args, **kwargs):
+        sizes.append(K)
+        return build(field, K, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_lll_basis", recording_build)
+    return sizes
+
+
+@pytest.mark.parametrize("name, k", [("toeplitz_power", 380),
+                                     ("toeplitz_exponential", 51),
+                                     ("toeplitz_compact", 41)])
+def test_toeplitz_configs_are_count_sized_and_byte_identical(built_sizes, name, k):
+    # the certified count-sized basis (one build each) reproduces the
+    # reference CSVs that the depth-margin sizing produced
+    rows = run_scenario(parse_config((CONFIGS_DIR / f"{name}.cfg").read_text()))
+    assert built_sizes == [k]
+    assert rows_to_csv_bytes(rows) == (REFERENCES / f"{name}.csv").read_bytes()
+
+
+def test_unflagged_profile_falls_back_to_the_depth_margin(monkeypatch, built_sizes):
+    def unflagged(cfg):
+        p = gaussian_profile(eta=cfg.eta, amplitude=cfg.amplitude)
+        return RadialProfile(eval=p.eval, law=p.law, log_eval=p.log_eval)
+
+    monkeypatch.setattr(harness, "_transverse", unflagged)
+    rows = run_scenario(parse_config((CONFIGS_DIR / "toeplitz_exponential.cfg").read_text()))
+    law = gaussian_profile().law
+    assert built_sizes == [count_truncation(law, 1e-8, 2.0), suggest_truncation(law, 1e-8, 2.0)]
+    assert rows_to_csv_bytes(rows) == (REFERENCES / "toeplitz_exponential.csv").read_bytes()
+
+
+@st.composite
+def toeplitz_configs(draw):
+    """toeplitz-asymptotics configs whose depth-margin K stays below about 4000."""
+    law = draw(st.sampled_from(LAWS))
+    shape = {"exponential": ("eta", 0.2, 3.0, -30.0), "power": ("nu", 4.5, 9.0, -3.0),
+             "compact": ("radius", 0.5, 2.0, -40.0)}[law]
+    s = 10.0 ** draw(st.floats(shape[3], -2.0))
+    return ScenarioConfig("toeplitz-asymptotics", b0=draw(st.floats(0.5, 1.5)),
+                          phi_tilde="tanh", phi_amp=draw(st.floats(0.0, 1.0)), law=law,
+                          amplitude=draw(st.floats(0.25, 1.0)),
+                          **{shape[0]: draw(st.floats(shape[1], shape[2]))},
+                          s_values=(s, 3.0 * s, 10.0 * s))
+
+
+@settings(deadline=None, max_examples=60)
+@given(toeplitz_configs())
+def test_count_sized_basis_keeps_the_depth_margin_counts(cfg):
+    # whatever the harness keeps, certified or the fallback, counts exactly
+    # what the depth-margin basis counts, for any phi-tilde
+    profile = harness._transverse(cfg)
+    model = harness._toeplitz_model(cfg, profile, cfg.s_values)
+    if model.K == count_truncation(profile.law, min(cfg.s_values), cfg.b0):
+        assert all(model.count_certified(s) for s in cfg.s_values)
+    deep = toeplitz_radial_spectrum(profile, harness.build_lll_basis(
+        _field(cfg), suggest_truncation(profile.law, min(cfg.s_values), cfg.b0)))
+    assert [model.spectrum.n_plus(s) for s in cfg.s_values] == \
+        [deep.spectrum.n_plus(s) for s in cfg.s_values]
+
+
+@settings(deadline=None)
+@given(st.floats(1.0, 10.0, exclude_min=True), st.floats(0.01, 0.5), st.floats(0.5, 4.0))
+def test_outside_floor_is_the_level_the_arctan_trace_reads(lam, eps, mass):
+    # Omega1 compares log(f+ mu) with log(1 - eps): the floor must be that
+    # level in the same floats, not (1 - eps) t(lambda) rounded another way
+    cfg = ScenarioConfig("ssf-outside", mass=mass, eps_bracket=eps)
+    level = math.exp(math.log(1.0 - eps) - omega1_log_factors(lam * mass, mass)[0])
+    assert harness._edge_floor(cfg, [lam * mass]) == level

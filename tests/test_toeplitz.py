@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from diracssf.counting import LogSpectrum
 from diracssf.landau import build_lll_basis
 from diracssf.toeplitz import (
     CompactSupportTail,
@@ -9,6 +10,7 @@ from diracssf.toeplitz import (
     ExponentialTail,
     NonIntegrableError,
     PowerLawTail,
+    ToeplitzModel,
     TruncationError,
     _log_plane_integral,
     check_raikov_bound,
@@ -183,8 +185,8 @@ class TestTruncationRules:
             model = toeplitz_radial_spectrum(profile, basis)
             assert model.adequate_for(s_min), (law, k)
 
-    # the unjittered deep-basis benchmark cases; the depth rules size
-    # every toeplitz-asymptotics basis, so K must not move
+    # the unjittered deep-basis benchmark cases, which the depth rules
+    # size, so K must not move
     @pytest.mark.parametrize("law, b0, s_min, k", [
         (PowerLawTail(alpha=3.0), 1.0, 1e-4, 37141),
         (PowerLawTail(alpha=3.5), 1.0, 1e-4, 8008),
@@ -194,6 +196,73 @@ class TestTruncationRules:
     ])
     def test_deep_basis_sizes_are_pinned(self, law, b0, s_min, k):
         assert suggest_truncation(law, s_min, b0) == k
+
+
+class TestCountCertificate:
+    """n_+(s) is exact once lambda_(K-1) < s, for a nonincreasing symbol."""
+
+    def test_closed_form_profiles_are_flagged(self):
+        assert gaussian_profile(1.0).nonincreasing
+        assert power_profile(3.0).nonincreasing
+        assert disc_profile(1.0).nonincreasing
+        assert not gaussian_profile(-0.5).nonincreasing
+        assert not RadialProfile(eval=np.ones_like, law=ExponentialTail(1.0)).nonincreasing
+
+    def test_certified_count_needs_no_depth_margin(self, gaussian_model):
+        # lambda_k = 2^-(k+1): K = 220 certifies every threshold above 2^-220,
+        # far beyond the depth margin, which stops near 1e-63
+        assert gaussian_model.count_certified(1e-60)
+        assert not gaussian_model.adequate_for(1e-64)
+        gaussian_model.require_adequate(1e-64)
+        assert gaussian_model.spectrum.n_plus(1e-64) == 212  # 2^-(k+1) > 1e-64 for k < 212
+
+    def test_ring_flagged_monotone_is_refused(self, field_b2):
+        # a Gaussian ring around r = 3 lifts lambda_k for the first k, so the
+        # computed spectrum contradicts the flag and nothing is certified
+        ring = RadialProfile(eval=lambda r: np.exp(-(np.asarray(r, dtype=float) - 3.0) ** 2),
+                             law=ExponentialTail(1.0),
+                             log_eval=lambda r: -(np.asarray(r, dtype=float) - 3.0) ** 2,
+                             nonincreasing=True)
+        model = toeplitz_radial_spectrum(ring, build_lll_basis(field_b2, 40))
+        assert model.log_eigen_by_k[1] > model.log_eigen_by_k[0]
+        s = 2.0 * float(np.exp(model.log_eigen_by_k[-1]))  # lambda_(K-1) < s holds
+        assert not model.count_certified(s)
+        with pytest.raises(TruncationError, match="not nonincreasing in k"):
+            model.require_adequate(s)
+
+    def test_unflagged_profile_is_refused(self, basis_b2_64):
+        plain = gaussian_profile(1.0)
+        plain = RadialProfile(eval=plain.eval, law=plain.law, log_eval=plain.log_eval)
+        model = toeplitz_radial_spectrum(plain, basis_b2_64)
+        assert not model.count_certified(1e-5)
+        with pytest.raises(TruncationError, match="not flagged radially nonincreasing"):
+            model.require_adequate(1e-17)
+
+    def test_one_mode_short_is_refused(self, gaussian_model, field_b2):
+        s = 1e-5
+        n = gaussian_model.spectrum.n_plus(s)
+        short = toeplitz_radial_spectrum(gaussian_profile(1.0), build_lll_basis(field_b2, n))
+        enough = toeplitz_radial_spectrum(gaussian_profile(1.0),
+                                          build_lll_basis(field_b2, n + 1))
+        assert enough.count_certified(s) and enough.spectrum.n_plus(s) == n
+        assert not short.count_certified(s)
+        with pytest.raises(TruncationError, match=r"lambda_\(K-1\) = .* is not below"):
+            short.require_adequate(s)
+
+    def test_threshold_on_an_eigenvalue_is_refused(self, gaussian_model):
+        s = float(np.exp(gaussian_model.log_eigen_by_k[5]))
+        assert not gaussian_model.count_certified(s)
+        assert gaussian_model.count_certified(0.9 * s)
+
+    def test_error_reports_the_smallest_positive_eigenvalue(self, basis_b2_64):
+        # the margin is tested on the positive eigenvalues only, so a tiny
+        # negative eigenvalue must not stand in for lambda_(K-1) = 2^-64
+        model = toeplitz_radial_spectrum(gaussian_profile(1.0), basis_b2_64)
+        spec = model.spectrum.union(LogSpectrum.from_eigenvalues(np.array([-1e-300])))
+        mixed = ToeplitzModel(model.basis, None, spec)
+        with pytest.raises(TruncationError) as err:
+            mixed.require_adequate(1e-18)
+        assert f"smallest positive log-eigenvalue {-64 * np.log(2.0):.2f}" in str(err.value)
 
 
 def test_scaled_tails():
