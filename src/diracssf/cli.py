@@ -5,9 +5,10 @@
     diracssf list-scenarios
 
 ``run`` exits 0 only when every pass/fail row passes; validation errors,
-a basis too small for the run and an unwritable --out exit 1, failed rows
-exit 2.  Scenarios run serially; --threads is still accepted so existing
-command lines keep working, and it is ignored.
+a basis too small for the run, a threshold on an eigenvalue and an
+unwritable --out exit 1, failed rows exit 2.  Scenarios run serially;
+--threads is still accepted so existing command lines keep working, and
+it is ignored.
 """
 
 import argparse

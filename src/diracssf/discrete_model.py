@@ -27,7 +27,7 @@ import numpy as np
 from .counting import LogSpectrum
 from .kernels1d import Grid1D
 from .landau import LadderModel, build_ladder
-from .ssf import PotentialSpec, SsfEstimator, omega_threshold
+from .ssf import PotentialSpec, SsfEstimator, edge_threshold
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def tdiv_vs_omega_count(est: SsfEstimator, lam: float, grid: Grid1D, s: float):
     both counts diverge while the difference stays bounded.
     """
     count_tdiv = tdiv_spectrum(est, lam, grid).n_plus(s)
-    mapped = s * omega_threshold(lam, "+", est.m)
+    mapped = s * edge_threshold(lam, 1.0, est.m)
     est.wplus_model.require_adequate(mapped)
     count_omega = est.wplus_model.spectrum.n_plus(mapped)
     return count_tdiv, count_omega, count_tdiv - count_omega

@@ -309,13 +309,23 @@ def j_kernel_hs_distance(lam: float, nu_prime: float, grid: Grid1D,
 
 def im_s_norm_rows(lams, nu3: float, p_values, m: float = 1.0,
                    grid: Grid1D | None = None):
-    """(lambda, p, closed form, grid value) rows for CSV export."""
+    """(lambda, p, closed form, grid value) rows for CSV export.
+
+    Only the power p differs between a lambda's rows, so the rank-two
+    norms ||u|| ||v|| and the grid singular values are computed once per
+    lambda: the closed form is 2^(1/p) ||u|| ||v|| (as in ``im_s_schatten``)
+    and the grid value the p-norm of the singular values (as in
+    ``im_s_grid_norm``).
+    """
     if grid is None:
         grid = Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS)
+    if min(p_values) < 1:
+        raise ValueError("Schatten index p must be >= 1")
     rows = []
     for lam in lams:
-        for p in p_values:
-            closed = im_s_schatten(lam, nu3, p, m, half_width=grid.half_width)
-            gridv = im_s_grid_norm(lam, nu3, p, m, grid)
-            rows.append((float(lam), int(p), closed, gridv))
+        ops = RankTwoImS(lam, nu3, m, half_width=grid.half_width)
+        sigma = ops.norm_u() * ops.norm_v()
+        sv = im_s_grid_singular_values(lam, nu3, m, grid)
+        rows += [(float(lam), int(p), float(2.0 ** (1.0 / p) * sigma),
+                  float(np.sum(sv**p) ** (1.0 / p))) for p in p_values]
     return rows

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from ._quad import _row_logsumexp, panel_integral
-from .counting import LogSpectrum, _arctan_of_log_ratio, flag_near_threshold
+from .counting import LogSpectrum, _arctan_of_log_ratio
 from .kernels1d import Grid1D
 from .landau import LLLBasis
 from .toeplitz import RadialProfile, ToeplitzModel, toeplitz_radial_spectrum
@@ -109,9 +109,6 @@ class PotentialSpec:
             raise ValueError("matrix part must be positive semidefinite")
         if not self.nu > 3:
             raise ValueError("potential decay exponent nu must exceed 3")
-        r = np.linspace(0.0, 20.0, 128)
-        if np.any(np.asarray(self.transverse.eval(r)) < 0):
-            raise ValueError("transverse profile must be nonnegative")
         x = np.linspace(-self.longitudinal.half_width, self.longitudinal.half_width, 128)
         if np.any(np.asarray(self.longitudinal.eval(x)) < 0):
             raise ValueError("longitudinal profile must be nonnegative")
@@ -129,14 +126,9 @@ class PotentialSpec:
         scale = self.column_scale(diag_index)
         trans = self.transverse
         if scale == 0.0:
-            return RadialProfile(eval=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                                 law=trans.law.scaled(0.0))
+            return RadialProfile(lambda r: np.full(np.shape(r), -np.inf), trans.law.scaled(0.0))
         log_scale = math.log(scale)
-        return RadialProfile(
-            eval=lambda r: scale * np.asarray(trans.eval(r), dtype=float),
-            law=trans.law.scaled(scale),
-            log_eval=lambda r: log_scale + trans.log_value(r),
-        )
+        return RadialProfile(lambda r: log_scale + trans.log_value(r), trans.law.scaled(scale))
 
     @cached_property
     def w_plus(self) -> RadialProfile:
@@ -154,22 +146,6 @@ def edge_threshold(lam: float, edge: float, m: float = 1.0) -> float:
     edge * m (edge = +-1), on either side of the gap; it collapses to 0 as
     lam approaches that edge, which is the divergence mechanism."""
     return 2.0 * math.sqrt(abs(lam - edge * m) / abs(lam + edge * m))
-
-
-def omega_threshold(lam: float, sign: str, m: float = 1.0) -> float:
-    """Threshold map factor for the scaled gap-edge compressions.
-
-    Counting at level s on the scaled operator equals counting the plain
-    compression at s times this factor, ``edge_threshold`` at the edge
-    +-m named by ``sign``, inside the gap.
-    """
-    if not abs(lam) < m:
-        raise ValueError("threshold map defined only inside the gap")
-    if sign == "+":
-        return edge_threshold(lam, 1.0, m)
-    if sign == "-":
-        return edge_threshold(lam, -1.0, m)
-    raise ValueError("sign must be '+' or '-'")
 
 
 @dataclass(frozen=True)
@@ -348,21 +324,14 @@ class SsfEstimator:
         e, _, model = self._edge(pair)
         if (lam >= 0.0) != (e > 0):
             return BracketEstimate(0.0, 0.0, eps, None, bounded=True)
-        t = omega_threshold(lam, "+" if e > 0 else "-", self.m)
+        t = edge_threshold(lam, e, self.m)
         s_lo, s_hi = (1.0 - eps) * t, (1.0 + eps) * t
-        self._check_thresholds(model, (s_lo, s_hi))
+        model.require_adequate(s_lo)
+        model.require_adequate(s_hi)
         # H- counts -n_+ at the +m edge, H+ counts +n_+ at the -m edge
         lower, upper = sorted((-e * model.spectrum.n_plus(s_lo),
                                -e * model.spectrum.n_plus(s_hi)))
         return BracketEstimate(lower, upper, eps, t)
-
-    def _check_thresholds(self, model: ToeplitzModel, thresholds):
-        for s in thresholds:
-            model.require_adequate(s)
-            if flag_near_threshold(model.spectrum, s):
-                raise ValueError(
-                    f"threshold {s:g} collides with an eigenvalue; shift lambda"
-                )
 
     # -- outside the gap -----------------------------------------------
 
@@ -421,8 +390,12 @@ class SsfEstimator:
     def predict(self, lam: float, side: str, pair: str) -> float:
         """Leading asymptotic value of the shift function near the edge e m:
         -e n(edge_threshold(lam, e)) on both sides of the gap, with the edge
-        symbol's counting law n, times its outside prefactor outside."""
-        e, profile, _ = self._edge(pair)
+        symbol's counting law n, times its outside prefactor outside.  A
+        zero edge symbol compresses to the zero operator and predicts 0
+        under every law."""
+        e, profile, model = self._edge(pair)
+        if model.log_eigen_by_k is None:
+            return 0.0
         value = profile.law.count(edge_threshold(lam, e, self.m), self.basis.field.b0)
         if side != "inside":
             value *= profile.law.outside_prefactor()
@@ -465,8 +438,9 @@ class TruncatedTailError(RuntimeError):
 # -- finite-rank realisation of the factorised gap-edge operators --------
 
 def gap_edge_factor(est: SsfEstimator, grid: Grid1D, lam: float,
-                    sign: str) -> np.ndarray:
-    """Explicit factor K of the scaled gap-edge operator c * K^H K.
+                    edge: float) -> np.ndarray:
+    """Explicit factor K of the scaled gap-edge operator c * K^H K at the
+    edge ``edge`` * m (edge = +-1).
 
     The transverse action of the square-rooted potential is realised
     through the matrix square root of the Toeplitz compression (diagonal
@@ -488,9 +462,9 @@ def gap_edge_factor(est: SsfEstimator, grid: Grid1D, lam: float,
 
     eigval, eigvec = np.linalg.eigh(pot.matrix_part)
     sqrt_m = (eigvec * np.sqrt(np.clip(eigval, 0.0, None))) @ eigvec.conj().T
-    row = sqrt_m[0] if sign == "+" else sqrt_m[2]
+    row = sqrt_m[0] if edge > 0 else sqrt_m[2]
     # the gap-edge operator is the compression over its threshold map
-    prefactor = 1.0 / omega_threshold(lam, sign, m)
+    prefactor = 1.0 / edge_threshold(lam, edge, m)
     factor = np.kron(np.diag(theta), np.kron(sqrt_long, row))
     return math.sqrt(prefactor) * factor
 

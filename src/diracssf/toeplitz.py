@@ -41,7 +41,8 @@ RADIAL_VS_GENERAL_TOL = 1e-9
 
 
 class TruncationError(RuntimeError):
-    """Basis too small for the requested counting threshold."""
+    """The compression cannot count exactly at the requested threshold:
+    the basis is too small, or an eigenvalue sits on the threshold."""
 
 
 class NonIntegrableError(ValueError):
@@ -160,24 +161,19 @@ class CompactSupportTail:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Nonnegative bounded radial symbol with its decay classification.
+    """Nonnegative bounded radial symbol U, given by its log, with its
+    decay classification.
 
-    ``log_eval`` should be supplied whenever ``eval`` underflows inside
-    the relevant moment peaks (e.g. Gaussian tails at large radii).
-    ``nonincreasing`` declares U nonincreasing in r, which the count
-    certificate of ``ToeplitzModel`` requires.
+    ``log_value(r)`` is log U(r), -inf where U vanishes: a symbol that
+    falls to e^-400 and below keeps its value where a linear form would
+    underflow, and the form cannot be negative.  ``nonincreasing``
+    declares U nonincreasing in r, which the count certificate of
+    ``ToeplitzModel`` requires.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    log_value: Callable[[np.ndarray], np.ndarray]
     law: PowerLawTail | ExponentialTail | CompactSupportTail
-    log_eval: Callable[[np.ndarray], np.ndarray] | None = None
     nonincreasing: bool = False
-
-    def log_value(self, r):
-        if self.log_eval is not None:
-            return self.log_eval(r)
-        with np.errstate(divide="ignore"):
-            return np.log(np.asarray(self.eval(r), dtype=float))
 
     def support_radius(self):
         return self.law.radius if isinstance(self.law, CompactSupportTail) else None
@@ -186,9 +182,10 @@ class RadialProfile:
         """Spot-check that the tail classification matches the callable."""
         if isinstance(self.law, CompactSupportTail):
             r = self.law.radius
-            outside = np.asarray(self.eval(np.array([1.01 * r, 1.5 * r, 2.0 * r])))
-            inside = np.asarray(self.eval(np.linspace(0.0, r * 0.99, 64)))
-            return bool(np.all(outside == 0.0) and np.max(inside) >= self.law.lower)
+            outside = self.log_value(np.array([1.01 * r, 1.5 * r, 2.0 * r]))
+            inside = self.log_value(np.linspace(0.0, r * 0.99, 64))
+            return bool(np.all(np.isneginf(outside)) and (
+                self.law.lower <= 0.0 or np.max(inside) >= math.log(self.law.lower)))
         checked = 0
         for r in radii:
             model = float(self.law.log_model(np.asarray(r)))
@@ -207,9 +204,8 @@ def gaussian_profile(eta: float = 1.0, amplitude: float = 1.0) -> RadialProfile:
     """U(r) = amplitude * exp(-eta r^2)."""
     log_amp = math.log(amplitude)
     return RadialProfile(
-        eval=lambda r: amplitude * np.exp(-eta * np.asarray(r, dtype=float) ** 2),
+        log_value=lambda r: log_amp - eta * np.asarray(r, dtype=float) ** 2,
         law=ExponentialTail(eta=eta, beta=1.0),
-        log_eval=lambda r: log_amp - eta * np.asarray(r, dtype=float) ** 2,
         nonincreasing=eta >= 0.0,
     )
 
@@ -218,9 +214,8 @@ def power_profile(exponent: float, amplitude: float = 1.0) -> RadialProfile:
     """U(r) = amplitude * (1 + r^2)^(-exponent/2), tail ~ amplitude r^-exponent."""
     log_amp = math.log(amplitude)
     return RadialProfile(
-        eval=lambda r: amplitude * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-0.5 * exponent),
+        log_value=lambda r: log_amp - 0.5 * exponent * np.log1p(np.asarray(r, dtype=float) ** 2),
         law=PowerLawTail(alpha=exponent, u_value=amplitude),
-        log_eval=lambda r: log_amp - 0.5 * exponent * np.log1p(np.asarray(r, dtype=float) ** 2),
         nonincreasing=exponent >= 0.0,
     )
 
@@ -228,17 +223,11 @@ def power_profile(exponent: float, amplitude: float = 1.0) -> RadialProfile:
 def disc_profile(radius: float = 1.0, height: float = 1.0) -> RadialProfile:
     """Indicator of the disc of given radius, scaled by ``height``."""
     log_h = math.log(height)
-
-    def ev(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= radius, height, 0.0)
-
-    def lev(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= radius, log_h, -np.inf)
-
-    return RadialProfile(eval=ev, law=CompactSupportTail(radius=radius, lower=height),
-                         log_eval=lev, nonincreasing=height >= 0.0)
+    return RadialProfile(
+        log_value=lambda r: np.where(np.asarray(r, dtype=float) <= radius, log_h, -np.inf),
+        law=CompactSupportTail(radius=radius, lower=height),
+        nonincreasing=height >= 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -291,7 +280,14 @@ class ToeplitzModel:
         return self._certificate_failure(s) is None
 
     def require_adequate(self, s: float):
-        """Pass when the depth margin holds at s or the count is certified."""
+        """The one guarded read of a count at s: refuse a threshold that
+        sits on an eigenvalue, then pass when the depth margin holds at s
+        or the count is certified."""
+        if flag_near_threshold(self.spectrum, s):
+            raise TruncationError(
+                f"threshold {float(s)!r} collides with an eigenvalue (within "
+                f"{THRESHOLD_FLAG_TOL:g} on the log scale); shift it"
+            )
         if self.adequate_for(s):
             return
         failure = self._certificate_failure(s)
@@ -308,16 +304,15 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     """Diagonal compression of a radial symbol.
 
     eigenvalue_k = (integral U r^(2k+1) e^(-2 phi)) / (integral r^(2k+1)
-    e^(-2 phi)), computed as exp of a log-moment difference so that values
-    like e^-400 survive untouched.
+    e^(-2 phi)), computed as a log-moment difference that reads the
+    symbol's log directly, so that values like e^-400 survive untouched.
+    A symbol whose log is -inf on the whole probe [0, r_probe] compresses
+    to the zero operator.  No sign check is needed: a log form cannot be
+    negative, and a NaN log is refused by the quadrature.
     """
     ks = np.arange(basis.K)
     r_probe = max(20.0, 2.5 * np.sqrt((2.0 * basis.K + 1.0) / basis.field.b0))
-    sample = np.asarray(profile.eval(np.linspace(0.0, r_probe, 1025)))
-    if np.any(sample < 0):
-        raise ValueError("radial symbol must be nonnegative")
-    if np.max(sample) == 0.0:
-        # identically-zero symbol compresses to the zero operator
+    if np.all(np.isneginf(profile.log_value(np.linspace(0.0, r_probe, 1025)))):
         spectrum = LogSpectrum(np.zeros(basis.K), np.zeros(basis.K, dtype=np.int8))
         return ToeplitzModel(basis, profile, spectrum, log_eigen_by_k=None)
     log_num = log_radial_moments(

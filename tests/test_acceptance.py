@@ -261,7 +261,7 @@ def test_criterion_07_factorised_compression(field_b2):
     grid = Grid1D(16.0, 256)
     worst = 0.0
     for lam in (0.0, 0.5, 0.9):
-        factor = gap_edge_factor(est, grid, lam, "+")
+        factor = gap_edge_factor(est, grid, lam, 1.0)
         sv = np.linalg.svd(factor, compute_uv=False)
         realized = np.sort(sv * sv)[::-1]
         scale = 0.5 * math.sqrt((1.0 + lam) / (1.0 - lam))

@@ -1,3 +1,4 @@
+import importlib
 import math
 from pathlib import Path
 
@@ -353,6 +354,17 @@ class TestCli:
         self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
                       "arctan tail estimate")
 
+    def test_threshold_on_an_eigenvalue(self, tmp_path, capsys):
+        # lambda_k = 2^-(k+1) exactly at b0 = 2, eta = 1, so s = 2^-10 sits on
+        # lambda_9: the count there is refused, not reported as 9 or 10
+        cfg = self._write(tmp_path, "[scenario]\nname = toeplitz-asymptotics\n"
+                                    "[field]\nb0 = 2.0\n[potential]\nlaw = exponential\n"
+                                    "eta = 1.0\n[sweep]\ns_values = 0.0009765625,0.001\n")
+        out = tmp_path / "r.csv"
+        self._refused(capsys, ["run", "--config", cfg, "--out", str(out)],
+                      "threshold 0.0009765625 collides with an eigenvalue")
+        assert not out.exists()
+
 
 def test_cli_failing_rows_exit_two(tmp_path, capsys):
     # the compact law converges log-log slowly, so its declared ratio
@@ -436,10 +448,24 @@ def test_toeplitz_configs_are_count_sized_and_byte_identical(built_sizes, name, 
     assert rows_to_csv_bytes(rows) == (REFERENCES / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_configs_pass_the_benchmark_output_check(monkeypatch, tmp_path, config):
+    # every shipped config, run in process through the CLI, must pass the
+    # cli-configs check: the exit code the reference implies and a CSV that
+    # compare_csv accepts; both come from perfbench itself, imported as is
+    monkeypatch.syspath_prepend(str(REFERENCES.parent))
+    cli_configs = importlib.import_module("cli_configs")
+    want = (REFERENCES / f"{config.stem}.csv").read_text()
+    out = tmp_path / f"{config.stem}.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == \
+        cli_configs.expected_exit(want)
+    assert cli_configs.compare_csv(out.read_text(), want) is None
+
+
 def test_unflagged_profile_falls_back_to_the_depth_margin(monkeypatch, built_sizes):
     def unflagged(cfg):
         p = gaussian_profile(eta=cfg.eta, amplitude=cfg.amplitude)
-        return RadialProfile(eval=p.eval, law=p.law, log_eval=p.log_eval)
+        return RadialProfile(p.log_value, p.law)
 
     monkeypatch.setattr(harness, "_transverse", unflagged)
     rows = run_scenario(parse_config((CONFIGS_DIR / "toeplitz_exponential.cfg").read_text()))

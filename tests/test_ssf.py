@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from diracssf import harness
 from diracssf.counting import LogSpectrum
 from diracssf.kernels1d import Grid1D
-from diracssf.landau import build_lll_basis
+from diracssf.landau import FieldSpec, build_lll_basis
 from diracssf.ssf import (
     BracketEstimate,
     PotentialSpec,
@@ -20,11 +20,11 @@ from diracssf.ssf import (
     gap_edge_factor,
     gaussian_longitudinal,
     omega1_log_factors,
-    omega_threshold,
     sweep_rows,
     trace_arctan,
 )
-from diracssf.toeplitz import gaussian_profile, power_profile, toeplitz_radial_spectrum
+from diracssf.toeplitz import (TruncationError, disc_profile, gaussian_profile, power_profile,
+                               toeplitz_radial_spectrum)
 
 
 def diag_matrix(m11=1.0, m33=1.0, m13=0.0):
@@ -50,8 +50,8 @@ class TestPotentialSpec:
     def test_column_symbols_are_separable_products(self, pot_exp):
         r = np.array([0.0, 1.0, 2.0])
         want = math.sqrt(math.pi) * np.exp(-r * r)
-        assert np.allclose(pot_exp.w_plus.eval(r), want, rtol=1e-12)
-        assert np.allclose(pot_exp.w_minus.eval(r), want, rtol=1e-12)
+        assert np.allclose(np.exp(pot_exp.w_plus.log_value(r)), want, rtol=1e-12)
+        assert np.allclose(np.exp(pot_exp.w_minus.log_value(r)), want, rtol=1e-12)
 
     def test_rejects_shallow_decay(self):
         with pytest.raises(ValueError, match="nu"):
@@ -118,26 +118,35 @@ class TestScaledEdgeCompressions:
         est.levinson_rows([1e-2, 1e-3], "H-", eps_bracket=0.1)
         est.levinson_rows([1e-2], "H+", eps_bracket=0.1)
         build_omega_full(est, 1.1)
-        gap_edge_factor(est, Grid1D(16.0, 64), 0.5, "+")
+        gap_edge_factor(est, Grid1D(16.0, 64), 0.5, 1.0)
         tdiv_vs_omega_count(est, 0.9, Grid1D(16.0, 64), 1.0)
         assert calls == [pot.transverse]
 
 
 class TestThresholdMap:
     def test_symmetric_point(self):
-        assert omega_threshold(0.0, "+") == pytest.approx(2.0)
-        assert omega_threshold(0.0, "-") == pytest.approx(2.0)
+        assert edge_threshold(0.0, 1.0) == pytest.approx(2.0)
+        assert edge_threshold(0.0, -1.0) == pytest.approx(2.0)
 
     def test_unit_factor_point(self):
         # (m - lam)/(m + lam) = 1/4 at lam = 3m/5
-        assert omega_threshold(0.6, "+") == pytest.approx(1.0, rel=1e-12)
+        assert edge_threshold(0.6, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_collapse_at_edge(self):
-        assert omega_threshold(1.0 - 1e-12, "+") < 1e-5
+        assert edge_threshold(1.0 - 1e-12, 1.0) < 1e-5
 
-    def test_rejects_outside_gap(self):
-        with pytest.raises(ValueError):
-            omega_threshold(1.5, "+")
+    def test_rejects_outside_gap(self, est_exp):
+        # edge_threshold is defined on both sides; every gap-side reader of
+        # it refuses |lambda| >= m
+        from diracssf.discrete_model import tdiv_vs_omega_count
+
+        for lam in (1.5, -1.0):
+            with pytest.raises(ValueError, match="lambda"):
+                est_exp.inside_bracket(lam, 0.1, "H-")
+            with pytest.raises(ValueError, match="lambda"):
+                gap_edge_factor(est_exp, Grid1D(16.0, 64), lam, 1.0)
+            with pytest.raises(ValueError, match="lambda"):
+                tdiv_vs_omega_count(est_exp, lam, Grid1D(16.0, 64), 1.0)
 
 
 _MASSES = st.floats(1e-3, 1e3)
@@ -154,12 +163,20 @@ def test_omega1_factors_invert_the_edge_thresholds(m, excess):
     assert math.exp(-log_fm) == pytest.approx(edge_threshold(lam, -1.0, m), rel=1e-14)
 
 
+_ZERO_POTENTIAL = PotentialSpec(diag_matrix(0.0, 0.0), gaussian_profile(1.0),
+                                gaussian_longitudinal(), nu=5.0)
+_ZERO_BASIS = build_lll_basis(FieldSpec(2.0), 8)
+
+
 @settings(deadline=None, max_examples=300)
 @given(_MASSES, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
 def test_inside_threshold_map_is_the_edge_threshold(m, u):
+    # zero edge symbols are adequate at every threshold, so the bracket's
+    # threshold is read for any lambda in the gap
     lam = m * u
-    assert omega_threshold(lam, "+", m) == edge_threshold(lam, 1.0, m)
-    assert omega_threshold(lam, "-", m) == edge_threshold(lam, -1.0, m)
+    e, pair = (1.0, "H-") if lam >= 0.0 else (-1.0, "H+")
+    est = SsfEstimator(_ZERO_POTENTIAL, _ZERO_BASIS, m=m)
+    assert est.inside_bracket(lam, 0.1, pair).threshold == edge_threshold(lam, e, m)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -205,7 +222,7 @@ class TestInsideBracket:
     def test_counts_match_geometric_oracle(self, est_exp, pot_exp):
         lam = 1.0 - 1e-6
         c = pot_exp.longitudinal_integral
-        t = omega_threshold(lam, "+")
+        t = edge_threshold(lam, 1.0)
 
         def oracle(thr):
             return sum(1 for k in range(64) if c * 0.5 ** (k + 1) > thr)
@@ -241,6 +258,17 @@ class TestInsideBracket:
                 for lam in (0.9, 0.99, 0.999, 0.9999)]
         # counts grow toward the edge, so the (negative) midpoints decrease
         assert all(a >= b for a, b in zip(mids, mids[1:]))
+
+    def test_threshold_on_an_eigenvalue_is_refused(self, est_exp):
+        # place the lower end (1 - eps) t on lambda_1 of W+ and invert
+        # t = 2 sqrt((1 - lam) / (1 + lam)) for lam
+        eps = 0.1
+        t = math.exp(est_exp.wplus_model.log_eigen_by_k[1]) / (1.0 - eps)
+        q = 0.25 * t * t
+        lam = (1.0 - q) / (1.0 + q)
+        with pytest.raises(TruncationError, match="collides with an eigenvalue"):
+            est_exp.inside_bracket(lam, eps, "H-")
+        assert est_exp.inside_bracket(0.999 * lam, eps, "H-").lower == -1  # above lambda_1
 
     def test_rejects_energies_outside_gap(self, est_exp):
         with pytest.raises(ValueError):
@@ -376,6 +404,21 @@ class TestPredictions:
         assert est_exp.predict(0.999, "inside", "H-") < 0.0
         assert est_exp.predict(-0.999, "inside", "H+") > 0.0
 
+    @pytest.mark.parametrize("profile", [gaussian_profile(1.0), power_profile(4.0),
+                                         disc_profile(1.0)],
+                             ids=["exponential", "power", "compact"])
+    @pytest.mark.parametrize("pair, lam", [("H-", 0.99), ("H+", -0.99)])
+    def test_zero_edge_symbol_predicts_zero(self, basis_b2_64, profile, pair, lam):
+        # m11 = 0 zeroes W+ (the +m edge of H-), m33 = 0 zeroes W- (the -m
+        # edge of H+): the zero operator predicts no eigenvalues on either side
+        m11, m33 = (0.0, 1.0) if pair == "H-" else (1.0, 0.0)
+        pot = PotentialSpec(diag_matrix(m11, m33), profile, gaussian_longitudinal(), nu=5.0)
+        est = SsfEstimator(pot, basis_b2_64, m=1.0)
+        assert est.predict(lam, "inside", pair) == 0.0
+        assert est.predict(1.0 / lam, "outside", pair) == 0.0
+        [(_, _, lower, upper, pred, ratio)] = sweep_rows(est, [lam], 0.1, pair, "inside")
+        assert lower == upper == pred == 0.0 and math.isnan(ratio)
+
 
 class TestLevinsonRows:
     def test_exponential_trend(self, field_b2):
@@ -399,7 +442,7 @@ class TestGapEdgeFactorisation:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
     def test_flip_identity_at_finite_rank(self, est_exp, lam):
         grid = Grid1D(16.0, 256)
-        factor = gap_edge_factor(est_exp, grid, lam, "+")
+        factor = gap_edge_factor(est_exp, grid, lam, 1.0)
         sv = np.linalg.svd(factor, compute_uv=False)
         via_svd = np.sort(sv * sv)[::-1]
         gram = factor @ factor.conj().T
@@ -411,7 +454,7 @@ class TestGapEdgeFactorisation:
     def test_matches_scaled_compression(self, pot_exp, basis_b2_64, lam):
         est = SsfEstimator(pot_exp, basis_b2_64, m=1.0)
         grid = Grid1D(16.0, 256)
-        factor = gap_edge_factor(est, grid, lam, "+")
+        factor = gap_edge_factor(est, grid, lam, 1.0)
         sv = np.linalg.svd(factor, compute_uv=False)
         realized = np.sort(sv * sv)[::-1]
         scale = 0.5 * math.sqrt((1.0 + lam) / (1.0 - lam))
