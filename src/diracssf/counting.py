@@ -3,12 +3,20 @@
 A LogSpectrum stores eigenvalues as (log magnitude, sign) pairs so that
 counting queries at thresholds far below double-precision underflow stay
 exact.  Thresholds are open intervals: n_+(s) counts eigenvalues strictly
-greater than s.  The module also hosts the Cauchy-measure average of
-counting functions over a matrix pencil A + tB with B >= 0, evaluated in
-closed form from the pencil roots.
+greater than s.  The stored order is an invariant the queries read: the
+positives with falling log values, then the zeros, then the negatives with
+rising log values, each sign group a known contiguous range.  Only the
+public constructor sorts (O(n log n)).  A constant rescaling keeps the
+order (one O(n) shift); a union merges the two sorted runs of each group
+(about linear); counts and the threshold margin are binary searches
+(O(log n)); the smallest positive entry is the last of its group (O(1)).
+The module also hosts the Cauchy-measure average of counting
+functions over a matrix pencil A + tB with B >= 0, evaluated in closed
+form from the pencil roots.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +38,23 @@ class LogSpectrum:
     ``log_values[i]`` is log|lambda_i| and ``signs[i]`` in {+1, -1, 0};
     entries are sorted descending by signed value.  Exact zeros carry
     sign 0 with log value 0.0 so every stored number stays finite.
+
+    The order is kept as three contiguous groups: ``[0, _pos_end)`` holds
+    the positives with log values falling, ``[_pos_end, _neg_start)`` the
+    zeros, ``[_neg_start, n)`` the negatives with log values rising.
+    Ties keep their input order, as a stable sort leaves them.  Both
+    arrays are read-only, so derived spectra may share them.  Costs:
+    construction sorts, O(n log n); ``scaled`` is one O(n) shift and
+    checks only the ends of each group; ``union`` merges two sorted runs
+    per group, about linear; ``n_plus``, ``n_minus`` and
+    ``threshold_margin`` are O(log n) binary searches; ``positive_logs``
+    and ``negative_logs`` are O(1) views.
     """
 
     log_values: np.ndarray
     signs: np.ndarray
+    _pos_end: int = field(init=False, repr=False, compare=False)
+    _neg_start: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lv = np.asarray(self.log_values, dtype=float)
@@ -43,8 +64,23 @@ class LogSpectrum:
         if not np.all(np.isfinite(lv)):
             raise ValueError("log spectrum entries must be finite")
         order = np.lexsort((-lv * sg, -sg))
-        object.__setattr__(self, "log_values", lv[order])
-        object.__setattr__(self, "signs", sg[order])
+        lv, sg = lv[order], sg[order]
+        self._store(lv, sg, int(np.count_nonzero(sg == 1)), int(np.count_nonzero(sg >= 0)))
+
+    def _store(self, log_values, signs, pos_end, neg_start):
+        log_values.flags.writeable = False
+        signs.flags.writeable = False
+        object.__setattr__(self, "log_values", log_values)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "_pos_end", pos_end)
+        object.__setattr__(self, "_neg_start", neg_start)
+
+    @classmethod
+    def _from_sorted(cls, log_values, signs, pos_end, neg_start):
+        """Wrap arrays already in stored order: no check, no sort."""
+        spec = object.__new__(cls)
+        spec._store(log_values, signs, pos_end, neg_start)
+        return spec
 
     @classmethod
     def from_eigenvalues(cls, values, zero_floor: float = 0.0):
@@ -65,28 +101,53 @@ class LogSpectrum:
     def __len__(self):
         return self.log_values.shape[0]
 
+    @property
+    def positive_logs(self) -> np.ndarray:
+        """Log values of the positive eigenvalues, falling (a view)."""
+        return self.log_values[:self._pos_end]
+
+    @property
+    def negative_logs(self) -> np.ndarray:
+        """Log magnitudes of the negative eigenvalues, rising (a view)."""
+        return self.log_values[self._neg_start:]
+
     def n_plus(self, s: float) -> int:
         if not s > 0:
             raise ValueError("counting threshold s must be positive")
-        mask = self.signs == 1
-        return int(np.count_nonzero(self.log_values[mask] > np.log(s)))
+        pos = self.positive_logs
+        return pos.size - int(np.searchsorted(pos[::-1], np.log(s), side="right"))
 
     def n_minus(self, s: float) -> int:
         if not s > 0:
             raise ValueError("counting threshold s must be positive")
-        mask = self.signs == -1
-        return int(np.count_nonzero(self.log_values[mask] > np.log(s)))
+        neg = self.negative_logs
+        return neg.size - int(np.searchsorted(neg, np.log(s), side="right"))
 
     def scaled(self, log_factor: float):
-        """Spectrum of c*T for c = exp(log_factor) > 0."""
-        lv = np.where(self.signs != 0, self.log_values + log_factor, 0.0)
-        return LogSpectrum(lv, self.signs.copy())
+        """Spectrum of c*T for c = exp(log_factor) > 0.
+
+        A constant shift keeps every group in order, so nothing is sorted;
+        the extremes of a shifted group are its ends, so only those are
+        checked for finiteness.
+        """
+        lv = self.log_values + log_factor
+        lv[self._pos_end:self._neg_start] = 0.0
+        for group in (lv[:self._pos_end], lv[self._neg_start:]):
+            if group.size and not (math.isfinite(group[0]) and math.isfinite(group[-1])):
+                raise ValueError("log spectrum entries must be finite")
+        return LogSpectrum._from_sorted(lv, self.signs, self._pos_end, self._neg_start)
 
     def union(self, other: "LogSpectrum"):
-        return LogSpectrum(
-            np.concatenate([self.log_values, other.log_values]),
-            np.concatenate([self.signs, other.signs]),
-        )
+        """Both spectra in one, merged group by group: on equal log values
+        ``self`` comes first, as in a stable sort of the concatenation."""
+        pos = _merge(self.positive_logs, other.positive_logs, falling=True)
+        neg = _merge(self.negative_logs, other.negative_logs, falling=False)
+        zeros = (self.log_values[self._pos_end:self._neg_start],
+                 other.log_values[other._pos_end:other._neg_start])
+        n_zero = zeros[0].size + zeros[1].size
+        lv = np.concatenate([pos, *zeros, neg])
+        sg = np.repeat(np.array([1, 0, -1], dtype=np.int8), (pos.size, n_zero, neg.size))
+        return LogSpectrum._from_sorted(lv, sg, pos.size, pos.size + n_zero)
 
     def log_schatten_pth_power(self, p: int) -> float:
         """log of sum |lambda_i|^p over the nonzero eigenvalues."""
@@ -96,15 +157,40 @@ class LogSpectrum:
         return float(_row_logsumexp(p * lv[None, :])[0])
 
     def threshold_margin(self, s: float) -> float:
-        """Min log-distance of any nonzero eigenvalue to the threshold."""
-        lv = self.log_values[self.signs != 0]
-        if lv.size == 0:
-            return np.inf
-        return float(np.min(np.abs(lv - np.log(s))))
+        """Min log-distance of any nonzero eigenvalue to the threshold.
+
+        In each sorted group the nearest entries are the two around the
+        insertion point of log s.
+        """
+        if not s > 0:
+            raise ValueError("counting threshold s must be positive")
+        log_s = np.log(s)
+        margin = np.inf
+        for group in (self.positive_logs[::-1], self.negative_logs):
+            if group.size:
+                i = int(np.searchsorted(group, log_s))
+                margin = min(margin, np.abs(group[max(i - 1, 0):i + 1] - log_s).min())
+        return float(margin)
 
     def values(self) -> np.ndarray:
         """Eigenvalues in linear scale (may underflow; for small cases)."""
         return self.signs * np.exp(self.log_values) * (self.signs != 0)
+
+
+def _merge(a, b, falling: bool) -> np.ndarray:
+    """Stable merge of two sorted runs, ``a`` first on ties.
+
+    numpy's stable sort (timsort) finds the two runs and merges them in
+    one pass.  A falling merge sorts the negated logs, so ties, -0.0
+    against 0.0 included, keep their order and every bit survives.
+    """
+    out = np.concatenate([a, b])
+    if falling:
+        np.negative(out, out=out)
+    out.sort(kind="stable")
+    if falling:
+        np.negative(out, out=out)
+    return out
 
 
 def flag_near_threshold(spec: LogSpectrum, s: float, tol=THRESHOLD_FLAG_TOL) -> bool:
@@ -231,12 +317,23 @@ def mu_average_counting(s: float, a, b, sign: int = 1) -> float:
 
 
 def _arctan_of_log_ratio(log_num, log_den) -> np.ndarray:
-    """arctan(exp(log_num - log_den)) without overflow; broadcasts."""
+    """arctan(exp(x)) for x = log_num - log_den, without overflow.
+
+    x must be monotone in either direction, as a sorted ``LogSpectrum``
+    group against one threshold is, so the branches x < -30, |x| <= 30 and
+    x > 30 are contiguous slices found by binary search.
+    """
     x = log_num - log_den
     out = np.empty_like(x)
-    big = x > 30.0
-    small = x < -30.0
-    mid = ~(big | small)
+    n = x.size
+    falling = n > 1 and x[0] > x[-1]
+    rising = x[::-1] if falling else x
+    lo = int(np.searchsorted(rising, -30.0, side="left"))
+    hi = int(np.searchsorted(rising, 30.0, side="right"))
+    if falling:
+        big, mid, small = slice(0, n - hi), slice(n - hi, n - lo), slice(n - lo, n)
+    else:
+        small, mid, big = slice(0, lo), slice(lo, hi), slice(hi, n)
     out[mid] = np.arctan(np.exp(x[mid]))
     out[big] = np.pi / 2.0 - np.exp(-x[big])
     out[small] = np.exp(x[small])
@@ -254,9 +351,9 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
     """
     if not s > 0:
         raise ValueError("threshold s must be positive")
-    if np.any(spec.signs < 0):
+    if spec.negative_logs.size:
         raise ValueError("identity requires a positive operator")
-    lv = spec.log_values[spec.signs == 1]
+    lv = spec.positive_logs
     if lv.size == 0:
         return 0.0, 0.0
     log_s = float(np.log(s))

@@ -23,7 +23,8 @@ import numpy as np
 
 from .asymptotics import compare_law, law_for_profile
 from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbound,
-                       check_pushnitski_bound, check_weyl, mu_average_counting)
+                       check_pushnitski_bound, check_weyl, flag_near_threshold,
+                       mu_average_counting)
 from .dirac_algebra import anticommutation_residual, dirac_matrices
 from .discrete_model import build_h0, check_gap, check_square_identity, fiber_eigenvalues
 from .kernels1d import Grid1D, RankTwoImS, im_s_norm_rows
@@ -323,15 +324,17 @@ def _toeplitz_model(cfg: ScenarioConfig, profile, s_values):
 
     A user-set k is used as given.  Otherwise K comes from the law's count
     at the smallest threshold and is kept when the count certificate holds
-    at every threshold; if not, the basis is built once more at the
-    depth-margin size of ``suggest_truncation``.
+    at every threshold, or when a threshold sits on an eigenvalue, which
+    no basis size mends and ``compare_law`` refuses; if not, the basis is
+    built once more at the depth-margin size of ``suggest_truncation``.
     """
     field, s_min = _field(cfg), min(s_values)
     if cfg.k:
         return toeplitz_radial_spectrum(profile, build_lll_basis(field, cfg.k))
     model = toeplitz_radial_spectrum(
         profile, build_lll_basis(field, count_truncation(profile.law, s_min, cfg.b0)))
-    if all(model.count_certified(s) for s in s_values):
+    if (all(model.count_certified(s) for s in s_values)
+            or any(flag_near_threshold(model.spectrum, s) for s in s_values)):
         return model
     return toeplitz_radial_spectrum(
         profile, build_lll_basis(field, suggest_truncation(profile.law, s_min, cfg.b0)))

@@ -80,7 +80,9 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None,
     (``_quad.BLOCK_ELEMENTS``), for which the integrand reads k at the
     block's rows; the block size never changes a value.  Pass a dict as
     ``info`` to collect the rule descriptor (max node count, outermost
-    radius).
+    radius).  A symbol that vanishes at a row's peak seed, such as an
+    annulus around a hole, is refused with a ValueError: the search cannot
+    start from a zero.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     out = np.empty(ks.shape[0])
@@ -100,6 +102,14 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None,
         r0 = np.sqrt((2.0 * k + 1.0) / fs.b0)
         if support is not None:
             r0 = np.minimum(r0, 0.95 * support)
+        if log_symbol is not None:
+            at_seed = np.isneginf(g(r0.reshape(-1, 1))[:, 0])
+            if np.any(at_seed):
+                i = int(np.argmax(at_seed))
+                raise ValueError(
+                    f"log-integrand is -inf at the peak seed r = {r0[i]:.6g} (k = {k[i]:g}): "
+                    "the symbol vanishes there, as on an inner hole of its support, "
+                    "and the peak search cannot start from a zero")
         peak = find_peak(g, r0, hi_cap=support)
         g_peak = g(peak.reshape(-1, 1))[:, 0]
         if np.any(np.isneginf(g_peak)):

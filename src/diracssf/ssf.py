@@ -187,10 +187,14 @@ def build_omega1(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
 
 
 def trace_arctan(spec: LogSpectrum, s: float) -> float:
-    """Tr arctan(T / s) for a positive spectrum in log storage."""
+    """Tr arctan(T / s) for a positive spectrum in log storage.
+
+    Reads the sorted positive group, split at log(T/s) = +-30 into
+    contiguous slices by binary search.
+    """
     if not s > 0:
         raise ValueError("scale s must be positive")
-    lv = spec.log_values[spec.signs == 1]
+    lv = spec.positive_logs
     if lv.size == 0:
         return 0.0
     return float(np.sum(_arctan_of_log_ratio(lv, math.log(s))))
@@ -366,8 +370,7 @@ class SsfEstimator:
         budget = max(ARC_TAIL_TOL, 1e-2 * abs(trace_value))
         for model, log_f in zip((self.wplus_model, self.wminus_model),
                                 omega1_log_factors(lam, self.m)):
-            spec = model.spectrum
-            lv = spec.log_values[spec.signs == 1][::-1]  # ascending
+            lv = model.spectrum.positive_logs[::-1]  # ascending
             if lv.size < 4:
                 continue
             ratio = math.exp(lv[0] - lv[1])  # local decay at the bottom

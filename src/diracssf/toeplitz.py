@@ -244,9 +244,10 @@ class ToeplitzModel:
         return self.basis.K
 
     def _smallest_log(self) -> float:
-        """log of the smallest positive kept eigenvalue (inf if none)."""
-        return float(np.min(self.spectrum.log_values[self.spectrum.signs == 1],
-                            initial=np.inf))
+        """log of the smallest positive kept eigenvalue (inf if none): the
+        last entry of the falling positive group."""
+        pos = self.spectrum.positive_logs
+        return float(pos[-1]) if pos.size else math.inf
 
     def adequate_for(self, s: float) -> bool:
         """Truncation rule: the smallest kept eigenvalue must sit well

@@ -1,0 +1,97 @@
+"""Mask-and-lexsort oracle for the sorted ``LogSpectrum`` queries.
+
+``MaskedSpectrum`` is the formulation the package used before the stored
+order became an invariant the queries read: every derived spectrum goes
+back through ``np.lexsort``, and every query masks the sign array.  The
+tests compare the binary-search queries and the Levinson rows built on
+them against it, bitwise.
+"""
+
+import math
+
+import numpy as np
+
+from diracssf.ssf import edge_threshold, omega1_log_factors
+
+
+def masked_arctan_of_log_ratio(log_num, log_den) -> np.ndarray:
+    """arctan(exp(log_num - log_den)) without overflow, by three masks."""
+    x = log_num - log_den
+    out = np.empty_like(x)
+    big = x > 30.0
+    small = x < -30.0
+    mid = ~(big | small)
+    out[mid] = np.arctan(np.exp(x[mid]))
+    out[big] = np.pi / 2.0 - np.exp(-x[big])
+    out[small] = np.exp(x[small])
+    return out
+
+
+class MaskedSpectrum:
+    """(log_values, signs) in lexsort order, descending by signed value."""
+
+    def __init__(self, log_values, signs):
+        lv = np.asarray(log_values, dtype=float)
+        sg = np.asarray(signs, dtype=np.int8)
+        order = np.lexsort((-lv * sg, -sg))
+        self.log_values, self.signs = lv[order], sg[order]
+
+    @classmethod
+    def of(cls, spec):
+        return cls(spec.log_values, spec.signs)
+
+    def n_plus(self, s):
+        return int(np.count_nonzero(self.log_values[self.signs == 1] > np.log(s)))
+
+    def n_minus(self, s):
+        return int(np.count_nonzero(self.log_values[self.signs == -1] > np.log(s)))
+
+    def threshold_margin(self, s):
+        lv = self.log_values[self.signs != 0]
+        if lv.size == 0:
+            return np.inf
+        return float(np.min(np.abs(lv - np.log(s))))
+
+    def smallest_log(self):
+        return float(np.min(self.log_values[self.signs == 1], initial=np.inf))
+
+    def scaled(self, log_factor):
+        lv = np.where(self.signs != 0, self.log_values + log_factor, 0.0)
+        return MaskedSpectrum(lv, self.signs.copy())
+
+    def union(self, other):
+        return MaskedSpectrum(np.concatenate([self.log_values, other.log_values]),
+                              np.concatenate([self.signs, other.signs]))
+
+    def trace_arctan(self, s):
+        lv = self.log_values[self.signs == 1]
+        if lv.size == 0:
+            return 0.0
+        return float(np.sum(masked_arctan_of_log_ratio(lv, math.log(s))))
+
+
+def levinson_row(est, eps, pair="H-", eps_bracket=0.1):
+    """One ``SsfEstimator.levinson_rows`` row, with every spectrum and query
+    taken from ``MaskedSpectrum``: the column spectra are the transverse
+    one scaled, Omega1 is their lexsorted union."""
+    e, _, _ = est._edge(pair)
+    m = est.m
+    tau = MaskedSpectrum.of(est.transverse_model.spectrum)
+    wplus = tau.scaled(math.log(est.pot.column_scale(0)))
+    wminus = tau.scaled(math.log(est.pot.column_scale(2)))
+    lam_in, lam_out = e * m * (1.0 - eps), e * m / (1.0 - eps)
+
+    t = edge_threshold(lam_in, e, m)
+    edge_spec = wplus if e > 0 else wminus
+    lower, upper = sorted((-e * edge_spec.n_plus((1.0 - eps_bracket) * t),
+                           -e * edge_spec.n_plus((1.0 + eps_bracket) * t)))
+    mid_in = 0.5 * (lower + upper)
+
+    log_fp, log_fm = omega1_log_factors(lam_out, m)
+    omega1 = wplus.scaled(log_fp).union(wminus.scaled(log_fm))
+    tr_lo = omega1.trace_arctan(1.0 + eps_bracket)
+    tr_hi = omega1.trace_arctan(1.0 - eps_bracket)
+    lower, upper = sorted((-e * tr_lo / math.pi, -e * tr_hi / math.pi))
+    mid_out = 0.5 * (lower + upper)
+    return (float(eps), lam_in, lam_out, mid_in, mid_out, float(mid_out / mid_in),
+            est.levinson_target(pair))

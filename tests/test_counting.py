@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import MaskedSpectrum, masked_arctan_of_log_ratio
 from diracssf.counting import (
     JumpLocalizationError,
     LogSpectrum,
+    _arctan_of_log_ratio,
     arctan_trace_identity,
     check_flip,
     check_pbound,
@@ -19,6 +21,8 @@ from diracssf.counting import (
     mu_average_counting,
     mu_interval,
 )
+from diracssf.ssf import trace_arctan
+from diracssf.toeplitz import ToeplitzModel
 
 
 def herm(rng, n, scale=1.0):
@@ -339,6 +343,81 @@ class TestLogSpectrumCounting:
         spec = LogSpectrum.from_eigenvalues([v])
         assert spec.n_plus(abs(v)) == 0
         assert spec.n_minus(abs(v)) == 0
+
+
+@st.composite
+def spectrum_and_threshold(draw, max_size=30):
+    """A LogSpectrum with mixed signs, zeros (some with a nonzero stored
+    log), ties, entries exactly on the threshold and log-ratios at +-30,
+    with its threshold s."""
+    s = draw(st.sampled_from([1.0, 0.5, 2.0 ** -10, 7.25]) | st.floats(1e-300, 1e300))
+    log_s = float(np.log(s))
+    specials = [log_s, math.log(s), np.nextafter(log_s, np.inf), np.nextafter(log_s, -np.inf),
+                log_s + 30.0, log_s - 30.0, 30.0, -30.0, 0.0, -0.0, 2.5]
+    log_value = st.sampled_from(specials) | st.floats(-700.0, 700.0, allow_nan=False)
+    entry = st.one_of(st.tuples(st.sampled_from([1, 1, -1]), log_value),
+                      st.tuples(st.just(0), st.sampled_from([0.0, -0.0, -1.5])))
+    entries = draw(st.lists(entry, max_size=max_size))
+    spec = LogSpectrum(np.array([lv for _, lv in entries], dtype=float),
+                       np.array([sg for sg, _ in entries], dtype=np.int8))
+    return spec, s
+
+
+_LOG_FACTORS = st.sampled_from([0.0, -0.0, 30.0, -30.0]) | st.floats(-50.0, 50.0)
+
+
+def assert_same_bits(spec, oracle):
+    assert spec.log_values.tobytes() == oracle.log_values.tobytes()
+    assert np.array_equal(spec.signs, oracle.signs)
+
+
+def derived(spec_s, other_s, log_factor):
+    """The spectrum, a rescaled copy and a union, each with its oracle."""
+    (spec, _), (other, _) = spec_s, other_s
+    oracle, other_oracle = MaskedSpectrum.of(spec), MaskedSpectrum.of(other)
+    return [(spec, oracle),
+            (spec.scaled(log_factor), oracle.scaled(log_factor)),
+            (spec.union(other.scaled(log_factor)),
+             oracle.union(other_oracle.scaled(log_factor)))]
+
+
+class TestSortedQueriesAgainstLexsortOracle:
+    """Binary-search queries on the stored order against masks and np.lexsort."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(spectrum_and_threshold(), spectrum_and_threshold(), _LOG_FACTORS)
+    def test_scaled_and_union_are_bitwise_the_lexsort_result(self, a, b, log_factor):
+        for spec, oracle in derived(a, b, log_factor):
+            assert_same_bits(spec, oracle)
+        (spec, _), (other, _) = a, b
+        assert_same_bits(spec.union(other), MaskedSpectrum.of(spec).union(MaskedSpectrum.of(other)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(spectrum_and_threshold(), spectrum_and_threshold(), _LOG_FACTORS)
+    def test_counts_margin_and_smallest(self, a, b, log_factor):
+        s = a[1]
+        for spec, oracle in derived(a, b, log_factor):
+            assert spec.n_plus(s) == oracle.n_plus(s)
+            assert spec.n_minus(s) == oracle.n_minus(s)
+            assert spec.threshold_margin(s) == oracle.threshold_margin(s)
+            assert ToeplitzModel(None, None, spec)._smallest_log() == oracle.smallest_log()
+
+    @settings(deadline=None, max_examples=200)
+    @given(spectrum_and_threshold(), spectrum_and_threshold(), _LOG_FACTORS)
+    def test_trace_arctan_is_bitwise_the_masked_sum(self, a, b, log_factor):
+        s = a[1]
+        for spec, oracle in derived(a, b, log_factor):
+            assert trace_arctan(spec, s).hex() == oracle.trace_arctan(s).hex()
+
+    @settings(deadline=None, max_examples=200)
+    @given(spectrum_and_threshold())
+    def test_rising_log_ratio_is_bitwise_the_masked_one(self, spec_s):
+        # arctan_trace_identity's Cauchy tails read the positive group rising
+        spec, s = spec_s
+        lv = spec.positive_logs
+        log_s = np.full_like(lv, float(np.log(s)))
+        assert (_arctan_of_log_ratio(log_s, lv).tobytes()
+                == masked_arctan_of_log_ratio(log_s, lv).tobytes())
 
 
 def dense_counts(matrix, s):

@@ -365,6 +365,20 @@ class TestCli:
                       "threshold 0.0009765625 collides with an eigenvalue")
         assert not out.exists()
 
+    def test_threshold_on_an_eigenvalue_builds_once(self, tmp_path, capsys, monkeypatch):
+        # no basis size moves lambda_9 off s = 2^-10, so the count-sized
+        # basis is refused as it stands instead of being rebuilt larger
+        sizes = []
+        build = harness.build_lll_basis
+        monkeypatch.setattr(harness, "build_lll_basis",
+                            lambda field, k: sizes.append(k) or build(field, k))
+        cfg = self._write(tmp_path, "[scenario]\nname = toeplitz-asymptotics\n"
+                                    "[field]\nb0 = 2.0\n[potential]\nlaw = exponential\n"
+                                    "eta = 1.0\n[sweep]\ns_values = 0.0009765625,0.001\n")
+        self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
+                      "threshold 0.0009765625 collides with an eigenvalue")
+        assert len(sizes) == 1
+
 
 def test_cli_failing_rows_exit_two(tmp_path, capsys):
     # the compact law converges log-log slowly, so its declared ratio

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from diracssf import harness
 from diracssf.counting import LogSpectrum
 from diracssf.kernels1d import Grid1D
@@ -496,3 +497,55 @@ def test_outside_ratio_converges_to_prediction(basis_b2_64):
         ratios.append(br.midpoint / est.predict(1.0 + off, "outside", "H-"))
     assert ratios[0] < ratios[1] < ratios[2]
     assert abs(ratios[-1] - 1.0) < 0.05
+
+
+# -- the query path reads the stored order --------------------------------
+
+def bits(row):
+    return [float(v).hex() for v in row]
+
+
+@pytest.fixture(scope="module")
+def shipped_levinson():
+    """(config, estimator) of both shipped Levinson configs, with the
+    compressions built by a run of the scenario."""
+    out = {}
+    build = harness._estimator
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("levinson_power", "levinson_exponential"):
+            cfg = harness.parse_config((CONFIGS / f"{name}.cfg").read_text())
+            built = []
+            mp.setattr(harness, "_estimator",
+                       lambda cfg, s_min: built.append(build(cfg, s_min)) or built[-1])
+            harness.run_scenario(cfg)
+            out[name] = (cfg, built[0])
+    return out
+
+
+@pytest.mark.parametrize("name", ["levinson_power", "levinson_exponential"])
+def test_levinson_queries_never_lexsort(monkeypatch, shipped_levinson, name):
+    cfg, est = shipped_levinson[name]
+    calls = []
+    lexsort = np.lexsort
+
+    def counting_lexsort(*args, **kwargs):
+        calls.append(1)
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    LogSpectrum.from_log([1.0, 2.0])
+    assert len(calls) == 1  # the counter sees the constructor's sort
+    calls.clear()
+    est.levinson_rows(cfg.eps_values, eps_bracket=cfg.eps_bracket)
+    for eps in cfg.eps_values:
+        est.inside_bracket(1.0 - eps, cfg.eps_bracket, "H-")
+        est.outside_bracket(1.0 / (1.0 - eps), cfg.eps_bracket, "H-")
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["levinson_power", "levinson_exponential"])
+def test_levinson_rows_match_the_lexsort_formulation(shipped_levinson, name):
+    cfg, est = shipped_levinson[name]
+    for eps in cfg.eps_values:
+        [row] = est.levinson_rows([eps], eps_bracket=cfg.eps_bracket)
+        assert bits(row) == bits(oracles.levinson_row(est, eps, "H-", cfg.eps_bracket))

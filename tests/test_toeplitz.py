@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -291,3 +293,17 @@ def test_stretched_exponential_branch(field_b2):
     law = law_for_profile(prof, 2.0)
     (_, n, lawv, ratio, _), = compare_law(model, law, [1e-6]).rows
     assert 0.8 <= ratio <= 1.2
+
+
+def test_annulus_symbol_is_refused_at_the_peak_seed(basis_b2_64):
+    # 1{2 <= r <= 3}: log U is -inf on the inner hole, where the k = 0 peak
+    # search starts; it is refused up front, with no RuntimeWarning
+    def log_annulus(r):
+        r = np.asarray(r, dtype=float)
+        return np.where((r >= 2.0) & (r <= 3.0), 0.0, -np.inf)
+
+    annulus = RadialProfile(log_annulus, CompactSupportTail(radius=3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="-inf at the peak seed"):
+            toeplitz_radial_spectrum(annulus, basis_b2_64)
