@@ -4,11 +4,11 @@
     diracssf validate --config scenario.cfg
     diracssf list-scenarios
 
-``run`` exits 0 only when every pass/fail row passes; validation errors,
-a basis too small for the run, a threshold on an eigenvalue and an
-unwritable --out exit 1, failed rows exit 2.  Scenarios run serially;
---threads is still accepted so existing command lines keep working, and
-it is ignored.
+``run`` exits 0 only when every pass/fail row passes; validation errors
+(one stderr line each), a basis too small for the run, a threshold on an
+eigenvalue and an unwritable --out exit 1, failed rows exit 2.
+Scenarios run serially; --threads is still accepted so existing command
+lines keep working, and it is ignored.
 """
 
 import argparse
@@ -50,9 +50,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args.config)
     except ConfigError as exc:
-        print("invalid config:", file=sys.stderr)
         for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
+            print(f"invalid config: {violation}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)

@@ -159,6 +159,15 @@ _LAMBDA_RULES = {
 }
 
 
+# Scenarios that read no off-diagonal m13, and why: a nonzero value would
+# change no output, so it is refused rather than silently dropped.
+_M13_UNREAD = {
+    "ssf-inside": "inside the gap the counts read only the diagonal edge symbols m11, m33",
+    "levinson": "both Levinson counts read only the diagonal edge symbols m11, m33",
+    "toeplitz-asymptotics": "the Toeplitz symbol reads no matrix part",
+}
+
+
 def _guard_violations(cfg: ScenarioConfig):
     """Re-run the downstream module guards at parse time."""
     out = []
@@ -179,6 +188,9 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("potential guard: m11 and m33 must be nonnegative (sign-definiteness)")
     if cfg.m11 * cfg.m33 < cfg.m13 * cfg.m13:
         out.append("potential guard: matrix part must stay positive semidefinite")
+    if cfg.m13 != 0.0 and cfg.scenario in _M13_UNREAD:
+        out.append(f"potential guard: {cfg.scenario} needs m13 = 0, got {cfg.m13!r} "
+                   f"({_M13_UNREAD[cfg.scenario]})")
     if not cfg.mass > 0:
         out.append("potential guard: mass must be positive")
     if not cfg.long_width > 0:

@@ -5,9 +5,13 @@ phi_tilde, the zero modes of the transverse Pauli component are spanned by
 z^k exp(-phi(|z|)) with phi(r) = b0 r^2/4 + phi_tilde(r).  Radial symmetry
 keeps distinct angular momenta orthogonal, so the basis is fixed by the
 norm of each radial function; those norms grow factorially and are kept in
-the log domain from the start.
+the log domain from the start.  On the flat field (phi_tilde == 0) the
+squared norms are the Gamma integrals (1/2)(2/b0)^(k+1) k! and are read
+from ``math.lgamma`` with no quadrature; a perturbed field integrates each
+norm with ``log_radial_moments``.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -129,7 +133,9 @@ class LLLBasis:
     """Truncated radial zero-mode basis: K log-scale norms plus provenance.
 
     ``quad_nodes``/``quad_r_max`` describe the radial rule that produced
-    the norms (largest node count and outermost radius over all k).
+    the norms (largest node count and outermost radius over all k);
+    ``quad_nodes = 0`` with ``quad_r_max = 0.0`` means the norms are the
+    flat-field closed form and no rule was run.
     """
 
     field: FieldSpec
@@ -146,9 +152,20 @@ class LLLBasis:
 
 
 def build_lll_basis(fs: FieldSpec, K: int, tol: float = NORM_TOL) -> LLLBasis:
-    """Norms of the first K radial zero modes, in the log domain."""
+    """Norms of the first K radial zero modes, in the log domain.
+
+    On the flat field the log-norms are (1/2)[log(1/2) + (k+1) log(2/b0)
+    + lgamma(k+1)], exact up to rounding, and the basis records
+    ``quad_nodes = 0`` and ``quad_r_max = 0.0``.  A perturbed field takes
+    the radial quadrature of ``log_radial_moments`` at ``tol``, which
+    ``quad_tol`` keeps for the Toeplitz moments either way.
+    """
     if K < 1:
         raise ValueError("basis size K must be at least 1")
+    if fs.phi_tilde is None:
+        lgam = np.fromiter(map(math.lgamma, range(1, K + 1)), float, K)
+        log_ints = math.log(0.5) + np.arange(1.0, K + 1.0) * math.log(2.0 / fs.b0) + lgam
+        return LLLBasis(fs, K, 0.5 * log_ints, tol)
     info = {}
     log_ints = log_radial_moments(fs, np.arange(K), tol=tol, info=info)
     if not np.all(np.isfinite(log_ints)):

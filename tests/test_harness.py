@@ -336,6 +336,26 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("scenario, reason", [
+        ("ssf-inside", "inside the gap the counts read only the diagonal edge symbols"),
+        ("levinson", "both Levinson counts read only the diagonal edge symbols"),
+        ("toeplitz-asymptotics", "the Toeplitz symbol reads no matrix part"),
+    ])
+    def test_unread_m13_is_refused(self, tmp_path, capsys, scenario, reason):
+        cfg = self._write(tmp_path, f"[scenario]\nname = {scenario}\n"
+                                    "[potential]\nm13 = 0.9\n")
+        for command in ("validate", "run"):
+            self._refused(capsys, [command, "--config", cfg],
+                          f"{scenario} needs m13 = 0, got 0.9 ({reason}")
+        assert parse_config(f"[scenario]\nname = {scenario}\n"
+                            "[potential]\nm13 = 0\n").m13 == 0.0
+
+    def test_ssf_outside_still_accepts_m13(self):
+        # no ssf-outside output reads m13 yet either, but the full outside
+        # operator it will report does, so the key stays open there
+        cfg = parse_config("[scenario]\nname = ssf-outside\n[potential]\nm13 = 0.9\n")
+        assert cfg.m13 == 0.9
+
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "rows.csv"
         self._refused(capsys, ["run", "--config", self._write(tmp_path, MINIMAL),

@@ -12,12 +12,16 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
 from diracssf.landau import (
+    NORM_TOL,
     FieldSpec,
     build_ladder,
     build_lll_basis,
     compute_zeta,
     log_norms_closed_form,
+    log_radial_moments,
 )
+from diracssf.toeplitz import (ADEQUACY_MARGIN, TruncationError, disc_profile,
+                               gaussian_profile, power_profile, toeplitz_radial_spectrum)
 
 
 def test_zeta_constant_field():
@@ -44,22 +48,110 @@ def test_field_rejects_nonpositive_b0():
         FieldSpec(-1.0)
 
 
-def test_norms_match_gamma_integral(basis_b2_64):
+# The flat basis reads its norms from the closed form, so the radial
+# quadrature that perturbed fields use is held to the Gamma integrals here.
+
+
+def test_norms_match_gamma_integral():
     # weight e^(-r^2) at b0 = 2: squared norm of mode k is k!/2
     want = 0.5 * (np.log(0.5) + gammaln(np.arange(64) + 1.0))
-    assert np.max(np.abs(basis_b2_64.log_norms - want)) < 1e-10
+    got = 0.5 * log_radial_moments(FieldSpec(2.0), np.arange(64))
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_norms_closed_form_general_b0():
-    fs = FieldSpec(0.7)
-    basis = build_lll_basis(fs, 40)
+    got = 0.5 * log_radial_moments(FieldSpec(0.7), np.arange(40))
     want = log_norms_closed_form(0.7, np.arange(40))
-    assert np.max(np.abs(basis.log_norms - want)) < 1e-10
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_k0_norm_is_half(basis_b2_64):
+def test_k0_norm_is_half():
     # integral of r e^(-r^2) over the half line is 1/2
-    assert np.exp(2.0 * basis_b2_64.log_norms[0]) == pytest.approx(0.5, rel=1e-12)
+    assert np.exp(log_radial_moments(FieldSpec(2.0), [0])[0]) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("b0", [0.7, 1.0, 2.0])
+def test_radial_quadrature_meets_the_closed_form_across_4000_rows(b0):
+    ks = np.arange(4000)
+    got = log_radial_moments(FieldSpec(b0), ks)
+    assert np.max(np.abs(got - 2.0 * log_norms_closed_form(b0, ks))) <= 5.82e-11
+
+
+def closed_form_ulp_scale(b0, ks):
+    """log 2 + (k+1)|log(2/b0)| + lgamma(k+1): a bound on |log integral| and on
+    every partial sum either closed form forms on the way to it."""
+    ks = np.asarray(ks, dtype=float)
+    return math.log(2.0) + (ks + 1.0) * abs(math.log(2.0 / b0)) + gammaln(ks + 1.0)
+
+
+@pytest.mark.parametrize("b0", [0.7, 1.0, 2.0])
+@pytest.mark.parametrize("K", [1, 64, 37141])
+def test_flat_basis_is_the_gamma_closed_form_to_rounding(b0, K):
+    # Each side rounds log(2/b0) times (k+1), its lgamma value and two
+    # sums, every one within an ulp or two of the scale S_k; halving the
+    # log-integral halves the error, so the two sides of a log-norm stay
+    # within 4 ulp(S_k) of each other.  Measured: 2.0 ulp, 8.7e-11 at
+    # K = 37141 and b0 = 1.
+    ks = np.arange(K)
+    got = build_lll_basis(FieldSpec(b0), K).log_norms
+    want = log_norms_closed_form(b0, ks)
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(closed_form_ulp_scale(b0, ks)))
+
+
+def test_flat_basis_runs_no_quadrature():
+    basis = build_lll_basis(FieldSpec(2.0), 64)
+    assert basis.quad_nodes == 0
+    assert basis.quad_r_max == 0.0
+    assert basis.quad_tol == NORM_TOL
+
+
+# -- gauge: phi_tilde == c ties the quadrature path to the closed form ----------
+
+# A quadrature log-integral is accepted once two node rungs agree to
+# NORM_TOL, so each is trusted to NORM_TOL.  A log-norm is half of one;
+# a log-eigenvalue is one moment minus one norm integral, which is two
+# quadratures on the gauged side and one on the flat side.  Measured over
+# 40 random draws: 3.4e-13 and 6.8e-13.
+GAUGE_NORM_TOL = 0.5 * NORM_TOL
+GAUGE_EIG_TOL = 3.0 * NORM_TOL
+
+
+def _require_adequate_verdict(model, s):
+    try:
+        model.require_adequate(s)
+    except TruncationError:
+        return False
+    return True
+
+
+def _clear_of_boundaries(model, s, tol):
+    """True when log s is farther than ``tol`` from every eigenvalue and from
+    the depth-margin edge, so no verdict can turn on the last digits."""
+    edge = model._smallest_log() - math.log(s) - math.log(ADEQUACY_MARGIN)
+    return model.spectrum.threshold_margin(s) > tol and not abs(edge) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(b0=st.floats(0.3, 5.0), c=st.floats(-3.0, 3.0), K=st.integers(1, 400),
+       log_s=st.floats(-30.0, -0.05))
+def test_constant_gauge_shift_moves_only_the_norms(b0, c, K, log_s):
+    # phi_tilde == c scales exp(-2 phi) by exp(-2c): every log-norm drops by
+    # c, and every moment with it, so the compression is unchanged.  Passed
+    # as a callable, the constant takes the quadrature path; the flat field
+    # takes the closed form.
+    gauged = build_lll_basis(FieldSpec(b0, phi_tilde=lambda r: np.full(np.shape(r), c)), K)
+    flat = build_lll_basis(FieldSpec(b0), K)
+    assert gauged.quad_nodes > 0 and flat.quad_nodes == 0
+    assert np.max(np.abs(gauged.log_norms - (flat.log_norms - c))) <= GAUGE_NORM_TOL
+    s = math.exp(log_s)
+    for profile in (power_profile(3.0), gaussian_profile(eta=0.4), disc_profile(radius=2.0)):
+        got = toeplitz_radial_spectrum(profile, gauged)
+        want = toeplitz_radial_spectrum(profile, flat)
+        assert np.max(np.abs(got.log_eigen_by_k - want.log_eigen_by_k)) <= GAUGE_EIG_TOL
+        if _clear_of_boundaries(want, s, GAUGE_EIG_TOL):
+            assert got.spectrum.n_plus(s) == want.spectrum.n_plus(s)
+            assert got.count_certified(s) == want.count_certified(s)
+            assert _require_adequate_verdict(got, s) == _require_adequate_verdict(want, s)
 
 
 def test_norms_with_perturbation_finite_and_growing():
@@ -113,9 +205,10 @@ def test_ladder_requires_two_levels():
         build_ladder(1.0, 1)
 
 
-def test_basis_records_quadrature_descriptor(basis_b2_64):
-    assert basis_b2_64.quad_nodes >= 64
-    assert basis_b2_64.quad_r_max > np.sqrt((2.0 * 63 + 1.0) / 2.0)
+def test_basis_records_quadrature_descriptor():
+    basis = build_lll_basis(FieldSpec(2.0, phi_tilde=lambda r: 0.3 * np.tanh(r)), 64)
+    assert basis.quad_nodes >= 64
+    assert basis.quad_r_max > np.sqrt((2.0 * 63 + 1.0) / 2.0)
 
 
 def test_combined_transverse_gap():
