@@ -22,6 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
+# find_peak and bracket_drop: smallest radius either search moves to
+R_FLOOR = 1e-300
+# bracket_drop: nats below the peak where an interval ends
+DROP_NATS = 80.0
 # find_peak: half-width in u = log r of the central-difference stencil, and
 # the Newton/bisection step in u below which a row has converged
 PEAK_STEP = 1e-5
@@ -43,8 +47,15 @@ GL_NEWTON_ITERS = 10
 GL_REINSCH_X = 0.9
 BESSEL_J0_FIRST_ZERO = 2.404825557695773
 # log_integral_batch: nodes per row block, 256 KiB per float64 temporary,
-# so the integrand's temporaries stay in a per-core L2 cache
+# so the integrand's temporaries stay in a per-core L2 cache; the node
+# count doubles up to LOG_NODE_CAP
 BLOCK_ELEMENTS = 1 << 15
+LOG_NODE_CAP = 8192
+# panel_integral: per-panel order doubles from PANEL_ORDER to
+# PANEL_MAX_ORDER until the total changes by at most PANEL_TOL (relative)
+PANEL_ORDER = 16
+PANEL_MAX_ORDER = 256
+PANEL_TOL = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -178,7 +189,7 @@ def _row_logsumexp(a):
     return out
 
 
-def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
+def log_integral_batch(log_f, lo, hi, *, tol, n0):
     """log of integral_{lo_k}^{hi_k} exp(log_f(r)) dr, one value per row.
 
     ``log_f(nodes, rows)`` receives a node matrix of shape (b, n) for the
@@ -189,11 +200,11 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
     max(1, BLOCK_ELEMENTS // n) rows, so no temporary outgrows a per-core
     L2 cache; the result is the same for any block size.  The node count
     doubles from ``n0`` until the change in every log-integral is below
-    ``tol``; failure to stabilise by ``n_max`` raises QuadratureError with
-    the largest last change in the message.
+    ``tol``; failure to stabilise by ``LOG_NODE_CAP`` raises QuadratureError
+    with the largest last change in the message.
     """
-    if n0 > n_max:
-        raise ValueError(f"node ladder {n0}..{n_max} is empty: n0 > n_max")
+    if n0 > LOG_NODE_CAP:
+        raise ValueError(f"node ladder {n0}..{LOG_NODE_CAP} is empty: n0 > LOG_NODE_CAP")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
@@ -204,7 +215,7 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
     prev = None
     delta = np.inf
     n = n0
-    while n <= n_max:
+    while n <= LOG_NODE_CAP:
         x, w = gauss_legendre(n)
         log_w = np.log(w)
         step = max(1, BLOCK_ELEMENTS // n)
@@ -224,22 +235,21 @@ def log_integral_batch(log_f, lo, hi, *, tol=1e-10, n0=64, n_max=8192):
         prev = cur
         n *= 2
     raise QuadratureError(
-        f"log-integral did not stabilise to {tol:g} below {n_max} nodes; "
+        f"log-integral did not stabilise to {tol:g} below {LOG_NODE_CAP} nodes; "
         f"last change {np.max(delta):.3e}"
     )
 
 
-def panel_integral(f, a, b, panel_width, *, order=16, tol=1e-12, max_order=256):
+def panel_integral(f, a, b, panel_width):
     """Composite Gauss-Legendre integral with fixed-width panels.
 
     Meant for oscillatory integrands: the caller passes a panel width
     tied to the oscillation half-period so every panel sees at most half
-    a period.  The per-panel order doubles from ``order`` until the total
-    is stable; failure to stabilise by ``max_order`` raises
-    QuadratureError naming how many rules were compared.
+    a period.  The per-panel order doubles from ``PANEL_ORDER`` until the
+    total changes by at most ``PANEL_TOL`` (relative); failure to
+    stabilise by ``PANEL_MAX_ORDER`` raises QuadratureError naming how
+    many rules were compared.
     """
-    if order > max_order:
-        raise ValueError(f"order ladder {order}..{max_order} is empty: order > max_order")
     if b <= a:
         return 0.0
     width = min(panel_width, b - a)
@@ -247,8 +257,8 @@ def panel_integral(f, a, b, panel_width, *, order=16, tol=1e-12, max_order=256):
     edges = np.linspace(a, b, n_panels + 1)
     prev = None
     rules = 0
-    n = order
-    while n <= max_order:
+    n = PANEL_ORDER
+    while n <= PANEL_MAX_ORDER:
         x, w = gauss_legendre(n)
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -258,14 +268,13 @@ def panel_integral(f, a, b, panel_width, *, order=16, tol=1e-12, max_order=256):
         rules += 1
         if prev is not None:
             change = abs(cur - prev)
-            if change <= tol * (1.0 + abs(cur)):
+            if change <= PANEL_TOL * (1.0 + abs(cur)):
                 return cur
         prev = cur
         n *= 2
-    last = f"last change {change:.3e}" if rules > 1 else "no change to compare"
     raise QuadratureError(
-        f"panel integral did not stabilise to {tol:g}: {rules} rules compared "
-        f"(orders {order}..{n // 2}), {last}"
+        f"panel integral did not stabilise to {PANEL_TOL:g}: {rules} rules compared "
+        f"(orders {PANEL_ORDER}..{n // 2}), last change {change:.3e}"
     )
 
 
@@ -277,7 +286,7 @@ def _checked(log_f, r, search):
     return vals
 
 
-def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None):
+def find_peak(log_f, r0, *, hi_cap=None):
     """Vectorised unimodal peak search for per-row log-integrands.
 
     ``log_f`` maps an (m,) or (m, p) array of radii to values of the same
@@ -288,11 +297,12 @@ def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None):
     per step, each step shrinks the bracket by the sign of dg/du, and a
     step that leaves the bracket or meets d2g/du2 >= 0 is replaced by
     bisection in u.  A row still rising at ``hi_cap`` (a boundary peak,
-    as for compact support) returns ``hi_cap``.  Returns the peak
-    positions (m,); raises QuadratureError if a cap is hit.
+    as for compact support) returns ``hi_cap``; the lower edge stops at
+    ``R_FLOOR``.  Returns the peak positions (m,); raises QuadratureError
+    if a cap is hit.
     """
     r0 = np.asarray(r0, dtype=float)
-    lo = np.maximum(r0 * 0.25, lo_cap)
+    lo = np.maximum(r0 * 0.25, R_FLOOR)
     hi = r0 * 4.0
     if hi_cap is not None:
         hi = np.minimum(hi, hi_cap)
@@ -307,7 +317,7 @@ def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None):
             move_right &= hi < hi_cap
         if not (np.any(move_left) or np.any(move_right)):
             break
-        lo = np.where(move_left, np.maximum(lo * 0.25, lo_cap), lo)
+        lo = np.where(move_left, np.maximum(lo * 0.25, R_FLOOR), lo)
         new_hi = np.where(move_right, hi * 4.0, hi)
         hi = np.minimum(new_hi, hi_cap) if hi_cap is not None else new_hi
     else:
@@ -355,23 +365,23 @@ def find_peak(log_f, r0, *, lo_cap=1e-300, hi_cap=None):
     return peak
 
 
-def bracket_drop(log_f, peak, g_peak, *, drop=80.0, side, hard_limit=None):
-    """Find per-row radii where the log-integrand has fallen by ``drop``.
+def bracket_drop(log_f, peak, g_peak, *, side, hard_limit=None):
+    """Find per-row radii where the log-integrand has fallen by ``DROP_NATS``.
 
-    side='left' searches in (0, peak], side='right' in [peak, inf) or up
-    to ``hard_limit`` (e.g. a compact support edge).  The outer end is
-    expanded until it lies below the target g_peak - drop; then Illinois
-    regula falsi in u = log r solves log_f = g_peak - drop to ``DROP_GTOL``
+    side='left' searches in [R_FLOOR, peak], side='right' in [peak, inf) or
+    up to ``hard_limit`` (e.g. a compact support edge).  The outer end is
+    expanded until it lies below the target g_peak - DROP_NATS; then
+    Illinois regula falsi in u = log r solves that equation to ``DROP_GTOL``
     nats, bisecting in u wherever the secant point is not finite.  If the
     integrand at the hard limit is still above the drop target the limit
     itself is returned, which is what a boundary-peaked integrand needs.
     Raises QuadratureError if a cap is hit.
     """
     peak = np.asarray(peak, dtype=float)
-    target = g_peak - drop
+    target = g_peak - DROP_NATS
     at_limit = np.zeros(peak.shape, dtype=bool)
     if side == "left":
-        outer = np.maximum(peak * 1e-12, 1e-300)
+        outer = np.maximum(peak * 1e-12, R_FLOOR)
     else:
         outer = peak + np.maximum(peak, 1.0)
     for _ in range(EXPAND_ITERS):
@@ -383,7 +393,7 @@ def bracket_drop(log_f, peak, g_peak, *, drop=80.0, side, hard_limit=None):
         if not np.any(high):
             break
         if side == "left":
-            outer = np.where(high, np.maximum(outer * 1e-3, 1e-300), outer)
+            outer = np.where(high, np.maximum(outer * 1e-3, R_FLOOR), outer)
         else:
             outer = np.where(high, peak + (outer - peak) * 2.0, outer)
     else:

@@ -23,6 +23,7 @@ import numpy as np
 from ._quad import _row_logsumexp
 
 THRESHOLD_FLAG_TOL = 1e-13
+FLIP_RTOL = 1e-12      # check_flip: shared eigenvalues agree to this times the top one
 PSD_TOL = 1e-12        # eigenvalues of B below -PSD_TOL * ||B|| make it indefinite
 RECENTRE_GAIN = 1e3    # pencil-root error gain: eps * gain bounds each Cauchy tail
 
@@ -92,11 +93,9 @@ class LogSpectrum:
         return cls(lv, signs)
 
     @classmethod
-    def from_log(cls, log_values, signs=None):
+    def from_log(cls, log_values):
         log_values = np.asarray(log_values, dtype=float)
-        if signs is None:
-            signs = np.ones(log_values.shape, dtype=np.int8)
-        return cls(log_values, signs)
+        return cls(log_values, np.ones(log_values.shape, dtype=np.int8))
 
     def __len__(self):
         return self.log_values.shape[0]
@@ -193,9 +192,9 @@ def _merge(a, b, falling: bool) -> np.ndarray:
     return out
 
 
-def flag_near_threshold(spec: LogSpectrum, s: float, tol=THRESHOLD_FLAG_TOL) -> bool:
-    """True when an eigenvalue sits within ``tol`` (log scale) of s."""
-    return spec.threshold_margin(s) < tol
+def flag_near_threshold(spec: LogSpectrum, s: float) -> bool:
+    """True when an eigenvalue sits within ``THRESHOLD_FLAG_TOL`` (log scale) of s."""
+    return spec.threshold_margin(s) < THRESHOLD_FLAG_TOL
 
 
 def _counts(matrix, s: float):
@@ -366,7 +365,7 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
     return lhs, rhs
 
 
-def check_flip(b, s: float | None = None, rtol: float = 1e-12) -> bool:
+def check_flip(b, s: float | None = None) -> bool:
     """Nonzero spectra of B*B and BB* coincide (counting functions agree).
 
     The two products share their leading min(m, n) eigenvalues; anything
@@ -380,7 +379,7 @@ def check_flip(b, s: float | None = None, rtol: float = 1e-12) -> bool:
     scale = max(left[0] if left.size else 0.0, right[0] if right.size else 0.0)
     if scale == 0.0:
         return True
-    if np.max(np.abs(left[:k] - right[:k])) > rtol * scale:
+    if np.max(np.abs(left[:k] - right[:k])) > FLIP_RTOL * scale:
         return False
     # everything past the shared rank must be numerically zero
     if left[k:].size and np.max(np.abs(left[k:])) > 1e-11 * scale:

@@ -27,10 +27,11 @@ from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbo
                        mu_average_counting)
 from .dirac_algebra import anticommutation_residual, dirac_matrices
 from .discrete_model import build_h0, check_gap, check_square_identity, fiber_eigenvalues
-from .kernels1d import Grid1D, RankTwoImS, im_s_norm_rows
+from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, RankTwoImS,
+                        im_s_norm_rows)
 from .landau import FieldSpec, build_lll_basis
-from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
-                  min_longitudinal_width, omega1_log_factors, sweep_rows)
+from .ssf import (MIN_LONG_WIDTH, PotentialSpec, SsfEstimator, edge_threshold,
+                  gaussian_longitudinal, omega1_log_factors, sweep_rows)
 from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian_profile,
                        power_profile, suggest_truncation, toeplitz_radial_spectrum)
 
@@ -195,8 +196,8 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("potential guard: mass must be positive")
     if not cfg.long_width > 0:
         out.append("potential guard: long_width must be positive (longitudinal gaussian width)")
-    elif cfg.long_width < min_longitudinal_width():
-        out.append(f"potential guard: long_width must be at least {min_longitudinal_width()!r} "
+    elif cfg.long_width < MIN_LONG_WIDTH:
+        out.append(f"potential guard: long_width must be at least {MIN_LONG_WIDTH!r} "
                    "(the fixed longitudinal panels cannot resolve a narrower gaussian)")
     if cfg.law == "exponential" and not cfg.eta > 0:
         out.append("potential guard: exponential law needs eta > 0")
@@ -292,7 +293,8 @@ def emit_csv(rows, path):
 # -- scenario building blocks ---------------------------------------------
 
 def _field(cfg: ScenarioConfig):
-    if cfg.phi_tilde == "tanh":
+    """The config's field; a zero tanh amplitude is the flat field."""
+    if cfg.phi_tilde == "tanh" and cfg.phi_amp != 0.0:
         amp = cfg.phi_amp
         return FieldSpec(cfg.b0, lambda r: amp * np.tanh(r))
     return FieldSpec(cfg.b0)
@@ -416,7 +418,7 @@ def _scenario_levinson(cfg: ScenarioConfig):
 def _scenario_kernels(cfg: ScenarioConfig):
     lams = cfg.lambdas or (1.01, 1.5, 2.0, 5.0)
     lams = [lam * cfg.mass for lam in lams]
-    grid = Grid1D(200.0, 2**14)
+    grid = Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS)
     rows = []
     for lam, p, closed, gridv in im_s_norm_rows(lams, 2.0, (1, 2, 4), cfg.mass, grid):
         params = f"lambda={format_value(lam)};p={p}"

@@ -254,14 +254,6 @@ def im_s_grid_singular_values(lam: float, nu3: float, m: float, grid: Grid1D) ->
     return np.linalg.svd(core, compute_uv=False)
 
 
-def im_s_grid_norm(lam: float, nu3: float, p: int, m: float = 1.0,
-                   grid: Grid1D | None = None) -> float:
-    if grid is None:
-        grid = Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS)
-    sv = im_s_grid_singular_values(lam, nu3, m, grid)
-    return float(np.sum(sv**p) ** (1.0 / p))
-
-
 def im_s_dense_matrix(lam: float, nu3: float, m: float, grid: Grid1D) -> np.ndarray:
     """Dense Nystrom matrix of the Im S kernel (test oracle for small N)."""
     ops = RankTwoImS(lam, nu3, m, half_width=grid.half_width)
@@ -314,8 +306,7 @@ def im_s_norm_rows(lams, nu3: float, p_values, m: float = 1.0,
     Only the power p differs between a lambda's rows, so the rank-two
     norms ||u|| ||v|| and the grid singular values are computed once per
     lambda: the closed form is 2^(1/p) ||u|| ||v|| (as in ``im_s_schatten``)
-    and the grid value the p-norm of the singular values (as in
-    ``im_s_grid_norm``).
+    and the grid value the p-norm of the grid singular values.
     """
     if grid is None:
         grid = Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS)

@@ -19,9 +19,13 @@ import numpy as np
 
 from ._quad import QuadratureError, bracket_drop, find_peak, log_integral_batch
 
+# FieldSpec.osc: phi_tilde is sampled at OSC_SAMPLES radii on [0, OSC_RADIUS]
 OSC_SAMPLES = 10_000
-DEFAULT_OSC_RADIUS = 200.0
+OSC_RADIUS = 200.0
+# log_radial_moments: the node count doubles from MOMENT_N0 until every
+# log-integral of a MOMENT_CHUNK-row chunk is stable to NORM_TOL
 NORM_TOL = 1e-10
+MOMENT_N0 = 64
 MOMENT_CHUNK = 2048
 
 
@@ -35,7 +39,6 @@ class FieldSpec:
 
     b0: float
     phi_tilde: Callable[[np.ndarray], np.ndarray] | None = None
-    osc_radius: float = DEFAULT_OSC_RADIUS
     osc: float = field(init=False)
 
     def __post_init__(self):
@@ -44,7 +47,7 @@ class FieldSpec:
         if self.phi_tilde is None:
             osc = 0.0
         else:
-            r = np.linspace(0.0, self.osc_radius, OSC_SAMPLES)
+            r = np.linspace(0.0, OSC_RADIUS, OSC_SAMPLES)
             vals = np.asarray(self.phi_tilde(r), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise ValueError("phi_tilde must be finite on the sampled radii")
@@ -69,20 +72,20 @@ def compute_zeta(fs: FieldSpec) -> float:
     return 2.0 * fs.b0 * float(np.exp(-2.0 * fs.osc))
 
 
-def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None,
-                       tol=NORM_TOL, n0=64, info=None):
+def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None, info=None):
     """log of integral_0^inf U(r) r^(2k+1) exp(-2 phi(r)) dr for each k.
 
     ``log_symbol`` maps radii to log U(r) (None means U == 1); ``support``
     optionally caps the integration at a compact-support edge R.  Peaks are
     located per k by a safeguarded Newton search in log r seeded at the
     flat-field peak sqrt((2k+1)/b0) (or at R for rows still rising there);
-    each interval ends where the log-integrand has fallen 80 nats, found by
-    regula falsi in log r; and the Gauss-Legendre node count doubles until
-    every log-integral in a ``MOMENT_CHUNK``-row chunk is stable to
-    ``tol``.  The nodes of a chunk are evaluated in cache-sized row blocks
-    (``_quad.BLOCK_ELEMENTS``), for which the integrand reads k at the
-    block's rows; the block size never changes a value.  Pass a dict as
+    each interval ends where the log-integrand has fallen
+    ``_quad.DROP_NATS`` (80 nats), found by regula falsi in log r; and the
+    Gauss-Legendre node count doubles from ``MOMENT_N0`` until every
+    log-integral in a ``MOMENT_CHUNK``-row chunk is stable to
+    ``NORM_TOL``.  The nodes of a chunk are evaluated in cache-sized row
+    blocks (``_quad.BLOCK_ELEMENTS``), for which the integrand reads k at
+    the block's rows; the block size never changes a value.  Pass a dict as
     ``info`` to collect the rule descriptor (max node count, outermost
     radius).  A symbol that vanishes at a row's peak seed, such as an
     annulus around a hole, is refused with a ValueError: the search cannot
@@ -120,7 +123,7 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None,
             raise ValueError("symbol vanishes at the integrand peak; zero moment")
         lo = bracket_drop(g, peak, g_peak, side="left")
         hi = bracket_drop(g, peak, g_peak, side="right", hard_limit=support)
-        vals, nodes = log_integral_batch(g, lo, hi, tol=tol, n0=n0)
+        vals, nodes = log_integral_batch(g, lo, hi, tol=NORM_TOL, n0=MOMENT_N0)
         out[start:start + MOMENT_CHUNK] = vals
         if info is not None:
             info["nodes"] = max(info.get("nodes", 0), nodes)
@@ -141,7 +144,6 @@ class LLLBasis:
     field: FieldSpec
     K: int
     log_norms: np.ndarray
-    quad_tol: float = NORM_TOL
     quad_nodes: int = 0
     quad_r_max: float = 0.0
 
@@ -151,26 +153,26 @@ class LLLBasis:
         return 2.0 * self.log_norms
 
 
-def build_lll_basis(fs: FieldSpec, K: int, tol: float = NORM_TOL) -> LLLBasis:
+def build_lll_basis(fs: FieldSpec, K: int) -> LLLBasis:
     """Norms of the first K radial zero modes, in the log domain.
 
     On the flat field the log-norms are (1/2)[log(1/2) + (k+1) log(2/b0)
     + lgamma(k+1)], exact up to rounding, and the basis records
     ``quad_nodes = 0`` and ``quad_r_max = 0.0``.  A perturbed field takes
-    the radial quadrature of ``log_radial_moments`` at ``tol``, which
-    ``quad_tol`` keeps for the Toeplitz moments either way.
+    the radial quadrature of ``log_radial_moments``, at ``NORM_TOL`` like
+    the Toeplitz moments.
     """
     if K < 1:
         raise ValueError("basis size K must be at least 1")
     if fs.phi_tilde is None:
         lgam = np.fromiter(map(math.lgamma, range(1, K + 1)), float, K)
         log_ints = math.log(0.5) + np.arange(1.0, K + 1.0) * math.log(2.0 / fs.b0) + lgam
-        return LLLBasis(fs, K, 0.5 * log_ints, tol)
+        return LLLBasis(fs, K, 0.5 * log_ints)
     info = {}
-    log_ints = log_radial_moments(fs, np.arange(K), tol=tol, info=info)
+    log_ints = log_radial_moments(fs, np.arange(K), info=info)
     if not np.all(np.isfinite(log_ints)):
         raise QuadratureError("non-finite basis norm encountered")
-    return LLLBasis(fs, K, 0.5 * log_ints, tol, info["nodes"], info["r_max"])
+    return LLLBasis(fs, K, 0.5 * log_ints, info["nodes"], info["r_max"])
 
 
 def log_norms_closed_form(b0: float, ks) -> np.ndarray:

@@ -30,25 +30,33 @@ from .landau import LLLBasis
 from .toeplitz import RadialProfile, ToeplitzModel, toeplitz_radial_spectrum
 
 ARC_TAIL_TOL = 0.02
+# LongitudinalProfile integrals run over [-LONG_HALF_WIDTH, LONG_HALF_WIDTH]
+LONG_HALF_WIDTH = 16.0
+# Narrowest Gaussian width the fixed longitudinal panels resolve.
+# `LongitudinalProfile.integral` uses panels of LONG_HALF_WIDTH / 16 and
+# `moments` panels of up to LONG_HALF_WIDTH / 8.  The integral is exact at
+# width 0.005 and fails to stabilise at 0.003; the moments are exact at
+# 0.01 and fail at 0.005; width 1e-6 silently integrates to 0.  The bound
+# keeps a 2x margin over the moments.
+MIN_LONG_WIDTH = 0.02
 
 
 @dataclass(frozen=True)
 class LongitudinalProfile:
     """Nonnegative profile of the field-direction coordinate.
 
-    Its integrals run over [-half_width, half_width].
+    Its integrals run over [-LONG_HALF_WIDTH, LONG_HALF_WIDTH].
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    half_width: float = 16.0
 
     def integral(self) -> float:
         return panel_integral(lambda x: np.asarray(self.eval(x), dtype=float),
-                              -self.half_width, self.half_width, self.half_width / 16.0)
+                              -LONG_HALF_WIDTH, LONG_HALF_WIDTH, LONG_HALF_WIDTH / 16.0)
 
     def moments(self, k_lambda: float):
         """(cos^2, sin*cos, sin^2) moments against the profile."""
-        x_hi = self.half_width
+        x_hi = LONG_HALF_WIDTH
         panel = min(np.pi / (2.0 * max(k_lambda, 1e-12)), x_hi / 8.0)
 
         def make(f):
@@ -62,27 +70,11 @@ class LongitudinalProfile:
         return m_cos2, m_mix, m_sin2
 
 
-def min_longitudinal_width(half_width: float = 16.0) -> float:
-    """Narrowest Gaussian width the fixed longitudinal panels resolve.
-
-    `LongitudinalProfile.integral` uses panels of half_width / 16 and
-    `moments` panels of up to half_width / 8.  At half_width 16 the
-    integral is exact at width 0.005 and fails to stabilise at 0.003; the
-    moments are exact at 0.01 and fail at 0.005; width 1e-6 silently
-    integrates to 0.  The bound keeps a 2x margin over the moments.
-    """
-    return half_width / 800.0
-
-
-def gaussian_longitudinal(width: float = 1.0, half_width: float = 16.0) -> LongitudinalProfile:
-    narrowest = min_longitudinal_width(half_width)
-    if not width >= narrowest:
-        raise ValueError(f"longitudinal width {width!r} is below {narrowest!r}, "
+def gaussian_longitudinal(width: float = 1.0) -> LongitudinalProfile:
+    if not width >= MIN_LONG_WIDTH:
+        raise ValueError(f"longitudinal width {width!r} is below {MIN_LONG_WIDTH!r}, "
                          "the narrowest the fixed panels resolve")
-    return LongitudinalProfile(
-        eval=lambda x: np.exp(-(np.asarray(x, dtype=float) / width) ** 2),
-        half_width=half_width,
-    )
+    return LongitudinalProfile(lambda x: np.exp(-(np.asarray(x, dtype=float) / width) ** 2))
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,7 @@ class PotentialSpec:
             raise ValueError("matrix part must be positive semidefinite")
         if not self.nu > 3:
             raise ValueError("potential decay exponent nu must exceed 3")
-        x = np.linspace(-self.longitudinal.half_width, self.longitudinal.half_width, 128)
+        x = np.linspace(-LONG_HALF_WIDTH, LONG_HALF_WIDTH, 128)
         if np.any(np.asarray(self.longitudinal.eval(x)) < 0):
             raise ValueError("longitudinal profile must be nonnegative")
         object.__setattr__(self, "matrix_part", m)

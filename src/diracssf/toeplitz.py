@@ -38,6 +38,9 @@ from .landau import LLLBasis, log_radial_moments
 
 ADEQUACY_MARGIN = 1e-3
 RADIAL_VS_GENERAL_TOL = 1e-9
+# both truncation rules: K = ceil(TRUNCATION_MARGIN * law estimate) + TRUNCATION_SPARE
+TRUNCATION_MARGIN = 1.6
+TRUNCATION_SPARE = 8
 
 
 class TruncationError(RuntimeError):
@@ -307,6 +310,7 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     eigenvalue_k = (integral U r^(2k+1) e^(-2 phi)) / (integral r^(2k+1)
     e^(-2 phi)), computed as a log-moment difference that reads the
     symbol's log directly, so that values like e^-400 survive untouched.
+    The moments use the radial rule of the basis norms (``NORM_TOL``).
     A symbol whose log is -inf on the whole probe [0, r_probe] compresses
     to the zero operator.  No sign check is needed: a log form cannot be
     negative, and a NaN log is refused by the quadrature.
@@ -316,13 +320,8 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     if np.all(np.isneginf(profile.log_value(np.linspace(0.0, r_probe, 1025)))):
         spectrum = LogSpectrum(np.zeros(basis.K), np.zeros(basis.K, dtype=np.int8))
         return ToeplitzModel(basis, profile, spectrum, log_eigen_by_k=None)
-    log_num = log_radial_moments(
-        basis.field,
-        ks,
-        log_symbol=profile.log_value,
-        support=profile.support_radius(),
-        tol=basis.quad_tol,
-    )
+    log_num = log_radial_moments(basis.field, ks, log_symbol=profile.log_value,
+                                 support=profile.support_radius())
     log_eigs = log_num - basis.log_moment_integrals
     spectrum = LogSpectrum.from_log(log_eigs.copy())
     return ToeplitzModel(basis, profile, spectrum, log_eigen_by_k=log_eigs)
@@ -472,7 +471,7 @@ def check_raikov_bound(model: ToeplitzModel, q: int) -> RaikovCheck:
     return RaikovCheck(ok, lhs, rhs)
 
 
-def suggest_truncation(law, s_min: float, b0: float, margin: float = 1.6) -> int:
+def suggest_truncation(law, s_min: float, b0: float) -> int:
     """Basis size so the adequacy rule holds at threshold ``s_min``.
 
     Uses the law's predicted eigenvalue decay; callers must still verify
@@ -480,14 +479,15 @@ def suggest_truncation(law, s_min: float, b0: float, margin: float = 1.6) -> int
     estimators, and the Toeplitz-asymptotics scenario only when the count
     certificate fails at the ``count_truncation`` size.
     """
-    return int(np.ceil(margin * law.depth(s_min * ADEQUACY_MARGIN, b0))) + 8
+    depth = law.depth(s_min * ADEQUACY_MARGIN, b0)
+    return int(np.ceil(TRUNCATION_MARGIN * depth)) + TRUNCATION_SPARE
 
 
 def count_truncation(law, s_min: float, b0: float) -> int:
-    """Basis size from the law's count at ``s_min``, with the 1.6 margin
-    and 8 spare modes of ``suggest_truncation``.
+    """Basis size from the law's count at ``s_min``, with the
+    ``TRUNCATION_MARGIN`` and ``TRUNCATION_SPARE`` of ``suggest_truncation``.
 
     ``ToeplitzModel.count_certified`` decides a posteriori whether the
     count at this size is exact.
     """
-    return int(np.ceil(1.6 * law.count(s_min, b0))) + 8
+    return int(np.ceil(TRUNCATION_MARGIN * law.count(s_min, b0))) + TRUNCATION_SPARE

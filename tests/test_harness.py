@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +495,49 @@ def test_shipped_configs_pass_the_benchmark_output_check(monkeypatch, tmp_path, 
     assert main(["run", "--config", str(config), "--out", str(out)]) == \
         cli_configs.expected_exit(want)
     assert cli_configs.compare_csv(out.read_text(), want) is None
+
+
+def _run_cli(tmp_path, name, cfg):
+    """Exit code and CSV bytes of ``diracssf run`` on ``cfg``."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(serialize_config(cfg))
+    out = tmp_path / f"{name}.csv"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["levinson_exponential", "ssf_outside"])
+def test_zero_tanh_amplitude_is_the_flat_field(monkeypatch, tmp_path, name):
+    # phi_tilde = tanh with phi_amp = 0 is the flat field: its basis takes
+    # the closed-form norms and the run emits the shipped config's bytes
+    nodes = []
+    build = harness.build_lll_basis
+
+    def recording_build(field, K):
+        basis = build(field, K)
+        nodes.append(basis.quad_nodes)
+        return basis
+
+    monkeypatch.setattr(harness, "build_lll_basis", recording_build)
+    text = (CONFIGS_DIR / f"{name}.cfg").read_text()
+    zero = text.replace("[field]\n", "[field]\nphi_tilde = tanh\nphi_amp = 0.0\n")
+    cfg = parse_config(zero)
+    assert (cfg.phi_tilde, cfg.phi_amp) == ("tanh", 0.0)
+    assert _run_cli(tmp_path, "zero", cfg) == _run_cli(tmp_path, "flat", parse_config(text))
+    assert nodes == [0, 0]
+
+
+@pytest.mark.parametrize("name, scaled", [
+    ("toeplitz_exponential", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
+    ("ssf_inside", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
+    ("toeplitz_compact", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, radius=0.5 * cfg.radius)),
+])
+def test_magnetic_scaling_leaves_the_run_unchanged(tmp_path, name, scaled):
+    # r = 2 rho maps the problem (U, b0) onto (U(2 .), 4 b0) with the same
+    # eigenvalues: the Gaussian's eta and the disc's 1/R^2 scale with b0,
+    # and so does every law and truncation the run reads
+    cfg = parse_config((CONFIGS_DIR / f"{name}.cfg").read_text())
+    assert _run_cli(tmp_path, "scaled", scaled(cfg)) == _run_cli(tmp_path, "shipped", cfg)
 
 
 def test_unflagged_profile_falls_back_to_the_depth_margin(monkeypatch, built_sizes):

@@ -20,8 +20,9 @@ from diracssf.landau import (
     log_norms_closed_form,
     log_radial_moments,
 )
-from diracssf.toeplitz import (ADEQUACY_MARGIN, TruncationError, disc_profile,
-                               gaussian_profile, power_profile, toeplitz_radial_spectrum)
+from diracssf.toeplitz import (ADEQUACY_MARGIN, PowerLawTail, RadialProfile, TruncationError,
+                               disc_profile, gaussian_profile, power_profile,
+                               toeplitz_radial_spectrum)
 
 
 def test_zeta_constant_field():
@@ -102,7 +103,6 @@ def test_flat_basis_runs_no_quadrature():
     basis = build_lll_basis(FieldSpec(2.0), 64)
     assert basis.quad_nodes == 0
     assert basis.quad_r_max == 0.0
-    assert basis.quad_tol == NORM_TOL
 
 
 # -- gauge: phi_tilde == c ties the quadrature path to the closed form ----------
@@ -131,6 +131,16 @@ def _clear_of_boundaries(model, s, tol):
     return model.spectrum.threshold_margin(s) > tol and not abs(edge) <= tol
 
 
+def _assert_same_compression(got, want, s, tol):
+    """log-eigenvalues within ``tol``; counts and both verdicts equal where
+    log s is clear of every boundary by ``tol``."""
+    assert np.max(np.abs(got.log_eigen_by_k - want.log_eigen_by_k)) <= tol
+    if _clear_of_boundaries(want, s, tol):
+        assert got.spectrum.n_plus(s) == want.spectrum.n_plus(s)
+        assert got.count_certified(s) == want.count_certified(s)
+        assert _require_adequate_verdict(got, s) == _require_adequate_verdict(want, s)
+
+
 @settings(max_examples=30, deadline=None)
 @given(b0=st.floats(0.3, 5.0), c=st.floats(-3.0, 3.0), K=st.integers(1, 400),
        log_s=st.floats(-30.0, -0.05))
@@ -145,13 +155,65 @@ def test_constant_gauge_shift_moves_only_the_norms(b0, c, K, log_s):
     assert np.max(np.abs(gauged.log_norms - (flat.log_norms - c))) <= GAUGE_NORM_TOL
     s = math.exp(log_s)
     for profile in (power_profile(3.0), gaussian_profile(eta=0.4), disc_profile(radius=2.0)):
-        got = toeplitz_radial_spectrum(profile, gauged)
-        want = toeplitz_radial_spectrum(profile, flat)
-        assert np.max(np.abs(got.log_eigen_by_k - want.log_eigen_by_k)) <= GAUGE_EIG_TOL
-        if _clear_of_boundaries(want, s, GAUGE_EIG_TOL):
-            assert got.spectrum.n_plus(s) == want.spectrum.n_plus(s)
-            assert got.count_certified(s) == want.count_certified(s)
-            assert _require_adequate_verdict(got, s) == _require_adequate_verdict(want, s)
+        _assert_same_compression(toeplitz_radial_spectrum(profile, gauged),
+                                 toeplitz_radial_spectrum(profile, flat), s, GAUGE_EIG_TOL)
+
+
+# -- magnetic scaling: r = a rho maps (U, b0, phi~) onto (U(a .), a^2 b0, phi~(a .)) --
+
+# Both sides of a log-eigenvalue are one moment minus one norm integral,
+# each a quadrature trusted to NORM_TOL (the flat field's norm is the
+# closed form, exact to rounding), so the two sides differ by at most four
+# of them.  Measured at K = 400, b0 = 1.3, phi~ = 0.7 tanh: 4.5e-13 (power,
+# Gaussian) and 6.8e-13 (disc); over 40 random draws of the properties
+# below, 4.6e-13 for scaling and for phi~ + c, and 2.3e-13 on the norms.
+SCALING_EIG_TOL = 4.0 * NORM_TOL
+
+
+def _field_of(b0, amp, c=0.0, a=1.0):
+    """b0 with phi~(r) = amp tanh(a r) + c; the flat field when both vanish."""
+    if amp == 0.0 and c == 0.0:
+        return FieldSpec(b0)
+    return FieldSpec(b0, phi_tilde=lambda r: amp * np.tanh(a * np.asarray(r)) + c)
+
+
+def _profile_pairs(a):
+    """(U, U(a .)) for the power (alpha = 3), Gaussian and disc profiles."""
+    power = power_profile(3.0)
+    power_scaled = RadialProfile(lambda r: power.log_value(a * np.asarray(r)),
+                                 PowerLawTail(3.0, a ** -3.0), nonincreasing=True)
+    return [(power, power_scaled),
+            (gaussian_profile(eta=0.4), gaussian_profile(eta=0.4 * a * a)),
+            (disc_profile(radius=2.0), disc_profile(radius=2.0 / a))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 2.0), b0=st.floats(0.3, 5.0),
+       amp=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), K=st.integers(1, 400),
+       log_s=st.floats(-30.0, -0.05))
+def test_magnetic_scaling_keeps_every_eigenvalue(a, b0, amp, K, log_s):
+    base = build_lll_basis(_field_of(b0, amp), K)
+    scaled = build_lll_basis(_field_of(a * a * b0, amp, a=a), K)
+    s = math.exp(log_s)
+    for profile, profile_scaled in _profile_pairs(a):
+        _assert_same_compression(toeplitz_radial_spectrum(profile_scaled, scaled),
+                                 toeplitz_radial_spectrum(profile, base), s, SCALING_EIG_TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b0=st.floats(0.3, 5.0), amp=st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+       c=st.floats(-3.0, 3.0), K=st.integers(1, 400), log_s=st.floats(-30.0, -0.05))
+def test_gauge_shift_of_a_perturbed_field_moves_only_the_norms(b0, amp, c, K, log_s):
+    # phi~ + c against phi~ = amp tanh: both take the quadrature, so a
+    # log-norm (half of one log-integral) moves by -c within NORM_TOL, and a
+    # log-eigenvalue (two quadratures a side) within 4 NORM_TOL
+    shifted = build_lll_basis(_field_of(b0, amp, c), K)
+    base = build_lll_basis(_field_of(b0, amp), K)
+    assert np.max(np.abs(shifted.log_norms - (base.log_norms - c))) <= NORM_TOL
+    s = math.exp(log_s)
+    for profile in (power_profile(3.0), gaussian_profile(eta=0.4), disc_profile(radius=2.0)):
+        _assert_same_compression(toeplitz_radial_spectrum(profile, shifted),
+                                 toeplitz_radial_spectrum(profile, base), s, SCALING_EIG_TOL)
 
 
 def test_norms_with_perturbation_finite_and_growing():
@@ -220,44 +282,35 @@ def test_combined_transverse_gap():
     assert inside.size == 0
 
 
-def test_log_integral_batch_failure_names_the_change_beside_a_zero_row():
-    from diracssf._quad import QuadratureError, log_integral_batch
+def test_log_integral_batch_failure_names_the_change_beside_a_zero_row(monkeypatch):
+    from diracssf import _quad
 
     def log_f(nodes, rows):
         out = np.sin(1e4 * nodes)  # second row never settles
         out[0] = -np.inf           # first row is a zero integrand
         return out
 
-    with pytest.raises(QuadratureError, match="last change"):
-        log_integral_batch(log_f, [0.0, 0.0], [1.0, 1.0], n_max=512)
+    monkeypatch.setattr(_quad, "LOG_NODE_CAP", 512)
+    with pytest.raises(_quad.QuadratureError, match="last change"):
+        _quad.log_integral_batch(log_f, [0.0, 0.0], [1.0, 1.0], tol=1e-10, n0=64)
 
 
-def test_log_integral_batch_rejects_an_empty_node_ladder():
-    from diracssf._quad import log_integral_batch
+def test_log_integral_batch_rejects_an_empty_node_ladder(monkeypatch):
+    from diracssf import _quad
 
+    monkeypatch.setattr(_quad, "LOG_NODE_CAP", 128)
     with pytest.raises(ValueError, match="ladder 256..128"):
-        log_integral_batch(lambda nodes, rows: nodes, [0.0], [1.0], n0=256, n_max=128)
+        _quad.log_integral_batch(lambda nodes, rows: nodes, [0.0], [1.0], tol=1e-10, n0=256)
 
 
-def test_panel_integral_rejects_an_empty_order_ladder():
-    from diracssf._quad import panel_integral
+def test_panel_integral_failure_counts_the_rules_it_compared(monkeypatch):
+    from diracssf import _quad
 
-    with pytest.raises(ValueError, match="ladder 512..256"):
-        panel_integral(np.cos, 0.0, 1.0, 1.0, order=512, max_order=256)
-
-
-def test_panel_integral_failure_counts_the_rules_it_compared():
-    from diracssf._quad import QuadratureError, panel_integral
-
-    # one rule on the ladder: nothing was compared, and no change is claimed
-    with pytest.raises(QuadratureError,
-                       match=r"1 rules compared \(orders 256\.\.256\), no change") as one:
-        panel_integral(np.cos, 0.0, 1.0, 1.0, order=256, max_order=256)
-    assert "last change" not in str(one.value)
     # three rules (16, 32, 64) on an unresolved oscillation: a real, nonzero change
-    with pytest.raises(QuadratureError,
+    monkeypatch.setattr(_quad, "PANEL_MAX_ORDER", 64)
+    with pytest.raises(_quad.QuadratureError,
                        match=r"3 rules compared \(orders 16\.\.64\), last change [1-9]"):
-        panel_integral(lambda x: np.sin(1e4 * x), 0.0, 1.0, 1.0, order=16, max_order=64)
+        _quad.panel_integral(lambda x: np.sin(1e4 * x), 0.0, 1.0, 1.0)
 
 
 # -- cache-blocked node evaluation ---------------------------------------------
