@@ -28,7 +28,6 @@ class DiracMatrices:
     alpha2: np.ndarray
     alpha3: np.ndarray
     beta: np.ndarray
-    representation: str = "standard"
 
     @property
     def alphas(self):
@@ -65,15 +64,14 @@ def anticommutation_residual(dm: DiracMatrices) -> float:
     return res
 
 
-def is_hermitian(v, tol=HERMITICITY_TOL) -> bool:
+def is_hermitian(v) -> bool:
     v = np.asarray(v)
-    return v.shape == (4, 4) and float(np.max(np.abs(v - v.conj().T))) <= tol
+    return v.shape == (4, 4) and float(np.max(np.abs(v - v.conj().T))) <= HERMITICITY_TOL
 
 
-def charge_conjugation_matrix(dm: DiracMatrices | None = None) -> np.ndarray:
+def charge_conjugation_matrix() -> np.ndarray:
     """The unitary factor i*beta*alpha_2 of the charge conjugation."""
-    if dm is None:
-        dm = dirac_matrices()
+    dm = dirac_matrices()
     return 1j * dm.beta @ dm.alpha2
 
 
@@ -111,14 +109,15 @@ def commutant_form(v1: float, v2: float, v3: complex) -> np.ndarray:
     )
 
 
-def validate_alpha12_commutant(v: np.ndarray, tol: float = COMMUTANT_TOL):
+def validate_alpha12_commutant(v: np.ndarray):
     """Check whether ``v`` commutes with alpha_1 and alpha_2.
 
     Returns ``(ok, residual)`` where ``residual`` is the max-abs entry of
     the two commutators.  The commutator test and the direct pattern
     match against :func:`commutant_form` are both evaluated and must
-    agree; a disagreement means the tolerance budget is broken and is
-    raised as an error rather than returned.
+    agree (at ``COMMUTANT_TOL`` and ten times it); a disagreement means the
+    tolerance budget is broken and is raised as an error rather than
+    returned.
     """
     v = np.asarray(v, dtype=complex)
     if not is_hermitian(v):
@@ -127,11 +126,11 @@ def validate_alpha12_commutant(v: np.ndarray, tol: float = COMMUTANT_TOL):
     res = 0.0
     for a in (dm.alpha1, dm.alpha2):
         res = max(res, float(np.max(np.abs(v @ a - a @ v))))
-    ok_commutator = res <= tol
+    ok_commutator = res <= COMMUTANT_TOL
 
     pattern = commutant_form(v[0, 0].real, v[1, 1].real, v[0, 2])
     pattern_res = float(np.max(np.abs(v - pattern)))
-    ok_pattern = pattern_res <= 10 * tol
+    ok_pattern = pattern_res <= 10 * COMMUTANT_TOL
 
     if ok_commutator != ok_pattern:
         raise AssertionError(

@@ -2,19 +2,16 @@
 
 Ladder modes in the transverse plane, an exact Fourier multiplier for the
 longitudinal momentum on a periodic box, and the 4x4 spinor structure give
-a (4 L N)-dimensional hermitian matrix whose spectrum follows the fiber
-formula +-sqrt(2 b0 n + p^2 + m^2).  The square of the matrix is block
-diagonal in the two transverse Pauli components; the top ladder level is
-the only place truncation shows, and it is masked out of identity checks.
+a hermitian model with the spectrum +-sqrt(2 b0 n + p^2 + m^2).  Its
+square is block diagonal in the two transverse Pauli components; only the
+top ladder level feels the truncation, and identity checks mask it out.
 
-Every coupling is kron(., diag(p)) or kron(., I_N), so the operator
-commutes with the longitudinal momentum: the rows with momentum p_j form
-a closed (4 L x 4 L) fiber.  The square identity is checked one fiber at
-a time (N products of 4 L x 4 L blocks instead of one dense product of
-the full matrix), after asserting that no entry couples two fibers.  The
-eigensolve stays one dense eigvalsh of the assembled matrix: the fiber
-deviation and the smallest magnitude it reports are the values the
-shipped dirac-check CSV carries, and a per-fiber solve would change
+The field has a constant direction, so the operator is the direct sum of
+its momentum fibers, and the fibers are what ``build_h0`` stores: an
+(N, 4 L, 4 L) stack in which no entry can couple two momenta.  The dense
+(4 L N)-dimensional matrix is a view built on demand for the one dense
+eigvalsh, because the fiber deviation and the smallest magnitude in the
+shipped dirac-check CSV are read from it; a per-fiber solve would change
 their last digits.
 """
 
@@ -32,13 +29,13 @@ from .ssf import PotentialSpec, SsfEstimator, edge_threshold
 
 @dataclass(frozen=True)
 class DiscreteH0:
-    """Assembled free-operator matrix with its building blocks."""
+    """Free operator as its stack of momentum fibers."""
 
     ladder: LadderModel
     momenta: np.ndarray
     m: float
     box_half_width: float
-    matrix: np.ndarray
+    fibers: np.ndarray
 
     @property
     def L(self):
@@ -48,35 +45,36 @@ class DiscreteH0:
     def N(self):
         return self.momenta.shape[0]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (4 L N)-dimensional matrix, scattered from the fibers
+        afresh on every read so that no copy outlives its use."""
+        n, N = 4 * self.L, self.N
+        h = np.zeros((n, N, n, N))
+        j = np.arange(N)
+        h[:, j, :, j] = self.fibers
+        return h.reshape(n * N, n * N)
+
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending spectrum of the matrix, from one shared eigensolve."""
         return np.linalg.eigvalsh(self.matrix)
 
     def interior_mask(self) -> np.ndarray:
-        """True on basis states untouched by the ladder cut.
+        """True on the fiber states untouched by the ladder cut.
 
         Components coupled through the raising operator lose their partner
         at the top level; masking ladder index L-1 in the second and
         fourth spinor components removes exactly those states.
         """
-        L, N = self.L, self.N
-        mask = np.ones(4 * L * N, dtype=bool)
-        top = np.arange((L - 1) * N, L * N)
-        for spinor in (1, 3):
-            mask[spinor * L * N + top] = False
+        L = self.L
+        mask = np.ones(4 * L, dtype=bool)
+        mask[[2 * L - 1, 4 * L - 1]] = False
         return mask
 
 
-def _ladder_for(b0: float, L: int) -> LadderModel:
-    if L == 1:
-        a = np.zeros((1, 1))
-        return LadderModel(b0, 1, a, a.copy())
-    return build_ladder(b0, L)
-
-
 def build_h0(b0: float, m: float, L: int, N: int, X: float) -> DiscreteH0:
-    """Assemble the truncated free operator.
+    """Build the fibers of the truncated free operator.
 
     Longitudinal momentum is an exact multiplier on the periodic-box
     grid p_j = (pi / X) (j - N/2), which contains 0, so the bottom of the
@@ -86,53 +84,40 @@ def build_h0(b0: float, m: float, L: int, N: int, X: float) -> DiscreteH0:
         raise ValueError("momentum grid size N must be even and at least 4")
     if not X > 0:
         raise ValueError("box half-width X must be positive")
-    if L < 1:
-        raise ValueError("ladder truncation L must be at least 1")
-    ladder = _ladder_for(b0, L)
+    ladder = build_ladder(b0, L)
     momenta = (np.pi / X) * (np.arange(N) - N // 2)
 
-    eye_l = np.eye(L)
-    eye_ln = np.eye(L * N)
-    p3 = np.kron(eye_l, np.diag(momenta))
-    a_up = np.kron(ladder.a, np.eye(N))
-    a_dn = np.kron(ladder.a_star, np.eye(N))
-    z = np.zeros_like(p3)
-
-    h = np.block([
-        [m * eye_ln, z, p3, a_up],
-        [z, m * eye_ln, a_dn, -p3],
-        [p3, a_up, -m * eye_ln, z],
-        [a_dn, -p3, z, -m * eye_ln],
-    ])
-    return DiscreteH0(ladder, momenta, float(m), float(X), h)
+    # H0(p) = [[m, S(p)], [S(p), -m]] on the two spinor pairs, with
+    # S(p) = [[p, a], [a*, -p]] over the ladder levels
+    eye = np.eye(L)
+    z = np.zeros((L, L))
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    s_perp = np.block([[z, ladder.a], [ladder.a_star, z]])
+    rest = np.kron(off, s_perp) + np.kron(np.diag([m, -m]), np.eye(2 * L))
+    pattern = np.kron(off, np.block([[eye, z], [z, -eye]]))
+    fibers = rest + momenta[:, None, None] * pattern
+    return DiscreteH0(ladder, momenta, float(m), float(X), fibers)
 
 
 def check_square_identity(h0: DiscreteH0):
     """Residual of the block-diagonal form of the squared operator.
 
     The reference blocks use the untruncated transverse levels 2 b0 k
-    and 2 b0 (k+1); the assembled square matches them exactly except on
-    the top ladder level of the raised components, where the cut leaks
-    an error of size 2 b0 L.  Returns (interior, full) max-abs residuals.
+    and 2 b0 (k+1); the square matches them exactly except on the top
+    ladder level of the raised components, where the cut leaks an error
+    of size 2 b0 L.  Returns (interior, full) max-abs residuals.
 
-    The square is formed fiber by fiber: fiber j is indexed by
-    idx[j, c] = c N + j with c = spinor L + level, and its reference is
-    diagonal, levels + p_j^2 + m^2.  Off-fiber entries of the square and
-    of the reference are both exactly zero, so the maxima over the fibers
-    are the maxima over the full matrix.
+    Fiber j is squared against its diagonal reference, levels + p_j^2 +
+    m^2; the square of a direct sum has no entries between fibers.
     """
-    L, N, m = h0.L, h0.N, h0.m
+    L, m = h0.L, h0.m
     b0 = h0.ladder.b0
-    idx = np.arange(4 * L)[None, :] * N + np.arange(N)[:, None]
-    fibers = h0.matrix[idx[:, :, None], idx[:, None, :]]
-    if np.count_nonzero(fibers) != np.count_nonzero(h0.matrix):
-        raise AssertionError("momentum fibers not decoupled: the matrix has "
-                             "entries between different p3 values")
+    fibers = h0.fibers
     levels = 2.0 * b0 * np.add.outer([0.0, 1.0, 0.0, 1.0], np.arange(L)).ravel()
     diag = levels[None, :] + (h0.momenta**2)[:, None] + m * m
     diff = np.abs(fibers @ fibers - diag[:, :, None] * np.eye(4 * L))
     full = float(np.max(diff))
-    mask = h0.interior_mask()[idx[0]]
+    mask = h0.interior_mask()
     interior = float(np.max(diff[:, mask][:, :, mask]))
     return interior, full
 

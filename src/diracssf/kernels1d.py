@@ -14,6 +14,8 @@ from ._quad import gauss_legendre, panel_integral
 
 GRID_DEFAULT_HALF_WIDTH = 200.0
 GRID_DEFAULT_POINTS = 2**14
+# j_kernel_hs_distance: relative change allowed between N and 2N - 1 nodes
+RICHARDSON_TOL = 1e-6
 
 
 class GridResolutionError(RuntimeError):
@@ -266,13 +268,14 @@ def im_s_dense_matrix(lam: float, nu3: float, m: float, grid: Grid1D) -> np.ndar
 
 
 def j_kernel_hs_distance(lam: float, nu_prime: float, grid: Grid1D,
-                         m: float = 1.0, richardson_tol: float = 1e-6) -> float:
+                         m: float = 1.0) -> float:
     """Hilbert-Schmidt distance between the gap-side kernel and its edge limit.
 
     The gap-side kernel carries (1 - exp(-kappa |x - x'|)) / (2 kappa)
     with kappa = sqrt(m^2 - lam^2); at the edge this becomes |x - x'| / 2.
     Requires nu_prime > 3 so the edge kernel is Hilbert-Schmidt.  A
-    Richardson check between N and 2N-1 nodes guards the resolution.
+    Richardson check between N and 2N-1 nodes (``RICHARDSON_TOL``) guards
+    the resolution.
     """
     if not nu_prime > 3:
         raise ValueError("weight exponent nu_prime must exceed 3")
@@ -291,7 +294,7 @@ def j_kernel_hs_distance(lam: float, nu_prime: float, grid: Grid1D,
 
     coarse = hs_sq(grid)
     fine = hs_sq(grid.refined())
-    if abs(fine - coarse) > richardson_tol * max(fine, 1e-300):
+    if abs(fine - coarse) > RICHARDSON_TOL * max(fine, 1e-300):
         raise GridResolutionError(
             f"grid too coarse for the Hilbert-Schmidt comparison: "
             f"{coarse:.6e} vs {fine:.6e} after refinement"

@@ -217,9 +217,9 @@ class LadderModel:
 
 
 def build_ladder(b0: float, L: int) -> LadderModel:
-    """Build the truncated ladder model; L >= 2."""
-    if L < 2:
-        raise ValueError("ladder truncation L must be at least 2")
+    """Build the truncated ladder model; L >= 1 (L = 1 is the zero mode alone)."""
+    if L < 1:
+        raise ValueError("ladder truncation L must be at least 1")
     if not b0 > 0:
         raise ValueError("field strength b0 must be positive")
     entries = np.sqrt(2.0 * b0 * np.arange(1, L))
@@ -227,9 +227,9 @@ def build_ladder(b0: float, L: int) -> LadderModel:
     model = LadderModel(b0, L, a, a.T.copy())
     # construction invariants
     hm = np.sort(np.linalg.eigvalsh(model.h_perp_minus))
-    if abs(hm[0]) > 1e-12 or abs(hm[1] - 2.0 * b0) > 1e-10 * max(1.0, b0):
+    if abs(hm[0]) > 1e-12 or (L > 1 and abs(hm[1] - 2.0 * b0) > 1e-10 * max(1.0, b0)):
         raise AssertionError("ladder spectrum does not start at {0, 2 b0}")
     defect = model.commutator_defect[:-1, :-1]
-    if np.max(np.abs(defect - 2.0 * b0 * np.eye(L - 1))) > 1e-12 * max(1.0, b0):
+    if np.max(np.abs(defect - 2.0 * b0 * np.eye(L - 1)), initial=0.0) > 1e-12 * max(1.0, b0):
         raise AssertionError("interior commutator defect is not 2 b0")
     return model

@@ -117,10 +117,13 @@ class PotentialSpec:
     def _column_profile(self, diag_index: int) -> RadialProfile:
         scale = self.column_scale(diag_index)
         trans = self.transverse
+        # a nonnegative multiple of a nonincreasing T is nonincreasing
         if scale == 0.0:
-            return RadialProfile(lambda r: np.full(np.shape(r), -np.inf), trans.law.scaled(0.0))
+            return RadialProfile(lambda r: np.full(np.shape(r), -np.inf), trans.law.scaled(0.0),
+                                 trans.nonincreasing)
         log_scale = math.log(scale)
-        return RadialProfile(lambda r: log_scale + trans.log_value(r), trans.law.scaled(scale))
+        return RadialProfile(lambda r: log_scale + trans.log_value(r), trans.law.scaled(scale),
+                             trans.nonincreasing)
 
     @cached_property
     def w_plus(self) -> RadialProfile:
@@ -311,14 +314,15 @@ class SsfEstimator:
         """Counting bracket for the shift function inside the gap.
 
         The pair whose eigenvalues do not accumulate at the probed edge
-        gets the degenerate bracket [0, 0] flagged ``bounded``.
+        gets the degenerate bracket [0, 0] flagged ``bounded``.  lambda = 0
+        is on both sides, so H+ at -0 mirrors H- at +0.
         """
         if not abs(lam) < self.m:
             raise ValueError("inside bracket requires |lambda| < m")
         if not 0.0 < eps < 1.0:
             raise ValueError("slack eps must lie in (0, 1)")
         e, _, model = self._edge(pair)
-        if (lam >= 0.0) != (e > 0):
+        if e * lam < 0.0:
             return BracketEstimate(0.0, 0.0, eps, None, bounded=True)
         t = edge_threshold(lam, e, self.m)
         s_lo, s_hi = (1.0 - eps) * t, (1.0 + eps) * t

@@ -37,7 +37,8 @@ from .counting import THRESHOLD_FLAG_TOL, LogSpectrum, flag_near_threshold
 from .landau import LLLBasis, log_radial_moments
 
 ADEQUACY_MARGIN = 1e-3
-RADIAL_VS_GENERAL_TOL = 1e-9
+# general compression: angular Fourier tail allowed beyond the kept modes
+FOURIER_TAIL_TOL = 1e-10
 # both truncation rules: K = ceil(TRUNCATION_MARGIN * law estimate) + TRUNCATION_SPARE
 TRUNCATION_MARGIN = 1.6
 TRUNCATION_SPARE = 8
@@ -327,13 +328,13 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     return ToeplitzModel(basis, profile, spectrum, log_eigen_by_k=log_eigs)
 
 
-def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: int,
-                            fourier_tail_tol: float = 1e-10):
+def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: int):
     """Dense hermitian compression of a bounded symbol U(r, theta).
 
     Entries <psi_j, U psi_k> couple angular momenta through the (j-k)-th
     Fourier coefficient of U; coefficients beyond ``angular_modes`` must be
-    negligible or the truncation is refused.  Returns (model, matrix).
+    below ``FOURIER_TAIL_TOL`` times the leading one or the truncation is
+    refused.  Returns (model, matrix).
     """
     K = basis.K
     fs = basis.field
@@ -361,7 +362,7 @@ def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: in
             tail_idx = np.arange(angular_modes + 1, min(2 * angular_modes + 1, n_theta // 2))
             if tail_idx.size:
                 tail = float(np.max(np.abs(coeffs[:, tail_idx])))
-                if tail > fourier_tail_tol * lead:
+                if tail > FOURIER_TAIL_TOL * lead:
                     raise ValueError(
                         f"angular mode cutoff {angular_modes} too small: "
                         f"Fourier tail {tail:.3e} vs leading {lead:.3e}"
@@ -403,7 +404,7 @@ class RaikovCheck:
         return self.ok
 
 
-def _log_plane_integral(profile: RadialProfile, q: int, fs) -> float:
+def _log_plane_integral(profile: RadialProfile, q: int) -> float:
     """log of integral over the plane of U^q (radial symbol).
 
     Compact supports integrate on [0, R] directly; unbounded tails go
@@ -464,7 +465,7 @@ def check_raikov_bound(model: ToeplitzModel, q: int) -> RaikovCheck:
     log_lhs = model.spectrum.log_schatten_pth_power(q)
     zero = np.isneginf(log_lhs)
     log_rhs = np.log(fs.b0 / (2.0 * np.pi)) + 2.0 * fs.osc \
-        + _log_plane_integral(model.profile, q, fs)
+        + _log_plane_integral(model.profile, q)
     lhs = float(np.exp(log_lhs)) if not zero else 0.0
     rhs = float(np.exp(log_rhs))
     ok = zero or log_lhs <= log_rhs + 1e-10

@@ -1,16 +1,22 @@
-"""Mask-and-lexsort oracle for the sorted ``LogSpectrum`` queries.
+"""Earlier formulations kept as oracles for the code that replaced them.
 
 ``MaskedSpectrum`` is the formulation the package used before the stored
 order became an invariant the queries read: every derived spectrum goes
 back through ``np.lexsort``, and every query masks the sign array.  The
 tests compare the binary-search queries and the Levinson rows built on
 them against it, bitwise.
+
+``dense_h0_matrix`` and ``gather_fibers`` are the free operator as it was
+built before its momentum fibers became the stored form: one dense
+``kron`` / ``np.block`` assembly, and the fibers gathered back out of it
+after a check that no entry couples two momenta.
 """
 
 import math
 
 import numpy as np
 
+from diracssf.landau import build_ladder
 from diracssf.ssf import edge_threshold, omega1_log_factors
 
 
@@ -95,3 +101,31 @@ def levinson_row(est, eps, pair="H-", eps_bracket=0.1):
     mid_out = 0.5 * (lower + upper)
     return (float(eps), lam_in, lam_out, mid_in, mid_out, float(mid_out / mid_in),
             est.levinson_target(pair))
+
+
+def dense_h0_matrix(b0, m, L, N, X):
+    """The (4 L N)-dimensional free operator from four ``kron`` products."""
+    ladder = build_ladder(b0, L)
+    momenta = (np.pi / X) * (np.arange(N) - N // 2)
+    eye_ln = np.eye(L * N)
+    p3 = np.kron(np.eye(L), np.diag(momenta))
+    a_up = np.kron(ladder.a, np.eye(N))
+    a_dn = np.kron(ladder.a_star, np.eye(N))
+    z = np.zeros_like(p3)
+    return np.block([
+        [m * eye_ln, z, p3, a_up],
+        [z, m * eye_ln, a_dn, -p3],
+        [p3, a_up, -m * eye_ln, z],
+        [a_dn, -p3, z, -m * eye_ln],
+    ])
+
+
+def gather_fibers(matrix, L, N):
+    """The (N, 4 L, 4 L) fibers of a dense matrix, row c N + j for state c of
+    fiber j; refuses a matrix with an entry between different momenta."""
+    idx = np.arange(4 * L)[None, :] * N + np.arange(N)[:, None]
+    fibers = matrix[idx[:, :, None], idx[:, None, :]]
+    if np.count_nonzero(fibers) != np.count_nonzero(matrix):
+        raise AssertionError("momentum fibers not decoupled: the matrix has "
+                             "entries between different p3 values")
+    return fibers

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,6 +16,7 @@ from diracssf.kernels1d import Grid1D
 from diracssf.landau import build_lll_basis
 from diracssf.ssf import PotentialSpec, SsfEstimator, gaussian_longitudinal
 from diracssf.toeplitz import gaussian_profile
+from oracles import dense_h0_matrix, gather_fibers
 
 
 @pytest.fixture(scope="module")
@@ -74,26 +74,38 @@ def dense_square_identity(h0):
         reference[i * ln:(i + 1) * ln, i * ln:(i + 1) * ln] = block(levels)
     diff = np.abs(h0.matrix @ h0.matrix - reference)
     full = float(np.max(diff))
-    mask = h0.interior_mask()
+    mask = np.repeat(h0.interior_mask(), h0.N)
     interior = float(np.max(diff[np.ix_(mask, mask)]))
     return interior, full
 
 
-@pytest.mark.parametrize("b0, m, L, N, X", [
+SHAPES = pytest.mark.parametrize("b0, m, L, N, X", [
     (1.0, 1.0, 8, 32, 20.0), (1.0, 2.0, 8, 32, 20.0), (2.5, 0.5, 5, 12, 7.0),
     (1.0, 1.0, 1, 16, 20.0), (1.0, 0.0, 6, 8, 10.0),
 ])
+
+
+@SHAPES
 def test_fiber_square_identity_matches_dense_product(b0, m, L, N, X):
     h0 = build_h0(b0, m, L, N, X)
     assert check_square_identity(h0) == dense_square_identity(h0)
 
 
+@SHAPES
+def test_fibers_are_the_dense_kron_assembly(b0, m, L, N, X):
+    h0 = build_h0(b0, m, L, N, X)
+    dense = dense_h0_matrix(b0, m, L, N, X)
+    assert h0.fibers.shape == (N, 4 * L, 4 * L)
+    assert np.array_equal(h0.matrix, dense)
+    assert np.array_equal(gather_fibers(dense, L, N), h0.fibers)
+
+
 def test_off_fiber_entry_is_refused(h0_ref):
     # couple momentum 0 to momentum 1 inside the first spinor block
-    doctored = h0_ref.matrix.copy()
+    doctored = h0_ref.matrix  # a fresh array on every read
     doctored[0, 1] = doctored[1, 0] = 1e-3
     with pytest.raises(AssertionError, match="fibers not decoupled"):
-        check_square_identity(dataclasses.replace(h0_ref, matrix=doctored))
+        gather_fibers(doctored, h0_ref.L, h0_ref.N)
 
 
 def test_square_identity_peak_memory(h0_ref):

@@ -1,5 +1,8 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -368,6 +371,17 @@ class TestCli:
         self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
                       "basis K=10 inadequate for threshold")
 
+    def test_small_k_is_certified_for_a_monotone_edge_symbol(self, tmp_path):
+        # at k = 20 the count is exact only through the certificate, which
+        # needs the column symbol W+ to keep T's nonincreasing flag
+        text = (CONFIGS_DIR / "ssf_inside.cfg").read_text()
+        outs = []
+        for k in (20, 200):
+            cfg = self._write(tmp_path, f"{text}\n[truncation]\nk = {k}\n")
+            outs.append(tmp_path / f"k{k}.csv")
+            assert main(["run", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_too_small_k_for_the_arctan_tail(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "[scenario]\nname = ssf-outside\n[field]\nb0 = 2.0\n"
                                     "[potential]\namplitude = 8.0\n"
@@ -495,6 +509,20 @@ def test_shipped_configs_pass_the_benchmark_output_check(monkeypatch, tmp_path, 
     assert main(["run", "--config", str(config), "--out", str(out)]) == \
         cli_configs.expected_exit(want)
     assert cli_configs.compare_csv(out.read_text(), want) is None
+
+
+def test_dirac_check_csv_is_the_reference_bytes_at_one_thread(tmp_path):
+    # compare_csv forgives round-off, so it cannot see fiber_formula_deviation
+    # or min_abs_eigenvalue move; the reference holds their one-thread digits
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(CONFIGS_DIR.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "dirac_check.csv"
+    subprocess.run([sys.executable, "-m", "diracssf.cli", "run",
+                    "--config", str(CONFIGS_DIR / "dirac_check.cfg"), "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    assert out.read_bytes() == (REFERENCES / "dirac_check.csv").read_bytes()
 
 
 def _run_cli(tmp_path, name, cfg):

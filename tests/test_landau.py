@@ -262,9 +262,13 @@ def test_ladder_spectral_gap():
         assert inside.size == 0
 
 
-def test_ladder_requires_two_levels():
+def test_ladder_of_one_level_is_the_zero_mode():
     with pytest.raises(ValueError):
-        build_ladder(1.0, 1)
+        build_ladder(1.0, 0)
+    lad = build_ladder(1.0, 1)
+    assert np.array_equal(lad.a, np.zeros((1, 1)))
+    assert np.array_equal(lad.a_star, np.zeros((1, 1)))
+    assert np.array_equal(np.linalg.eigvalsh(lad.h_perp_minus), [0.0])
 
 
 def test_basis_records_quadrature_descriptor():

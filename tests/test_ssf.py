@@ -21,6 +21,7 @@ from diracssf.ssf import (
     gap_edge_factor,
     gaussian_longitudinal,
     omega1_log_factors,
+    TruncatedTailError,
     sweep_rows,
     trace_arctan,
 )
@@ -53,6 +54,17 @@ class TestPotentialSpec:
         want = math.sqrt(math.pi) * np.exp(-r * r)
         assert np.allclose(np.exp(pot_exp.w_plus.log_value(r)), want, rtol=1e-12)
         assert np.allclose(np.exp(pot_exp.w_minus.log_value(r)), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("profile", [gaussian_profile(1.0), power_profile(4.0),
+                                         disc_profile(1.0)],
+                             ids=["exponential", "power", "compact"])
+    @pytest.mark.parametrize("m11", [0.0, 1.0])
+    def test_column_symbols_keep_the_monotone_flag(self, profile, m11):
+        # M_ii (integral L) >= 0 times a nonincreasing T is nonincreasing,
+        # and so is the zero symbol of a zero diagonal entry
+        pot = PotentialSpec(diag_matrix(m11, 1.0), profile, gaussian_longitudinal(), nu=5.0)
+        assert profile.nonincreasing
+        assert pot.w_plus.nonincreasing and pot.w_minus.nonincreasing
 
     def test_rejects_shallow_decay(self):
         with pytest.raises(ValueError, match="nu"):
@@ -419,6 +431,67 @@ class TestPredictions:
         assert est.predict(1.0 / lam, "outside", pair) == 0.0
         [(_, _, lower, upper, pred, ratio)] = sweep_rows(est, [lam], 0.1, pair, "inside")
         assert lower == upper == pred == 0.0 and math.isnan(ratio)
+
+
+@pytest.fixture(scope="module")
+def basis_b2_400(field_b2):
+    return build_lll_basis(field_b2, 400)
+
+
+def _outcome(call, *args):
+    """The value of ``call(*args)``, or the type of the error it raised."""
+    try:
+        return call(*args)
+    except (TruncationError, TruncatedTailError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _mirrored_bracket(b):
+    return (-b.upper, -b.lower, b.epsilon, b.threshold, b.bounded)
+
+
+def _bracket(b):
+    return (b.lower, b.upper, b.epsilon, b.threshold, b.bounded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=st.sampled_from(["gaussian", "power"]),
+       amplitude=st.floats(0.05, 20.0),
+       m11=st.sampled_from([0.0]) | st.floats(0.05, 4.0),
+       m33=st.sampled_from([0.0]) | st.floats(0.05, 4.0),
+       u=st.just(1.0) | st.floats(1e-4, 1.0), eps=st.floats(0.01, 0.5))
+def test_charge_conjugation_mirrors_the_edges(basis_b2_400, profile, amplitude, m11, m33,
+                                              u, eps):
+    # swapping m11 and m33 maps H- near +m onto H+ near -m: every bracket,
+    # prediction and Levinson row is the negated mirror, float for float,
+    # and a refusal on one side is the same refusal on the other; u = 1
+    # probes lambda = 0, the middle of the gap
+    trans = (gaussian_profile(1.0, amplitude=amplitude) if profile == "gaussian"
+             else power_profile(4.0, amplitude=amplitude))
+    est, mirror = (SsfEstimator(PotentialSpec(diag_matrix(a, b), trans,
+                                              gaussian_longitudinal(), nu=5.0),
+                                basis_b2_400, m=1.0)
+                   for a, b in ((m11, m33), (m33, m11)))
+    lam_in, lam_out = 1.0 - u, 1.0 / u
+    for lam, bracket in ((lam_in, SsfEstimator.inside_bracket),
+                         (lam_out, SsfEstimator.outside_bracket)):
+        got = _outcome(bracket, mirror, -lam, eps, "H+")
+        want = _outcome(bracket, est, lam, eps, "H-")
+        if isinstance(want, type) or isinstance(got, type):
+            assert got == want
+        else:
+            assert _bracket(got) == _mirrored_bracket(want)
+    for lam, side in ((lam_in, "inside"), (lam_out, "outside")):
+        got = _outcome(mirror.predict, -lam, side, "H+")
+        want = _outcome(est.predict, lam, side, "H-")
+        assert got == (want if isinstance(want, type) else -want)
+    got = _outcome(mirror.levinson_rows, [u], "H+", eps)
+    want = _outcome(est.levinson_rows, [u], "H-", eps)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+    else:
+        [(e, li, lo, mi, mo, ratio, target)] = want
+        assert got == [(e, -li, -lo, -mi, -mo, ratio, target)]
 
 
 class TestLevinsonRows:

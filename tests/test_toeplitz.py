@@ -152,10 +152,10 @@ class TestRaikovBound:
         assert chk.ok and chk.bound == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha, q", [(3.0, 1), (2.2, 1), (1.5, 2), (6.0, 1)])
-    def test_power_plane_integral_closed_form(self, field_b1, alpha, q):
+    def test_power_plane_integral_closed_form(self, alpha, q):
         # integral over the plane of (1 + r^2)^(-q alpha / 2) is
         # pi / (q alpha / 2 - 1); slow tails need the remainder past t = 60
-        got = _log_plane_integral(power_profile(alpha), q, field_b1)
+        got = _log_plane_integral(power_profile(alpha), q)
         assert got == pytest.approx(np.log(np.pi / (0.5 * q * alpha - 1.0)),
                                     abs=1e-12)
 
