@@ -4,13 +4,17 @@ Everything here works on plain numpy arrays.  The log-domain batch
 integrator is the workhorse behind the Landau-basis norms and the
 Toeplitz moments: integrands of the form  exp(g_k(r))  with g_k peaking
 at wildly different magnitudes are integrated per-k on per-k intervals,
-entirely in the log domain (a single-pass row log-sum-exp over
-Gauss-Legendre nodes).  Each rule is evaluated in row blocks of about
-``BLOCK_ELEMENTS`` nodes: a 2048-row chunk at 128 nodes would otherwise make
-every temporary of the integrand and the log-sum-exp a 2 MiB array, larger
-than a per-core L2 cache, and the evaluation would run at memory speed.
-Blocking changes only the evaluation order, never the arithmetic of an
-element, so the results do not depend on the block size.  The per-k
+entirely in the log domain.  Each row is shifted once by its largest
+log-integrand on the first Gauss-Legendre rule; every rule then takes one
+exp per node of the shifted values, weighted by ``np.einsum`` (not ``@``,
+whose bits depend on the block height and the BLAS threads), and the node
+count doubles on the O(1) remainder, so the convergence test never sees
+the rounding of a log-integral near 2^18.  Each rule is evaluated in row
+blocks of about ``BLOCK_ELEMENTS`` nodes: a 2048-row chunk at 128 nodes
+would otherwise make every temporary of the integrand a 2 MiB array,
+larger than a per-core L2 cache, and the evaluation would run at memory
+speed.  Blocking changes only the evaluation order, never the arithmetic
+of an element, so the results do not depend on the block size.  The per-k
 intervals come from two searches in
 u = log r: a safeguarded Newton search for the peak of g_k, and Illinois
 regula falsi for the radii where g_k has fallen a fixed number of nats
@@ -194,14 +198,34 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
 
     ``log_f(nodes, rows)`` receives a node matrix of shape (b, n) for the
     batch rows ``rows`` (a slice), whose i-th row holds nodes in
-    [lo[rows][i], hi[rows][i]], and must return log-integrand values of
-    the same shape (-inf allowed); per-row data of the integrand is read
-    at ``rows``.  Each rule is evaluated in blocks of
-    max(1, BLOCK_ELEMENTS // n) rows, so no temporary outgrows a per-core
-    L2 cache; the result is the same for any block size.  The node count
-    doubles from ``n0`` until the change in every log-integral is below
-    ``tol``; failure to stabilise by ``LOG_NODE_CAP`` raises QuadratureError
-    with the largest last change in the message.
+    [lo[rows][i], hi[rows][i]], and must return a fresh float array of
+    log-integrand values of the same shape (-inf allowed), which the kernel
+    overwrites; per-row data of the integrand is read at ``rows``.  The
+    node matrix lives in one buffer per rule, so ``log_f`` must not keep it.
+
+    Each row is shifted by the maximum of its log-integrand over the first
+    rule's nodes, ``shift``, and every rule sums exp(log_f - shift) against
+    the Gauss-Legendre weights, in place, one exp per node.  The O(1)
+    remainder rem = log(sum w exp(log_f - shift)) is what the node count
+    doubles on, from ``n0`` until every row's remainder changes by at most
+    ``tol``, so the test never meets the rounding of a log-integral of size
+    2^18.  The result is shift + (log(half-width) + rem): the two O(1) terms
+    are added first, so the value is rounded once at the scale of the
+    shift instead of twice.  The weighted sum is
+    ``np.einsum("ij,j->i")``, which adds a row's terms in the same order in
+    a block of any height and calls no BLAS, so a row's bits depend neither
+    on its block nor on the BLAS thread count (``E @ w`` gives neither).
+    Each rule is evaluated in blocks of max(1, BLOCK_ELEMENTS // n) rows,
+    so no temporary outgrows a per-core L2 cache; the result is the same
+    for any block size.
+
+    A row that is -inf at every node of the first rule is a zero integrand
+    and must stay -inf on every rule.  A later rule that finds it finite,
+    or a remainder of another row that is not finite (a NaN or +inf
+    log-integrand, a value more than the float range above the first
+    rule's maximum, or every value that far below it), raises
+    QuadratureError naming the row.  Failure to stabilise by
+    ``LOG_NODE_CAP`` raises QuadratureError with the largest last change.
     """
     if n0 > LOG_NODE_CAP:
         raise ValueError(f"node ladder {n0}..{LOG_NODE_CAP} is empty: n0 > LOG_NODE_CAP")
@@ -211,33 +235,69 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
         raise ValueError("empty integration interval")
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    log_half = np.log(half)
+    m = half.shape[0]
+    shift = np.empty(m)
+    offset = np.empty(m)  # shift, with 0 for a zero row so that exp gives 0
     prev = None
     delta = np.inf
     n = n0
     while n <= LOG_NODE_CAP:
         x, w = gauss_legendre(n)
-        log_w = np.log(w)
         step = max(1, BLOCK_ELEMENTS // n)
-        cur = np.empty(half.shape[0])
-        for start in range(0, half.shape[0], step):
+        buf = np.empty((min(step, m), n))
+        rem = np.empty(m)
+        for start in range(0, m, step):
             rows = slice(start, start + step)
-            nodes = half[rows, None] * x[None, :] + mid[rows, None]
-            logw = log_half[rows, None] + log_w[None, :]
-            cur[rows] = _row_logsumexp(log_f(nodes, rows) + logw)
+            nodes = buf[:min(step, m - start)]
+            np.multiply(half[rows, None], x, out=nodes)
+            nodes += mid[rows, None]
+            e = log_f(nodes, rows)
+            if n == n0:
+                top = np.max(e, axis=1)
+                shift[rows] = top
+                offset[rows] = np.where(np.isneginf(top), 0.0, top)
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                e -= offset[rows, None]
+                np.exp(e, out=e)
+                rem[rows] = np.log(np.einsum("ij,j->i", e, w))
+            # free the block's integrand before the next one is built, so
+            # the allocator hands its memory back instead of new pages
+            del e
+        if n == n0:
+            zero = np.isneginf(shift)
+        _check_remainder(rem, zero, shift, n, n0)
         if prev is not None:
             with np.errstate(invalid="ignore"):
-                delta = np.abs(cur - prev)
-            # rows that are -inf on both iterates are converged (zero symbol)
-            delta = np.where(np.isneginf(cur) & np.isneginf(prev), 0.0, delta)
+                delta = np.abs(rem - prev)
+            # rows that are -inf on every rule are converged (zero symbol)
+            delta[zero] = 0.0
             if np.max(delta) <= tol:
-                return cur, n
-        prev = cur
+                return shift + (np.log(half) + rem), n
+        prev = rem
         n *= 2
     raise QuadratureError(
         f"log-integral did not stabilise to {tol:g} below {LOG_NODE_CAP} nodes; "
         f"last change {np.max(delta):.3e}"
     )
+
+
+def _check_remainder(rem, zero, shift, n, n0):
+    """Refuse a row whose remainder the shift cannot represent: a zero row
+    (every first-rule node -inf) must stay -inf, any other must be finite."""
+    bad = np.where(zero, ~np.isneginf(rem), ~np.isfinite(rem))
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad))
+    if zero[i]:
+        raise QuadratureError(
+            f"log-integral row {i}: every node of the {n0}-node rule is -inf, so the "
+            f"row was taken as a zero integrand, but the {n}-node rule is not "
+            f"(remainder {float(rem[i])!r})")
+    raise QuadratureError(
+        f"log-integral row {i}: remainder log(sum w exp(log_f - shift)) is {float(rem[i])!r} "
+        f"at {n} nodes (shift {float(shift[i])!r}): the log-integrand is NaN or +inf, "
+        f"exceeds the {n0}-node rule's maximum by more than the float range, or lies "
+        f"that far below it at every node")
 
 
 def panel_integral(f, a, b, panel_width):

@@ -61,9 +61,10 @@ class FieldSpec:
     def phi(self, r):
         """Total scalar potential b0 r^2 / 4 + phi_tilde(r)."""
         r = np.asarray(r, dtype=float)
-        out = 0.25 * self.b0 * r * r
+        out = np.multiply(0.25 * self.b0, r)
+        out *= r
         if self.phi_tilde is not None:
-            out = out + self.phi_tilde(r)
+            out += self.phi_tilde(r)
         return out
 
 
@@ -81,11 +82,17 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None, info=No
     flat-field peak sqrt((2k+1)/b0) (or at R for rows still rising there);
     each interval ends where the log-integrand has fallen
     ``_quad.DROP_NATS`` (80 nats), found by regula falsi in log r; and the
-    Gauss-Legendre node count doubles from ``MOMENT_N0`` until every
-    log-integral in a ``MOMENT_CHUNK``-row chunk is stable to
-    ``NORM_TOL``.  The nodes of a chunk are evaluated in cache-sized row
-    blocks (``_quad.BLOCK_ELEMENTS``), for which the integrand reads k at
-    the block's rows; the block size never changes a value.  Pass a dict as
+    Gauss-Legendre node count doubles from ``MOMENT_N0`` until, in every
+    row of a ``MOMENT_CHUNK``-row chunk, the remainder of the log-integral
+    after its first-rule peak value (``_quad.log_integral_batch``'s shift)
+    is stable to ``NORM_TOL``.  The test is on that O(1) remainder, not on
+    log-integrals near 2^18 whose last bits exceed ``NORM_TOL``, so the node
+    count does not depend on rounding.  The nodes of a chunk are evaluated
+    in cache-sized row blocks (``_quad.BLOCK_ELEMENTS``), for which the
+    integrand reads k at the block's rows; the integrand is built in place
+    in one buffer, in the operation order of (2k+1) log r - 2 phi + log U,
+    and summed by ``np.einsum``, so the block size and the BLAS thread
+    count never change a value.  Pass a dict as
     ``info`` to collect the rule descriptor (max node count, outermost
     radius).  A symbol that vanishes at a row's peak seed, such as an
     annulus around a hole, is refused with a ValueError: the search cannot
@@ -97,13 +104,20 @@ def log_radial_moments(fs: FieldSpec, ks, log_symbol=None, support=None, info=No
         k = ks[start:start + MOMENT_CHUNK]
 
         def g(r, rows=slice(None), k=k):
+            # (2k+1) log r - 2 phi + log U, built in place in one owned
+            # buffer with the operation order of the plain expression
             r = np.asarray(r, dtype=float)
             kk = k[rows]
             kk = kk.reshape((-1,) + (1,) * (r.ndim - 1)) if r.ndim > 1 else kk
             with np.errstate(divide="ignore"):
-                val = (2.0 * kk + 1.0) * np.log(r) - 2.0 * fs.phi(r)
+                val = np.log(r)
+            val *= 2.0 * kk + 1.0
+            two_phi = fs.phi(r)
+            two_phi *= 2.0
+            val -= two_phi
+            del two_phi  # the symbol's buffer reuses this memory
             if log_symbol is not None:
-                val = val + log_symbol(r)
+                val += log_symbol(r)
             return val
 
         r0 = np.sqrt((2.0 * k + 1.0) / fs.b0)

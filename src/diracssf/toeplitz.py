@@ -42,6 +42,10 @@ FOURIER_TAIL_TOL = 1e-10
 # both truncation rules: K = ceil(TRUNCATION_MARGIN * law estimate) + TRUNCATION_SPARE
 TRUNCATION_MARGIN = 1.6
 TRUNCATION_SPARE = 8
+# _log_plane_integral: the node count doubles from PLANE_N0 until the
+# log-integral is stable to PLANE_TOL
+PLANE_TOL = 1e-11
+PLANE_N0 = 128
 
 
 class TruncationError(RuntimeError):
@@ -207,21 +211,32 @@ class RadialProfile:
 def gaussian_profile(eta: float = 1.0, amplitude: float = 1.0) -> RadialProfile:
     """U(r) = amplitude * exp(-eta r^2)."""
     log_amp = math.log(amplitude)
-    return RadialProfile(
-        log_value=lambda r: log_amp - eta * np.asarray(r, dtype=float) ** 2,
-        law=ExponentialTail(eta=eta, beta=1.0),
-        nonincreasing=eta >= 0.0,
-    )
+
+    def log_value(r):
+        # log_amp - eta r^2, in one owned buffer
+        out = np.array(r, dtype=float)
+        np.square(out, out=out)
+        out *= eta
+        return np.subtract(log_amp, out, out=out)[()]
+
+    return RadialProfile(log_value, ExponentialTail(eta=eta, beta=1.0), nonincreasing=eta >= 0.0)
 
 
 def power_profile(exponent: float, amplitude: float = 1.0) -> RadialProfile:
     """U(r) = amplitude * (1 + r^2)^(-exponent/2), tail ~ amplitude r^-exponent."""
     log_amp = math.log(amplitude)
-    return RadialProfile(
-        log_value=lambda r: log_amp - 0.5 * exponent * np.log1p(np.asarray(r, dtype=float) ** 2),
-        law=PowerLawTail(alpha=exponent, u_value=amplitude),
-        nonincreasing=exponent >= 0.0,
-    )
+    half_exponent = 0.5 * exponent
+
+    def log_value(r):
+        # log_amp - (exponent / 2) log1p(r^2), in one owned buffer
+        out = np.array(r, dtype=float)
+        np.square(out, out=out)
+        np.log1p(out, out=out)
+        out *= half_exponent
+        return np.subtract(log_amp, out, out=out)[()]
+
+    return RadialProfile(log_value, PowerLawTail(alpha=exponent, u_value=amplitude),
+                         nonincreasing=exponent >= 0.0)
 
 
 def disc_profile(radius: float = 1.0, height: float = 1.0) -> RadialProfile:
@@ -411,7 +426,8 @@ def _log_plane_integral(profile: RadialProfile, q: int) -> float:
     through the log-radius substitution r = e^t, which turns power and
     stretched-exponential tails alike into well-behaved bumps.  A power
     tail still above the drop target at t = 60 gets its remainder beyond
-    the cutoff added in closed form.
+    the cutoff added in closed form.  The rule is ``log_integral_batch``
+    with ``PLANE_N0`` first nodes and stability ``PLANE_TOL``.
     """
     law = profile.law
     if isinstance(law, PowerLawTail) and q * law.alpha <= 2.0:
@@ -421,7 +437,7 @@ def _log_plane_integral(profile: RadialProfile, q: int) -> float:
     support = profile.support_radius()
 
     def integrate(lo, hi, log_f):
-        val, _ = log_integral_batch(log_f, [lo], [hi], tol=1e-11, n0=128)
+        val, _ = log_integral_batch(log_f, [lo], [hi], tol=PLANE_TOL, n0=PLANE_N0)
         return float(val[0])
 
     with np.errstate(divide="ignore"):

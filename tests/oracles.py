@@ -10,12 +10,20 @@ them against it, bitwise.
 built before its momentum fibers became the stored form: one dense
 ``kron`` / ``np.block`` assembly, and the fibers gathered back out of it
 after a check that no entry couples two momenta.
+
+``one_shot_log_integral`` is ``_quad.log_integral_batch`` without its row
+blocks: every rule evaluates every row's nodes at once, with the same
+per-row shift, remainder and ``einsum`` weighting, so the blocked kernel
+must match it bit for bit.  ``gaussian_log_value`` and ``power_log_value``
+are the profile logs as the plain expressions they were before they were
+built in place.
 """
 
 import math
 
 import numpy as np
 
+from diracssf._quad import gauss_legendre
 from diracssf.landau import build_ladder
 from diracssf.ssf import edge_threshold, omega1_log_factors
 
@@ -129,3 +137,45 @@ def gather_fibers(matrix, L, N):
         raise AssertionError("momentum fibers not decoupled: the matrix has "
                              "entries between different p3 values")
     return fibers
+
+
+def one_shot_log_integral(log_f, lo, hi, *, tol, n0, n_max=8192):
+    """The unblocked rule: each rule evaluates every row's nodes at once.
+
+    The shift is each row's maximum over the first rule (0 for a row that
+    is -inf there); the node count doubles on the remainder
+    rem = log(sum w exp(log_f - shift)); the value is shift + (log(half) + rem).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    shift = prev = None
+    n = n0
+    while n <= n_max:
+        x, w = gauss_legendre(n)
+        vals = log_f(half[:, None] * x[None, :] + mid[:, None], slice(None))
+        if shift is None:
+            shift = np.max(vals, axis=1)
+            offset = np.where(np.isneginf(shift), 0.0, shift)
+        with np.errstate(divide="ignore"):
+            rem = np.log(np.einsum("ij,j->i", np.exp(vals - offset[:, None]), w))
+        if prev is not None:
+            with np.errstate(invalid="ignore"):
+                delta = np.abs(rem - prev)
+            delta[np.isneginf(shift)] = 0.0
+            if np.max(delta) <= tol:
+                return shift + (np.log(half) + rem), n
+        prev = rem
+        n *= 2
+    raise AssertionError("reference rule did not stabilise")
+
+
+def gaussian_log_value(eta, amplitude):
+    """log of amplitude * exp(-eta r^2) as one expression."""
+    log_amp = math.log(amplitude)
+    return lambda r: log_amp - eta * np.asarray(r, dtype=float) ** 2
+
+
+def power_log_value(exponent, amplitude):
+    """log of amplitude * (1 + r^2)^(-exponent/2) as one expression."""
+    log_amp = math.log(amplitude)
+    return lambda r: log_amp - 0.5 * exponent * np.log1p(np.asarray(r, dtype=float) ** 2)

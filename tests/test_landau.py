@@ -23,6 +23,7 @@ from diracssf.landau import (
 from diracssf.toeplitz import (ADEQUACY_MARGIN, PowerLawTail, RadialProfile, TruncationError,
                                disc_profile, gaussian_profile, power_profile,
                                toeplitz_radial_spectrum)
+from oracles import one_shot_log_integral
 
 
 def test_zeta_constant_field():
@@ -320,30 +321,6 @@ def test_panel_integral_failure_counts_the_rules_it_compared(monkeypatch):
 # -- cache-blocked node evaluation ---------------------------------------------
 
 
-def one_shot_log_integral(log_f, lo, hi, *, tol, n0, n_max=8192):
-    """The unblocked rule: each rung evaluates every row's nodes at once."""
-    from diracssf._quad import _row_logsumexp, gauss_legendre
-
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    prev = None
-    n = n0
-    while n <= n_max:
-        x, w = gauss_legendre(n)
-        nodes = half[:, None] * x[None, :] + mid[:, None]
-        logw = np.log(half)[:, None] + np.log(w)[None, :]
-        cur = _row_logsumexp(log_f(nodes, slice(None)) + logw)
-        if prev is not None:
-            with np.errstate(invalid="ignore"):
-                delta = np.abs(cur - prev)
-            delta[np.isneginf(cur) & np.isneginf(prev)] = 0.0
-            if np.max(delta) <= tol:
-                return cur, n
-        prev = cur
-        n *= 2
-    raise AssertionError("reference rule did not stabilise")
-
-
 def rowwise_log_integrand(k, zero_rows=(), calls=None):
     """g_k(r) = (2k+1) log r - r^2/2, read at ``rows``; ``zero_rows`` are -inf.
 
@@ -427,6 +404,138 @@ def test_radial_build_never_holds_a_chunk_by_nodes_matrix():
     assert peak <= 4 * 2**20, (
         f"traced peak {peak / 2**20:.1f} MiB: node evaluation must be cache-blocked "
         f"and never hold a full chunk x n matrix")
+
+
+# -- the shifted remainder: node counts that do not hang on rounding -------------
+
+DEEP_K = 37141  # the alpha = 3 truncation at s ~ 1e-4 on b0 = 1
+
+
+def _chunk_nodes(ks, log_symbol=None):
+    """The node count each MOMENT_CHUNK-row chunk of log_radial_moments at
+    b0 = 1 settles at."""
+    from unittest import mock
+
+    from diracssf import landau
+
+    nodes = []
+    kernel = landau.log_integral_batch
+
+    def recording(*args, **kwargs):
+        vals, n = kernel(*args, **kwargs)
+        nodes.append(n)
+        return vals, n
+
+    with mock.patch.object(landau, "log_integral_batch", recording):
+        log_radial_moments(FieldSpec(1.0), ks, log_symbol=log_symbol)
+    return nodes
+
+
+@lru_cache(maxsize=None)
+def _default_chunk_nodes(kind):
+    log_symbol = power_profile(3.0).log_value if kind == "alpha=3" else None
+    return _chunk_nodes(np.arange(38000), log_symbol)
+
+
+def test_no_alpha3_chunk_takes_256_nodes():
+    # chunk 15 took 256 nodes when the test ran on log-integrals near 2^18,
+    # where 2 ulp exceed NORM_TOL
+    from diracssf.landau import MOMENT_CHUNK
+
+    nodes = _chunk_nodes(np.arange(DEEP_K), power_profile(3.0).log_value)
+    assert len(nodes) == -(-DEEP_K // MOMENT_CHUNK)
+    assert max(nodes) < 256, nodes
+
+
+@pytest.mark.parametrize("kind", ["flat", "alpha=3"])
+@pytest.mark.parametrize("name, value", [("DROP_GTOL", 1e-8), ("DROP_GTOL", 1e-9),
+                                         ("PEAK_STEP", 1e-4)])
+def test_chunk_node_counts_do_not_hang_on_the_search_tolerances(monkeypatch, kind, name, value):
+    # the defaults are DROP_GTOL = 1e-7 and PEAK_STEP = 1e-5; a search
+    # tolerance moves an interval end by rounding-sized amounts, which must
+    # not move the node count of any chunk of the rows k < 38000
+    from diracssf import _quad
+
+    assert (_quad.DROP_GTOL, _quad.PEAK_STEP) == (1e-7, 1e-5)
+    want = _default_chunk_nodes(kind)
+    monkeypatch.setattr(_quad, name, value)
+    log_symbol = power_profile(3.0).log_value if kind == "alpha=3" else None
+    assert _chunk_nodes(np.arange(38000), log_symbol) == want
+
+
+@pytest.mark.parametrize("b0", [0.7, 1.0, 2.0])
+def test_radial_quadrature_meets_the_closed_form_at_the_deep_truncation(b0):
+    # 2^-34 = 5.82e-11 is two ulp of a log-norm in [2^17, 2^18), the size of
+    # the deepest rows; the closed form (scipy's gammaln) is itself up to
+    # 2.3 ulp off there, and the quadrature's log-integral is rounded once
+    # at the scale of its shift
+    ks = np.arange(DEEP_K)
+    got = 0.5 * log_radial_moments(FieldSpec(b0), ks)
+    assert np.max(np.abs(got - log_norms_closed_form(b0, ks))) <= 2.0**-34
+
+
+@pytest.mark.parametrize("c", [-2048.0, -700.0, -3.7, 0.0, 0.5, 1.0e3, 2048.0])
+def test_log_integral_moves_with_a_constant_added_to_the_log_integrand(c):
+    # log_f + c against log_f, then + c.  Every node value g + c is rounded
+    # within ulp(S)/2, S = max|g| + |c| + 8 bounding every value formed, and
+    # so is the shift; so each exp(g + c - shift') is exp(g - shift) times
+    # 1 + O(ulp(S)), and the remainder moves by at most ulp(S) plus the
+    # summation rounding of both sides, 2 n eps.  The final sums round three
+    # more times (both results and the added c), ulp(S)/2 each: in all
+    # 3 ulp(S) + 2 n eps.  |c| stays within the integrand's own size
+    # (max |g| ~ 2300): a far larger c rounds every node at its own scale,
+    # which is noise in the integrand and can move a node count (at
+    # c = -3e5 one row's 64 -> 128 change crosses NORM_TOL).
+    from diracssf import _quad
+
+    k = np.random.default_rng(7).uniform(0.0, 400.0, 300)
+    peak = np.sqrt(2.0 * k + 1.0)
+    lo, hi = np.maximum(peak - 13.0, 1e-3), peak + 13.0
+    base = rowwise_log_integrand(k)
+
+    def moved(nodes, rows):
+        out = base(nodes, rows)
+        out += c
+        return out
+
+    want, n = _quad.log_integral_batch(base, lo, hi, tol=NORM_TOL, n0=64)
+    got, n_moved = _quad.log_integral_batch(moved, lo, hi, tol=NORM_TOL, n0=64)
+    assert n_moved == n
+    scale = np.max(np.abs(want)) + abs(c) + 8.0
+    tol = 3.0 * np.spacing(scale) + 2.0 * n * np.finfo(float).eps
+    assert np.max(np.abs(got - (want + c))) <= tol
+
+
+def test_a_zero_row_that_a_later_rule_finds_finite_is_refused():
+    from diracssf import _quad
+
+    def log_f(nodes, rows):
+        out = -0.5 * nodes * nodes
+        if nodes.shape[1] == 64:
+            out[1] = -np.inf  # row 1 looks like a zero integrand on the first rule
+        return out
+
+    with pytest.raises(_quad.QuadratureError,
+                       match=r"row 1: every node of the 64-node rule is -inf.*128-node rule"):
+        _quad.log_integral_batch(log_f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], tol=1e-10, n0=64)
+
+
+@pytest.mark.parametrize("first, later, shown", [
+    (0.0, np.inf, "inf"),     # +inf on a later rule
+    (0.0, np.nan, "nan"),     # NaN on a later rule
+    (0.0, 1000.0, "inf"),     # 1000 nats above the first rule's maximum: exp overflows
+    (np.nan, np.nan, "nan"),  # NaN already on the first rule, so the shift is NaN
+])
+def test_a_remainder_the_shift_cannot_hold_is_refused(first, later, shown):
+    from diracssf import _quad
+
+    def log_f(nodes, rows):
+        out = -0.5 * nodes * nodes
+        out[2, 3] = first if nodes.shape[1] == 64 else later
+        return out
+
+    with pytest.raises(_quad.QuadratureError, match=rf"row 2: remainder .* is {shown} at"):
+        _quad.log_integral_batch(log_f, [0.0] * 3, [1.0] * 3, tol=1e-10, n0=64)
 
 
 # -- the _quad searches and the row log-sum-exp ----------------------------------

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from diracssf.toeplitz import (
     toeplitz_general_matrix,
     toeplitz_radial_spectrum,
 )
+from oracles import gaussian_log_value, power_log_value
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +312,54 @@ def test_annulus_symbol_is_refused_at_the_peak_seed(basis_b2_64):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="-inf at the peak seed"):
             toeplitz_radial_spectrum(annulus, basis_b2_64)
+
+
+_PROFILE_INPUTS = [
+    2.5,                                                         # Python float
+    np.float64(0.3),                                             # numpy scalar
+    np.asarray(1.7),                                             # 0-d array
+    [0.0, 1.0, 2.0],                                             # list
+    np.random.default_rng(3).uniform(0.0, 60.0, 1000),           # 1-d
+    np.random.default_rng(4).uniform(0.0, 600.0, (37, 129)),     # 2-d
+    np.array([0.0, 1e-160, 1e160, np.inf]),                      # extremes
+]
+
+
+@pytest.mark.parametrize("make, oracle", [(gaussian_profile, gaussian_log_value),
+                                          (power_profile, power_log_value)])
+@pytest.mark.parametrize("shape_param, amplitude", [(0.05, 1.0), (1.3, 2.7), (4.0, 8.0)])
+def test_profile_logs_are_bitwise_the_plain_expressions(make, oracle, shape_param, amplitude):
+    # built in place in one buffer, with the plain expression's operation order
+    new, old = make(shape_param, amplitude).log_value, oracle(shape_param, amplitude)
+    for r in _PROFILE_INPUTS:
+        before = np.array(r, dtype=float)
+        with np.errstate(over="ignore"):  # 1e160 squared is inf on both sides
+            got, want = new(r), old(r)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.asarray(r, dtype=float), before)  # input untouched
+
+
+_DETERMINISM_SCRIPT = """
+import sys
+from diracssf.landau import FieldSpec, build_lll_basis
+from diracssf.toeplitz import power_profile, toeplitz_radial_spectrum
+model = toeplitz_radial_spectrum(power_profile(4.0, 8.0), build_lll_basis(FieldSpec(1.0), 4000))
+sys.stdout.write(model.log_eigen_by_k.tobytes().hex())
+"""
+
+
+def test_radial_spectrum_bits_do_not_depend_on_the_blas_thread_count():
+    # the radial rule weights its nodes with einsum, never a BLAS product
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
+                              check=True, capture_output=True, text=True, timeout=120)
+        runs.append(done.stdout)
+    assert len(runs[0]) == 2 * 8 * 4000
+    assert runs[0] == runs[1]
