@@ -160,7 +160,7 @@ def _longitudinal_resolvent_modes(pot: PotentialSpec, grid: Grid1D, kappa: float
     """Eigenvalues of sqrt(L) R sqrt(L) with the decaying resolvent kernel."""
     x = grid.nodes
     w = grid.trapezoid_weights
-    lvals = np.asarray(pot.longitudinal.eval(x), dtype=float)
+    lvals = pot.longitudinal.eval(x)
     sq = np.sqrt(np.clip(lvals * w, 0.0, None))
     diff = np.abs(np.subtract.outer(x, x))
     kernel = np.exp(-kappa * diff) / (2.0 * kappa)

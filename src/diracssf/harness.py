@@ -30,8 +30,8 @@ from .discrete_model import build_h0, check_gap, check_square_identity, fiber_ei
 from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, RankTwoImS,
                         im_s_norm_rows)
 from .landau import FieldSpec, build_lll_basis
-from .ssf import (MIN_LONG_WIDTH, PotentialSpec, SsfEstimator, edge_threshold,
-                  gaussian_longitudinal, omega1_log_factors, sweep_rows)
+from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
+                  omega1_log_factors, sweep_rows)
 from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian_profile,
                        power_profile, suggest_truncation, toeplitz_radial_spectrum)
 
@@ -178,6 +178,9 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("field guard: b0 must be positive (FieldSpec invariant)")
     if cfg.phi_tilde not in ("none", "tanh"):
         out.append("field guard: phi_tilde must be 'none' or 'tanh'")
+    elif cfg.phi_tilde == "none" and cfg.phi_amp != 0.0:
+        out.append(f"field guard: phi_tilde = none needs phi_amp = 0, got {cfg.phi_amp!r} "
+                   "(only phi_tilde = tanh reads an amplitude)")
     if cfg.law not in LAWS:
         out.append(f"potential guard: law must be one of {', '.join(LAWS)}")
     if not cfg.nu > 3:
@@ -196,9 +199,6 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("potential guard: mass must be positive")
     if not cfg.long_width > 0:
         out.append("potential guard: long_width must be positive (longitudinal gaussian width)")
-    elif cfg.long_width < MIN_LONG_WIDTH:
-        out.append(f"potential guard: long_width must be at least {MIN_LONG_WIDTH!r} "
-                   "(the fixed longitudinal panels cannot resolve a narrower gaussian)")
     if cfg.law == "exponential" and not cfg.eta > 0:
         out.append("potential guard: exponential law needs eta > 0")
     if cfg.law == "compact" and not cfg.radius > 0:

@@ -6,7 +6,8 @@ outside the gap by arctan-traces of the diagonal operator Omega1 built
 from the same two compressions, which are one compression pTp scaled:
 for V = M T(r) L(x3) the symbols are W+- = M_ii (integral L) T, i = 1, 3.
 The full block operator, assembled from longitudinal trigonometric
-moments, is kept as a reference for Omega1.
+moments, is kept as a reference for Omega1.  L is a Gaussian, whose
+integral and moments are closed forms over the whole line.
 Both sides count at one threshold map t(lam), ``edge_threshold``.
 Leading-order predictions read the transverse tail law: its counting
 law n(t) and, outside the gap, its outside-to-inside constant
@@ -19,77 +20,70 @@ negligible.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from ._quad import _row_logsumexp, panel_integral
 from .counting import LogSpectrum, _arctan_of_log_ratio
 from .kernels1d import Grid1D
 from .landau import LLLBasis
 from .toeplitz import RadialProfile, ToeplitzModel, toeplitz_radial_spectrum
 
 ARC_TAIL_TOL = 0.02
-# LongitudinalProfile integrals run over [-LONG_HALF_WIDTH, LONG_HALF_WIDTH]
-LONG_HALF_WIDTH = 16.0
-# Narrowest Gaussian width the fixed longitudinal panels resolve.
-# `LongitudinalProfile.integral` uses panels of LONG_HALF_WIDTH / 16 and
-# `moments` panels of up to LONG_HALF_WIDTH / 8.  The integral is exact at
-# width 0.005 and fails to stabilise at 0.003; the moments are exact at
-# 0.01 and fail at 0.005; width 1e-6 silently integrates to 0.  The bound
-# keeps a 2x margin over the moments.
-MIN_LONG_WIDTH = 0.02
 
 
 @dataclass(frozen=True)
-class LongitudinalProfile:
-    """Nonnegative profile of the field-direction coordinate.
+class GaussianLongitudinal:
+    """The longitudinal factor L(x3) = exp(-(x3 / width)^2).
 
-    Its integrals run over [-LONG_HALF_WIDTH, LONG_HALF_WIDTH].
+    Its integral and trigonometric moments run over the whole line and are
+    read from their closed forms.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    width: float
+
+    def __post_init__(self):
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise ValueError(f"longitudinal width must be positive and finite, "
+                             f"got {self.width!r}")
+
+    def eval(self, x) -> np.ndarray:
+        return np.exp(-(np.asarray(x, dtype=float) / self.width) ** 2)
 
     def integral(self) -> float:
-        return panel_integral(lambda x: np.asarray(self.eval(x), dtype=float),
-                              -LONG_HALF_WIDTH, LONG_HALF_WIDTH, LONG_HALF_WIDTH / 16.0)
+        """width sqrt(pi)."""
+        return self.width * math.sqrt(math.pi)
 
-    def moments(self, k_lambda: float):
-        """(cos^2, sin*cos, sin^2) moments against the profile."""
-        x_hi = LONG_HALF_WIDTH
-        panel = min(np.pi / (2.0 * max(k_lambda, 1e-12)), x_hi / 8.0)
+    def moments(self, k_lambda: float) -> tuple[float, float, float]:
+        """(cos^2, sin*cos, sin^2) moments of L at frequency ``k_lambda``.
 
-        def make(f):
-            return panel_integral(
-                lambda x: np.asarray(self.eval(x), dtype=float) * f(k_lambda * x),
-                -x_hi, x_hi, panel)
-
-        m_cos2 = make(lambda y: np.cos(y) ** 2)
-        m_mix = make(lambda y: np.sin(y) * np.cos(y))
-        m_sin2 = make(lambda y: np.sin(y) ** 2)
-        return m_cos2, m_mix, m_sin2
+        cos^2 = (1 + cos 2y) / 2 and sin^2 = (1 - cos 2y) / 2, with the
+        Gaussian's cosine transform at 2 k_lambda,
+        width sqrt(pi) exp(-(k_lambda width)^2);
+        the mixed moment of the even L vanishes.
+        """
+        half = 0.5 * self.integral()
+        decay = -(k_lambda * self.width) ** 2
+        return half * (1.0 + math.exp(decay)), 0.0, -half * math.expm1(decay)
 
 
-def gaussian_longitudinal(width: float = 1.0) -> LongitudinalProfile:
-    if not width >= MIN_LONG_WIDTH:
-        raise ValueError(f"longitudinal width {width!r} is below {MIN_LONG_WIDTH!r}, "
-                         "the narrowest the fixed panels resolve")
-    return LongitudinalProfile(lambda x: np.exp(-(np.asarray(x, dtype=float) / width) ** 2))
+def gaussian_longitudinal(width: float = 1.0) -> GaussianLongitudinal:
+    return GaussianLongitudinal(width)
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """Separable matrix potential M * T(r_perp) * L(x3) with decay metadata.
 
-    The matrix part must be positive semidefinite and the scalar factors
-    nonnegative, so the potential is sign-definite; ``nu`` records the
-    joint decay exponent and must exceed 3 for the shift function to be
-    defined through resolvent-difference traces.
+    The matrix part must be positive semidefinite; T is stored by its log
+    and L is a Gaussian, so both are nonnegative and the potential is
+    sign-definite.  ``nu`` records the joint decay exponent and must
+    exceed 3 for the shift function to be defined through
+    resolvent-difference traces.
     """
 
     matrix_part: np.ndarray
     transverse: RadialProfile
-    longitudinal: LongitudinalProfile
+    longitudinal: GaussianLongitudinal
     nu: float
 
     def __post_init__(self):
@@ -101,18 +95,11 @@ class PotentialSpec:
             raise ValueError("matrix part must be positive semidefinite")
         if not self.nu > 3:
             raise ValueError("potential decay exponent nu must exceed 3")
-        x = np.linspace(-LONG_HALF_WIDTH, LONG_HALF_WIDTH, 128)
-        if np.any(np.asarray(self.longitudinal.eval(x)) < 0):
-            raise ValueError("longitudinal profile must be nonnegative")
         object.__setattr__(self, "matrix_part", m)
-
-    @cached_property
-    def longitudinal_integral(self) -> float:
-        return self.longitudinal.integral()
 
     def column_scale(self, diag_index: int) -> float:
         """M_ii times the integral of L: the column symbol is this times T."""
-        return float(self.matrix_part[diag_index, diag_index].real) * self.longitudinal_integral
+        return float(self.matrix_part[diag_index, diag_index].real) * self.longitudinal.integral()
 
     def _column_profile(self, diag_index: int) -> RadialProfile:
         scale = self.column_scale(diag_index)
@@ -236,7 +223,8 @@ def build_omega_full(est: "SsfEstimator", lam: float) -> OmegaModel:
     )
     spinor_eigs = np.clip(np.linalg.eigvalsh(spinor), 0.0, None)
 
-    log_tau = est.transverse_model.log_eigen_by_k
+    tau = est.transverse_model
+    log_tau = tau.log_eigen_by_k
 
     logs = []
     for qa in q_eigs:
@@ -246,7 +234,7 @@ def build_omega_full(est: "SsfEstimator", lam: float) -> OmegaModel:
             logs.append(log_tau + math.log(qa) + math.log(cb) - math.log(2.0 * kappa))
     spectrum = LogSpectrum.from_log(np.concatenate(logs) if logs else np.empty(0))
 
-    tau_trace = float(np.exp(spectrum_logsum(log_tau)))
+    tau_trace = float(np.exp(tau.spectrum.log_schatten_pth_power(1)))
     trace_sum = float(np.sum(q_eigs) * np.sum(spinor_eigs) * tau_trace / (2.0 * kappa))
     # Tr W+- = M_ii (integral L) Tr pTp
     bound = tau_trace * (math.sqrt(abs(lam + m) / abs(lam - m)) * pot.column_scale(0)
@@ -255,12 +243,6 @@ def build_omega_full(est: "SsfEstimator", lam: float) -> OmegaModel:
         raise AssertionError(f"trace bound violated: {trace_sum} > {bound}")
     return OmegaModel(lam, m, (m1, m2, m3), q_eigs, spinor_eigs, log_tau,
                       spectrum, trace_sum, bound)
-
-
-def spectrum_logsum(log_values: np.ndarray) -> float:
-    if log_values.size == 0:
-        return -math.inf
-    return float(_row_logsumexp(log_values[None, :])[0])
 
 
 class SsfEstimator:
@@ -456,7 +438,7 @@ def gap_edge_factor(est: SsfEstimator, grid: Grid1D, lam: float,
 
     x = grid.nodes
     w = grid.trapezoid_weights
-    long_vals = np.asarray(pot.longitudinal.eval(x), dtype=float)
+    long_vals = pot.longitudinal.eval(x)
     sqrt_long = np.sqrt(np.clip(long_vals * w, 0.0, None))
 
     eigval, eigvec = np.linalg.eigh(pot.matrix_part)

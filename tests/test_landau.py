@@ -472,6 +472,23 @@ def test_radial_quadrature_meets_the_closed_form_at_the_deep_truncation(b0):
     ks = np.arange(DEEP_K)
     got = 0.5 * log_radial_moments(FieldSpec(b0), ks)
     assert np.max(np.abs(got - log_norms_closed_form(b0, ks))) <= 2.0**-34
+    # Against 40-digit log-gammas, in ulps of each log-norm, at 32 rows from
+    # k = 64 (a log-norm above 100) to the deepest.  The result
+    # shift + (log half-width + remainder) rounds once (1/2 ulp); the
+    # remainder is an exp-weighted mean over the 128 nodes of each node's
+    # rounding of g_k (up to about 1.6 ulp at one node: log r times 2k + 1,
+    # the product, the subtraction of 2 phi), which takes both signs and
+    # averages down to within 1 ulp; so 1.5 ulp.  Measured: at most 1.11
+    # ulp over 4500 random rows k >= 16 per b0, where gammaln is 2.3 off.
+    sample = np.unique(np.round(np.geomspace(64, DEEP_K - 1, 32)).astype(int))
+    assert sample.size == 32 and sample[-1] == DEEP_K - 1
+    with mp.workdps(40):
+        log_scale = mp.log(2 / mp.mpf(b0))
+        exact = [(mp.log(mp.mpf(0.5)) + (k + 1) * log_scale + mp.loggamma(k + 1)) / 2
+                 for k in sample.tolist()]
+        ulps = [abs(mp.mpf(float(got[k])) - e) / np.spacing(abs(float(e)))
+                for k, e in zip(sample, exact)]
+    assert max(float(u) for u in ulps) <= 1.5
 
 
 @pytest.mark.parametrize("c", [-2048.0, -700.0, -3.7, 0.0, 0.5, 1.0e3, 2048.0])
@@ -664,10 +681,8 @@ def test_row_logsumexp_is_bitwise_scipy(a):
 
 
 @st.composite
-def log_vectors(draw, allow_neg_inf):
+def log_vectors(draw):
     elements = [st.integers(-40, 40).map(lambda i: i / 4.0), st.floats(-700.0, 700.0)]
-    if allow_neg_inf:
-        elements.append(st.just(-np.inf))
     return draw(arrays(np.float64, draw(st.integers(0, 24)),
                        elements=st.one_of(*elements)))
 
@@ -677,17 +692,7 @@ def _bitwise_equal(got, want):
 
 
 @settings(max_examples=150, deadline=None)
-@given(log_vectors(allow_neg_inf=True))
-def test_spectrum_logsum_is_bitwise_scipy(lv):
-    from scipy.special import logsumexp
-
-    from diracssf.ssf import spectrum_logsum
-
-    assert _bitwise_equal(spectrum_logsum(lv), float(logsumexp(lv)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(log_vectors(allow_neg_inf=False), st.data())
+@given(log_vectors(), st.data())
 def test_log_schatten_pth_power_is_bitwise_scipy(lv, data):
     from scipy.special import logsumexp
 

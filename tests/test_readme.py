@@ -1,0 +1,48 @@
+import ast
+import importlib
+import operator
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# one list entry: `NAME = value`[, `NAME = value`...] (`module`): meaning
+_ENTRY = re.compile(r"^\s*- ((?:`[A-Z][A-Z0-9_]* = [^`]+`(?:, )?)+) \(`(\w+)`\):", re.M)
+_ASSIGNMENT = re.compile(r"`([A-Z][A-Z0-9_]*) = ([^`]+)`")
+_OPERATORS = {ast.Pow: operator.pow, ast.LShift: operator.lshift, ast.Mult: operator.mul,
+              ast.USub: operator.neg}
+
+
+def _number(node):
+    """Value of a numeric literal, possibly with ``-``, ``*``, ``**`` or ``<<``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_number(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_number(node.left), _number(node.right))
+    raise ValueError(f"not a numeric literal: {ast.unparse(node)}")
+
+
+def _documented_constants():
+    """(module, name, value text) of every README rule-constant entry."""
+    return [(module, name, value)
+            for names, module in _ENTRY.findall(README.read_text())
+            for name, value in _ASSIGNMENT.findall(names)]
+
+
+def test_every_readme_constant_sits_in_a_parsed_entry():
+    # a `NAME = value` span outside the list's entry format would be skipped
+    documented = _documented_constants()
+    assert len(documented) >= 20
+    assert len(documented) == len(_ASSIGNMENT.findall(README.read_text()))
+
+
+def test_every_readme_rule_constant_has_its_documented_value():
+    wrong = []
+    for module, name, text in _documented_constants():
+        want = _number(ast.parse(text, mode="eval").body)
+        got = getattr(importlib.import_module(f"diracssf.{module}"), name, None)
+        if type(got) is not type(want) or got != want:
+            wrong.append(f"{module}.{name}: README {text}, code {got!r}")
+    assert not wrong

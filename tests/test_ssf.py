@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,8 +78,33 @@ class TestPotentialSpec:
             PotentialSpec(bad, gaussian_profile(1.0), gaussian_longitudinal(), nu=5.0)
 
     def test_longitudinal_integral(self, pot_exp):
-        assert pot_exp.longitudinal_integral == pytest.approx(math.sqrt(math.pi),
-                                                              rel=1e-12)
+        assert pot_exp.longitudinal.integral() == math.sqrt(math.pi)
+        assert pot_exp.column_scale(0) == math.sqrt(math.pi)
+
+
+class TestGaussianLongitudinal:
+    """L(x) = exp(-(x / w)^2): integral and moments over the whole line."""
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-3, 0.02, 1.0, 2.0])
+    def test_integral_is_width_root_pi(self, width):
+        assert gaussian_longitudinal(width).integral() == width * math.sqrt(math.pi)
+
+    @pytest.mark.parametrize("width", [1e-3, 0.02, 1.0, 2.0])
+    @pytest.mark.parametrize("kappa", [0.05, 1.0, 10.0])
+    def test_moments_match_an_mpmath_quadrature(self, width, kappa):
+        # x = w t: each moment is w times an integral of exp(-t^2) against
+        # cos^2 or sin^2 of (kappa w) t, even in t; [0, 12] is cut into
+        # 10 kappa w + 8 pieces or more (over two per period of the
+        # squared trig) and the tail runs to infinity
+        with mp.workdps(30):
+            w, a = mp.mpf(width), mp.mpf(kappa) * mp.mpf(width)
+            cuts = mp.linspace(0, 12, math.ceil(10 * float(a)) + 9) + [mp.inf]
+            want = [2 * w * mp.quad(lambda t: mp.exp(-t * t) * trig(a * t) ** 2, cuts)
+                    for trig in (mp.cos, mp.sin)]
+        cos2, mixed, sin2 = gaussian_longitudinal(width).moments(kappa)
+        assert mixed == 0.0
+        for got, exact in zip((cos2, sin2), want):
+            assert abs(got - float(exact)) <= 1e-14 * float(exact)
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +260,7 @@ def test_harness_basis_floor_is_below_every_counted_level(monkeypatch, name):
 class TestInsideBracket:
     def test_counts_match_geometric_oracle(self, est_exp, pot_exp):
         lam = 1.0 - 1e-6
-        c = pot_exp.longitudinal_integral
+        c = pot_exp.longitudinal.integral()
         t = edge_threshold(lam, 1.0)
 
         def oracle(thr):
@@ -351,7 +377,7 @@ class TestOmegaFull:
     def test_moment_sum_is_longitudinal_integral(self, pot_exp, est_exp):
         om = build_omega_full(est_exp, 1.25)
         assert om.moments[0] + om.moments[2] == pytest.approx(
-            pot_exp.longitudinal_integral, rel=1e-10)
+            pot_exp.longitudinal.integral(), rel=1e-10)
 
     def test_diagonal_structure_recovers_omega1_at_edge(self, pot_exp, basis_b2_64):
         est = SsfEstimator(pot_exp, basis_b2_64, m=1.0)
