@@ -3,21 +3,22 @@
 Configs are INI-style text (sections in square brackets, lowercase
 snake-case keys, decimal or scientific numbers).  Validation collects
 every violation instead of stopping at the first, and each guard names
-the library invariant it protects.  Each scenario has one runner in
-``_RUNNERS``, which calls the library once per scenario (Levinson once
-per eps, so a vanished inside count fails only its own row); each decay
-law's profile and declared brackets sit in ``_LAWS``.  The
-Toeplitz-asymptotics basis is sized from the law's count and kept only
-under the exact-count certificate of ``ToeplitzModel``.  Rows are sorted
-on a stable key before emission, so reruns produce byte-identical CSV
-files.
+the library invariant it protects; a key that a scenario does not read
+must keep its ``ScenarioConfig`` default.  ``_SCENARIOS`` holds each
+scenario's runner, which calls the library once per scenario (Levinson
+once per eps, so a vanished inside count fails only its own row), the keys
+it reads and its lambda window; ``_LAWS`` holds each decay law's profile,
+declared brackets and keys.  The Toeplitz-asymptotics basis is sized from
+the law's count and kept only under the exact-count certificate of
+``ToeplitzModel``.  Rows are sorted on a stable key before emission, so
+reruns produce byte-identical CSV files.
 """
 
 import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbo
                        check_pushnitski_bound, check_weyl, flag_near_threshold,
                        mu_average_counting)
 from .dirac_algebra import anticommutation_residual, dirac_matrices
-from .discrete_model import build_h0, check_gap, check_square_identity, fiber_eigenvalues
+from .discrete_model import build_h0, check_square_identity, fiber_eigenvalues
 from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, RankTwoImS,
                         im_s_norm_rows)
 from .landau import FieldSpec, build_lll_basis
@@ -36,14 +37,14 @@ from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian
                        power_profile, suggest_truncation, toeplitz_radial_spectrum)
 
 # law -> (transverse profile of a config, declared count/law ratio bracket,
-#         declared Levinson ratio bracket)
+#         declared Levinson ratio bracket, the config keys the profile reads)
 _LAWS = {
     "exponential": (lambda cfg: gaussian_profile(eta=cfg.eta, amplitude=cfg.amplitude),
-                    (0.9, 1.1), (0.35, 0.65)),
+                    (0.9, 1.1), (0.35, 0.65), ("amplitude", "eta")),
     "power": (lambda cfg: power_profile(exponent=cfg.nu - 1.0, amplitude=cfg.amplitude),
-              (0.85, 1.15), (0.55, 0.9)),
+              (0.85, 1.15), (0.55, 0.9), ("amplitude", "nu")),
     "compact": (lambda cfg: disc_profile(radius=cfg.radius, height=cfg.amplitude),
-                (0.6, 1.4), (0.35, 0.65)),
+                (0.6, 1.4), (0.35, 0.65), ("amplitude", "radius")),
 }
 LAWS = tuple(_LAWS)
 
@@ -148,27 +149,6 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
-# Sweep energies are in units of mass (each runner multiplies them by it);
-# the window each estimator accepts, with the invariant it protects.
-_LAMBDA_RULES = {
-    "ssf-inside": ("|lambda| < 1 (SsfEstimator.inside_bracket: inside the gap)",
-                   lambda lam: abs(lam) < 1.0),
-    "ssf-outside": ("lambda > 1 (SsfEstimator.outside_bracket: the pair H- "
-                    "diverges above the +m edge)", lambda lam: lam > 1.0),
-    "kernels": ("|lambda| > 1 (longitudinal kernels: outside the gap)",
-                lambda lam: abs(lam) > 1.0),
-}
-
-
-# Scenarios that read no off-diagonal m13, and why: a nonzero value would
-# change no output, so it is refused rather than silently dropped.
-_M13_UNREAD = {
-    "ssf-inside": "inside the gap the counts read only the diagonal edge symbols m11, m33",
-    "levinson": "both Levinson counts read only the diagonal edge symbols m11, m33",
-    "toeplitz-asymptotics": "the Toeplitz symbol reads no matrix part",
-}
-
-
 def _guard_violations(cfg: ScenarioConfig):
     """Re-run the downstream module guards at parse time."""
     out = []
@@ -178,9 +158,6 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("field guard: b0 must be positive (FieldSpec invariant)")
     if cfg.phi_tilde not in ("none", "tanh"):
         out.append("field guard: phi_tilde must be 'none' or 'tanh'")
-    elif cfg.phi_tilde == "none" and cfg.phi_amp != 0.0:
-        out.append(f"field guard: phi_tilde = none needs phi_amp = 0, got {cfg.phi_amp!r} "
-                   "(only phi_tilde = tanh reads an amplitude)")
     if cfg.law not in LAWS:
         out.append(f"potential guard: law must be one of {', '.join(LAWS)}")
     if not cfg.nu > 3:
@@ -192,9 +169,6 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("potential guard: m11 and m33 must be nonnegative (sign-definiteness)")
     if cfg.m11 * cfg.m33 < cfg.m13 * cfg.m13:
         out.append("potential guard: matrix part must stay positive semidefinite")
-    if cfg.m13 != 0.0 and cfg.scenario in _M13_UNREAD:
-        out.append(f"potential guard: {cfg.scenario} needs m13 = 0, got {cfg.m13!r} "
-                   f"({_M13_UNREAD[cfg.scenario]})")
     if not cfg.mass > 0:
         out.append("potential guard: mass must be positive")
     if not cfg.long_width > 0:
@@ -213,10 +187,16 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("truncation guard: grid_x must be positive (Grid1D)")
     if not 0.0 < cfg.eps_bracket < 1.0:
         out.append("sweep guard: eps_bracket must lie in (0, 1) (BracketEstimate)")
-    if cfg.scenario in _LAMBDA_RULES:
-        rule, ok = _LAMBDA_RULES[cfg.scenario]
-        out += [f"sweep guard: {cfg.scenario} needs {rule} in units of mass, got lambda {lam!r}"
-                for lam in cfg.lambdas if not ok(lam)]
+    if cfg.scenario in _SCENARIOS:
+        _, reads, window = _SCENARIOS[cfg.scenario]
+        reads += _LAWS[cfg.law][3] if "law" in reads and cfg.law in _LAWS else ()
+        reads += ("phi_amp",) if "phi_tilde" in reads and cfg.phi_tilde == "tanh" else ()
+        out += [f"unread key: {cfg.scenario} reads no {f.name} in this config, so it must "
+                f"keep its default {f.default!r}, got {getattr(cfg, f.name)!r}"
+                for f in fields(cfg)[1:] if f.name not in reads
+                and getattr(cfg, f.name) != f.default]
+        out += [f"sweep guard: {cfg.scenario} needs {window[0]} in units of mass, got lambda "
+                f"{lam!r}" for lam in cfg.lambdas if window and not window[1](lam, cfg.mass)]
     for s in cfg.s_values:
         if not s > 0:
             out.append("sweep guard: counting thresholds must be positive")
@@ -439,7 +419,7 @@ def _scenario_dirac(cfg: ScenarioConfig):
     res = anticommutation_residual(dirac_matrices())
     h0 = build_h0(cfg.b0, cfg.mass, cfg.ladder_l, cfg.grid_n, cfg.grid_x)
     interior, full = check_square_identity(h0)
-    smallest = check_gap(h0)
+    smallest = float(np.min(np.abs(h0.eigenvalues)))
     dev = float(np.max(np.abs(fiber_eigenvalues(h0) - h0.eigenvalues)))
     return [
         ResultRow(cfg.scenario, "", "anticommutation_residual", res, passed=res <= 1e-12),
@@ -510,16 +490,37 @@ def _scenario_identities(cfg: ScenarioConfig):
     ]
 
 
-_RUNNERS = {
-    "toeplitz-asymptotics": _scenario_toeplitz,
-    "ssf-inside": lambda cfg: _scenario_ssf(cfg, "inside"),
-    "ssf-outside": lambda cfg: _scenario_ssf(cfg, "outside"),
-    "levinson": _scenario_levinson,
-    "kernels": _scenario_kernels,
-    "dirac-check": _scenario_dirac,
-    "identities": _scenario_identities,
+# The kernels' waves have momentum mass*sqrt(lambda^2 - 1), which their fixed
+# grid resolves only below its Nyquist frequency pi/h.
+_KERNEL_NYQUIST = math.pi / Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS).h
+# the keys every scenario on the gap-edge estimator reads
+_EDGE_KEYS = ("b0", "phi_tilde", "law", "k", "m11", "mass", "long_width", "eps_bracket")
+
+# scenario -> (runner, the ScenarioConfig keys it reads, window of its sweep
+#              lambdas: (the rule and the invariant it protects, ok(lambda,
+#              mass)), or None if it reads none).  A read law adds the law's
+# keys, a read phi_tilde = tanh adds phi_amp.  Sweep lambdas are energies in
+# units of mass: each runner multiplies them by it.
+_SCENARIOS = {
+    "toeplitz-asymptotics": (_scenario_toeplitz, ("b0", "phi_tilde", "law", "k", "s_values"),
+                             None),
+    "ssf-inside": (lambda cfg: _scenario_ssf(cfg, "inside"), _EDGE_KEYS + ("lambdas",),
+                   ("|lambda| < 1 (SsfEstimator.inside_bracket: inside the gap)",
+                    lambda lam, mass: abs(lam) < 1.0)),
+    "ssf-outside": (lambda cfg: _scenario_ssf(cfg, "outside"),
+                    _EDGE_KEYS + ("m33", "lambdas"),
+                    ("lambda > 1 (SsfEstimator.outside_bracket: the pair H- "
+                     "diverges above the +m edge)", lambda lam, mass: lam > 1.0)),
+    "levinson": (_scenario_levinson, _EDGE_KEYS + ("m33", "eps_values"), None),
+    "kernels": (_scenario_kernels, ("mass", "lambdas"),
+                (f"|lambda| > 1 and mass*sqrt(lambda^2 - 1) < pi/h = {_KERNEL_NYQUIST:.5g} "
+                 "(longitudinal kernels: outside the gap, at a momentum their fixed grid "
+                 "resolves)", lambda lam, mass: abs(lam) > 1.0
+                 and mass * math.sqrt(lam * lam - 1.0) < _KERNEL_NYQUIST)),
+    "dirac-check": (_scenario_dirac, ("b0", "mass", "ladder_l", "grid_n", "grid_x"), None),
+    "identities": (_scenario_identities, ("n_random", "seed"), None),
 }
-SCENARIOS = tuple(_RUNNERS)
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(cfg: ScenarioConfig):
@@ -528,7 +529,7 @@ def run_scenario(cfg: ScenarioConfig):
     The sort makes the emitted CSV independent of the order in which the
     runner evaluates its points.
     """
-    rows = _RUNNERS[cfg.scenario](cfg)
+    rows = _SCENARIOS[cfg.scenario][0](cfg)
     return sorted(rows, key=lambda r: (r.scenario, r.params, r.metric))
 
 

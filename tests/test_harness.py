@@ -103,6 +103,9 @@ class TestConfigParsing:
         ("ssf-inside", 2.0, 1.0), ("ssf-inside", 1.0, 1.5),
         ("ssf-outside", 1.0, 0.5), ("ssf-outside", 1.0, -1.5),
         ("ssf-outside", 1.0, 1.0), ("kernels", 1.0, 0.5), ("kernels", 1.0, -1.0),
+        # beyond the grid's Nyquist momentum pi/h = 128.67: at 1e6 the run
+        # asked numpy for a 15 GiB array; never run, only parsed
+        ("kernels", 1.0, 1e6), ("kernels", 2.0, 65.0),
     ])
     def test_lambda_outside_the_estimator_window_is_refused(self, scenario, mass, lam):
         with pytest.raises(ConfigError) as err:
@@ -130,9 +133,10 @@ class TestConfigParsing:
         assert "count_to_law_ratio,0.0," in out.read_text()
 
     def test_float_lists(self):
-        cfg = parse_config("[scenario]\nname = kernels\n[sweep]\n"
-                           "lambdas = 1.5,2.0\neps_values = 1e-2\n")
+        # kernels reads lambdas, levinson reads eps_values; neither reads both
+        cfg = parse_config("[scenario]\nname = kernels\n[sweep]\nlambdas = 1.5,2.0\n")
         assert cfg.lambdas == (1.5, 2.0)
+        cfg = parse_config("[scenario]\nname = levinson\n[sweep]\neps_values = 1e-2\n")
         assert cfg.eps_values == (0.01,)
 
     def test_negative_seed_is_refused(self):
@@ -204,6 +208,95 @@ def test_every_accepted_config_builds_and_round_trips(text):
     _field(cfg)
     _potential(cfg)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# -- the read-set of each scenario -----------------------------------------
+
+# The keys each runner reads, checked against the code; a read law adds its
+# profile's keys, and a read phi_tilde = tanh adds phi_amp.
+_EDGE_READS = {"b0", "phi_tilde", "law", "k", "m11", "mass", "long_width", "eps_bracket"}
+_READS = {
+    "toeplitz-asymptotics": {"b0", "phi_tilde", "law", "k", "s_values"},
+    "ssf-inside": _EDGE_READS | {"lambdas"},
+    "ssf-outside": _EDGE_READS | {"m33", "lambdas"},
+    "levinson": _EDGE_READS | {"m33", "eps_values"},
+    "kernels": {"mass", "lambdas"},
+    "dirac-check": {"b0", "mass", "ladder_l", "grid_n", "grid_x"},
+    "identities": {"n_random", "seed"},
+}
+_LAW_READS = {"exponential": {"amplitude", "eta"}, "power": {"amplitude", "nu"},
+              "compact": {"amplitude", "radius"}}
+# a valid value other than the ScenarioConfig default, per key
+_NON_DEFAULT = {
+    "b0": 3.0, "phi_tilde": "tanh", "phi_amp": 0.7, "law": "power", "amplitude": 8.0,
+    "eta": 2.0, "radius": 2.0, "m11": 0.5, "m33": 0.5, "m13": 0.5, "nu": 6.0, "mass": 2.0,
+    "long_width": 0.5, "k": 50, "ladder_l": 4, "grid_n": 16, "grid_x": 10.0,
+    "lambdas": (1.5,), "s_values": (1e-4,), "eps_values": (1e-2,), "eps_bracket": 0.2,
+    "n_random": 12, "seed": 3,
+}
+_SECTION = {attr: section for section, keys in _SCHEMA.items() for attr, _ in keys.values()}
+
+
+def _config_text(scenario, **values):
+    """Config text of ``scenario`` with the given typed key values."""
+    sections = {}
+    for key, value in values.items():
+        raw = ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+        sections.setdefault(_SECTION[key], []).append(f"{key} = {raw}\n")
+    return f"[scenario]\nname = {scenario}\n" + "".join(
+        f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+def _unread_cases():
+    """(scenario, law, key) for every key outside the scenario's read-set
+    under that law, at phi_tilde = none; non-default laws only for the
+    law keys that they leave unread."""
+    for scenario, reads in _READS.items():
+        laws = LAWS if "law" in reads else ("exponential",)
+        for law in laws:
+            unread = set(_NON_DEFAULT) - reads - (_LAW_READS[law] if "law" in reads else set())
+            if law != "exponential":
+                unread &= {"eta", "nu", "radius"}
+            for key in sorted(unread):
+                yield pytest.param(scenario, law, key, id=f"{scenario}-{law}-{key}")
+
+
+def _read_cases():
+    """(scenario, law, key) for every key in the scenario's read-set."""
+    for scenario, reads in _READS.items():
+        for key in sorted(reads):
+            yield pytest.param(scenario, "exponential", key, id=f"{scenario}-{key}")
+        if "law" in reads:
+            for law, keys in _LAW_READS.items():
+                for key in sorted(keys):
+                    yield pytest.param(scenario, law, key, id=f"{scenario}-{law}-{key}")
+        if "phi_tilde" in reads:
+            yield pytest.param(scenario, "exponential", "phi_amp", id=f"{scenario}-tanh-phi_amp")
+
+
+@pytest.mark.parametrize("scenario, law, key", _unread_cases())
+def test_unread_key_with_a_non_default_value_is_refused(scenario, law, key):
+    # the value is valid, but no runner of the scenario reads it: it would
+    # be dropped without a trace in the CSV
+    values = {"law": law} if law != "exponential" else {}
+    values[key] = _NON_DEFAULT[key]
+    default = getattr(ScenarioConfig(scenario), key)
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config_text(scenario, **values))
+    assert err.value.violations == [
+        f"unread key: {scenario} reads no {key} in this config, so it must keep its "
+        f"default {default!r}, got {_NON_DEFAULT[key]!r}"]
+
+
+@pytest.mark.parametrize("scenario, law, key", _read_cases())
+def test_read_key_with_a_non_default_value_is_accepted(scenario, law, key):
+    values = {"law": law} if law != "exponential" else {}
+    values["phi_tilde"] = "tanh" if key == "phi_amp" else "none"
+    values[key] = _NON_DEFAULT[key]
+    if key == "lambdas" and scenario == "ssf-inside":
+        values[key] = (0.5,)  # inside the gap
+    cfg = parse_config(_config_text(scenario, **values))
+    assert getattr(cfg, key) == values[key] != getattr(ScenarioConfig(scenario), key)
 
 
 @pytest.mark.parametrize("width", ["0", "-1.0"])
@@ -365,37 +458,37 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("scenario, reason", [
-        ("ssf-inside", "inside the gap the counts read only the diagonal edge symbols"),
-        ("levinson", "both Levinson counts read only the diagonal edge symbols"),
-        ("toeplitz-asymptotics", "the Toeplitz symbol reads no matrix part"),
-    ])
-    def test_unread_m13_is_refused(self, tmp_path, capsys, scenario, reason):
-        cfg = self._write(tmp_path, f"[scenario]\nname = {scenario}\n"
-                                    "[potential]\nm13 = 0.9\n")
-        for command in ("validate", "run"):
-            self._refused(capsys, [command, "--config", cfg],
-                          f"{scenario} needs m13 = 0, got 0.9 ({reason}")
-        assert parse_config(f"[scenario]\nname = {scenario}\n"
-                            "[potential]\nm13 = 0\n").m13 == 0.0
-
-    def test_unread_phi_amp_is_refused(self, tmp_path, capsys):
-        # only phi_tilde = tanh reads the amplitude; with the flat field a
-        # nonzero phi_amp would be dropped without a trace in the CSV
-        text = (CONFIGS_DIR / "ssf_inside.cfg").read_text().replace(
-            "[field]\n", "[field]\nphi_amp = 0.7\n")
+    @pytest.mark.parametrize("name, extra, keys", [
+        # no Landau basis is built, so the whole [field] perturbation is unread
+        ("dirac_check", "[field]\nphi_tilde = tanh\nphi_amp = 0.7\n",
+         [("phi_tilde", "'none'", "'tanh'"), ("phi_amp", "0.0", "0.7")]),
+        # only phi_tilde = tanh reads the amplitude
+        ("ssf_inside", "[field]\nphi_amp = 0.7\n", [("phi_amp", "0.0", "0.7")]),
+        # no count reads the off-diagonal m13 yet, nor m33 inside the gap
+        ("ssf_inside", "[potential]\nm13 = 0.9\n", [("m13", "0.0", "0.9")]),
+        ("ssf_inside", "[potential]\nm33 = 0.5\n", [("m33", "1.0", "0.5")]),
+        ("ssf_outside", "[potential]\nm13 = 0.9\n", [("m13", "0.0", "0.9")]),
+        ("levinson_exponential", "[potential]\nm13 = 0.9\n", [("m13", "0.0", "0.9")]),
+        ("toeplitz_power", "[potential]\nm13 = 0.9\n", [("m13", "0.0", "0.9")]),
+    ], ids=["dirac-check-field", "ssf-inside-phi_amp", "ssf-inside-m13", "ssf-inside-m33",
+            "ssf-outside-m13", "levinson-m13", "toeplitz-asymptotics-m13"])
+    def test_unread_key_is_refused(self, tmp_path, capsys, name, extra, keys):
+        # a key the scenario does not read would be dropped without a trace
+        # in the CSV: validate and run both exit 1, one stderr line per key
+        shipped = (CONFIGS_DIR / f"{name}.cfg").read_text()
+        section = extra.split("\n", 1)[0]
+        text = (shipped.replace(section, extra.rstrip("\n"), 1) if section in shipped
+                else shipped + extra)
+        scenario = parse_config(shipped).scenario
         cfg = self._write(tmp_path, text)
-        for command in ("validate", "run"):
-            self._refused(capsys, [command, "--config", cfg],
-                          "phi_tilde = none needs phi_amp = 0, got 0.7 "
-                          "(only phi_tilde = tanh reads an amplitude)")
-        assert parse_config(text.replace("phi_amp = 0.7", "phi_amp = 0")).phi_amp == 0.0
-
-    def test_ssf_outside_still_accepts_m13(self):
-        # no ssf-outside output reads m13 yet either, but the full outside
-        # operator it will report does, so the key stays open there
-        cfg = parse_config("[scenario]\nname = ssf-outside\n[potential]\nm13 = 0.9\n")
-        assert cfg.m13 == 0.9
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "rows.csv")]):
+            assert main(argv + ["--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines() == [
+                f"invalid config: unread key: {scenario} reads no {key} in this config, "
+                f"so it must keep its default {default}, got {value}"
+                for key, default, value in keys]
 
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "rows.csv"
@@ -452,6 +545,26 @@ class TestCli:
         assert len(sizes) == 1
 
 
+def test_dirac_check_on_a_tiny_box_fails_its_rows(tmp_path, capsys):
+    # at grid_x = 1e-5 the smallest |eigenvalue| misses the mass by an
+    # eigensolver error of order eps * |H|; the row reports it instead of
+    # an AssertionError stopping the run before any row is written
+    path = tmp_path / "cfg.ini"
+    path.write_text("[scenario]\nname = dirac-check\n[truncation]\ngrid_x = 1e-5\n")
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert "min_abs_eigenvalue" in out.read_text()
+
+
+def test_kernels_just_below_the_nyquist_momentum_runs():
+    # momentum sqrt(128^2 - 1) = 127.996 < pi/h = 128.67: the grid still
+    # represents the waves, so the run is allowed, and its norms fail honestly
+    cfg = parse_config("[scenario]\nname = kernels\n[sweep]\nlambdas = 128\n")
+    failed = {r.metric for r in run_scenario(cfg) if r.passed is False}
+    assert failed == {"relative_difference"}
+
+
 def test_cli_failing_rows_exit_two(tmp_path, capsys):
     # the compact law converges log-log slowly, so its declared ratio
     # bracket fails honestly at practical thresholds
@@ -467,10 +580,12 @@ def test_cli_failing_rows_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("scenario", ["ssf-outside", "kernels"])
 def test_lambda_equal_to_mass_runs_above_the_edge(scenario):
-    # lambda = 2 at mass 2 is the energy 4 > m, not a gap edge
-    cfg = parse_config(f"[scenario]\nname = {scenario}\n[field]\nb0 = 2.0\n"
-                       "[potential]\namplitude = 8.0\nmass = 2.0\n"
-                       "[sweep]\nlambdas = 2.0\n")
+    # lambda = 2 at mass 2 is the energy 4 > m, not a gap edge; kernels
+    # reads neither the field nor the potential's amplitude
+    edge = "[field]\nb0 = 2.0\n[potential]\namplitude = 8.0\n"
+    cfg = parse_config(f"[scenario]\nname = {scenario}\n"
+                       + (edge if scenario == "ssf-outside" else "[potential]\n")
+                       + "mass = 2.0\n[sweep]\nlambdas = 2.0\n")
     rows = run_scenario(cfg)
     assert rows and all(r.params.startswith("lambda=4") for r in rows)
 
@@ -612,23 +727,50 @@ def _floats_apart(a: float, b: float) -> float:
 # ends, a ratio's division), half an ulp in each run: 4 ulp in all.
 # Measured: 2 ulp, in 3 ssf_outside and 4 levinson_exponential values; the
 # other 13 and 20 values are equal.
-_SCALING_ULPS = {"ssf_outside": 4, "levinson_exponential": 4}
+_SCALING_ULPS = 4
+
+# A Levinson row depends on (lambda, m) only through lambda/m.  Scaling m by
+# a power of two scales lambda_in = m (1 - eps), lambda_out = m / (1 - eps)
+# and lambda -+ m exactly (Sterbenz), so every inside threshold and count,
+# the basis floor and each target keep their bits.  Only Omega1's factor
+# log f+ = log(1/2) + (log(lambda + m) - log(lambda - m))/2 is rounded anew:
+# its logs hold the same difference, so it moves by at most one ulp of each
+# log and of the sum, below 3.1e-15 for eps >= 1e-4 and m in [0.5, 2]
+# (|log(lambda - m)| < 10).  Since d arctan(e^x)/dx <= arctan(e^x), each
+# arctan trace, and the outside midpoint with it, moves by at most that
+# much relative, 28 ulp; the division by pi, the bracket sum and the ratio
+# round once more in each run: 32 ulp in all.  Measured: levinson_exponential
+# within 1 ulp (2 values) and levinson_power within 4 ulp (4 values).
+_MASS_ULPS = 32
 
 
-@pytest.mark.parametrize("name, scaled", [
-    ("toeplitz_exponential", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
-    ("ssf_inside", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
-    ("toeplitz_compact", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, radius=0.5 * cfg.radius)),
-    ("ssf_outside", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
-    ("levinson_exponential", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
+def _scaled_case(name, scaled, ulps=0, case_id=None):
+    """A scaling case; ``ulps`` = 0 asks for the same bytes."""
+    return pytest.param(name, scaled, ulps, id=case_id or f"{name}-<lambda>")
+
+
+@pytest.mark.parametrize("name, scaled, ulps", [
+    _scaled_case("toeplitz_exponential",
+                 lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
+    _scaled_case("ssf_inside", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta)),
+    _scaled_case("toeplitz_compact",
+                 lambda cfg: replace(cfg, b0=4.0 * cfg.b0, radius=0.5 * cfg.radius)),
+    _scaled_case("ssf_outside", lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta),
+                 _SCALING_ULPS),
+    _scaled_case("levinson_exponential",
+                 lambda cfg: replace(cfg, b0=4.0 * cfg.b0, eta=4.0 * cfg.eta), _SCALING_ULPS),
+    *[_scaled_case(name, lambda cfg, f=f: replace(cfg, mass=f * cfg.mass), _MASS_ULPS,
+                   f"{name}-mass_x{f}")
+      for name in ("levinson_exponential", "levinson_power") for f in (0.5, 2.0)],
 ])
-def test_magnetic_scaling_leaves_the_run_unchanged(tmp_path, name, scaled):
+def test_magnetic_scaling_leaves_the_run_unchanged(tmp_path, name, scaled, ulps):
     # r = 2 rho maps the problem (U, b0) onto (U(2 .), 4 b0) with the same
     # eigenvalues: the Gaussian's eta and the disc's 1/R^2 scale with b0,
-    # and so does every law and truncation the run reads
+    # and so does every law and truncation the run reads.  The mass cases
+    # rescale the energy instead: Levinson rows are keyed by eps = 1 - lambda/m
     cfg = parse_config((CONFIGS_DIR / f"{name}.cfg").read_text())
     got, want = _run_cli(tmp_path, "scaled", scaled(cfg)), _run_cli(tmp_path, "shipped", cfg)
-    if name not in _SCALING_ULPS:
+    if not ulps:
         assert got == want
         return
     assert got[0] == want[0]
@@ -638,7 +780,7 @@ def test_magnetic_scaling_leaves_the_run_unchanged(tmp_path, name, scaled):
         [(r[0], r[1], r[2], r[5]) for r in want_rows]
     apart = [_floats_apart(float(g[col]), float(w[col]))
              for g, w in zip(got_rows[1:], want_rows[1:]) for col in (3, 4)]
-    assert max(apart) <= _SCALING_ULPS[name]
+    assert max(apart) <= ulps
 
 
 def test_unflagged_profile_falls_back_to_the_depth_margin(monkeypatch, built_sizes):

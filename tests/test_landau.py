@@ -217,6 +217,58 @@ def test_gauge_shift_of_a_perturbed_field_moves_only_the_norms(b0, amp, c, K, lo
                                  toeplitz_radial_spectrum(profile, base), s, SCALING_EIG_TOL)
 
 
+# -- the non-constant field: two exact per-k oracles -------------------------
+#
+# The compression is diagonal, and lambda_k(phi~) is the average of U under
+# the weight r^(2k+1) e^(-b0 r^2/2) e^(-2 phi~).  Against lambda_k(0) the
+# weight gains the factor e^(-2 phi~), which lies within e^(-2 sup phi~) and
+# e^(-2 inf phi~): the sandwich.  For a nonincreasing U and a monotone
+# phi~, Chebyshev's integral inequality gives the sign: phi~ = A tanh r
+# makes e^(-2 phi~) nonincreasing for A > 0, so lambda_k(phi~) >= lambda_k(0),
+# and the reverse for A < 0.  Both sides of log lambda_k(phi~) - log
+# lambda_k(0) take the quadratures of GAUGE_EIG_TOL (two perturbed, one
+# flat moment), so both bounds hold to 3 NORM_TOL.  Measured over 120
+# compressions at K = 400 (b0 in {0.3, 1, 1.3, 4}, the six profiles below,
+# A in {0.3, 0.7, -0.5, 2, -1.5}): the sandwich holds with 0.36 nats to
+# spare, and the sign is violated by at most 9.1e-13.
+
+_ORACLE_PROFILES = [power_profile(3.0), power_profile(5.0), gaussian_profile(eta=0.4),
+                    gaussian_profile(eta=2.0, amplitude=8.0), disc_profile(radius=1.0),
+                    disc_profile(radius=3.0)]
+
+
+def _perturbed_and_flat(b0, amp, K, profile):
+    """The field b0 + Laplacian(amp tanh r) and the log-eigenvalue moves
+    log lambda_k(phi~) - log lambda_k(0), with both compressions."""
+    fs = _field_of(b0, amp)
+    perturbed = toeplitz_radial_spectrum(profile, build_lll_basis(fs, K))
+    flat = toeplitz_radial_spectrum(profile, build_lll_basis(FieldSpec(b0), K))
+    return fs, perturbed.log_eigen_by_k - flat.log_eigen_by_k, perturbed, flat
+
+
+@settings(max_examples=40, deadline=None)
+@given(b0=st.floats(0.3, 5.0), amp=st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+       K=st.integers(1, 400), profile=st.sampled_from(_ORACLE_PROFILES),
+       log_s=st.floats(-60.0, -0.05))
+def test_perturbed_eigenvalues_lie_within_twice_the_oscillation(b0, amp, K, profile, log_s):
+    fs, moved, perturbed, flat = _perturbed_and_flat(b0, amp, K, profile)
+    assert fs.osc == abs(amp)
+    assert np.max(np.abs(moved)) <= 2.0 * fs.osc + GAUGE_EIG_TOL
+    # so every count is bracketed by the flat counts at thresholds e^(-+2 osc) s
+    s, spread = math.exp(log_s), math.exp(2.0 * fs.osc + GAUGE_EIG_TOL)
+    assert flat.spectrum.n_plus(s * spread) <= perturbed.spectrum.n_plus(s) \
+        <= flat.spectrum.n_plus(s / spread)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b0=st.floats(0.3, 5.0), amp=st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+       K=st.integers(1, 400), profile=st.sampled_from(_ORACLE_PROFILES))
+def test_a_monotone_perturbation_moves_every_eigenvalue_its_way(b0, amp, K, profile):
+    assert profile.nonincreasing
+    _, moved, _, _ = _perturbed_and_flat(b0, amp, K, profile)
+    assert np.min(math.copysign(1.0, amp) * moved) >= -GAUGE_EIG_TOL
+
+
 def test_norms_with_perturbation_finite_and_growing():
     fs = FieldSpec(2.0, phi_tilde=lambda r: 0.3 * np.tanh(r))
     basis = build_lll_basis(fs, 50)

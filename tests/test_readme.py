@@ -46,3 +46,16 @@ def test_every_readme_rule_constant_has_its_documented_value():
         if type(got) is not type(want) or got != want:
             wrong.append(f"{module}.{name}: README {text}, code {got!r}")
     assert not wrong
+
+
+# one row of the read-set tables: | `name` | `key`, `key`, ... |
+_READ_ROW = re.compile(r"^\| `([a-z-]+)` \| ((?:`\w+`(?:, )?)+) \|", re.M)
+
+
+def test_readme_read_sets_are_the_harness_tables():
+    harness = importlib.import_module("diracssf.harness")
+    documented = {name: re.findall(r"`(\w+)`", keys)
+                  for name, keys in _READ_ROW.findall(README.read_text())}
+    want = {name: list(entry[1]) for name, entry in harness._SCENARIOS.items()}
+    want.update({law: list(entry[3]) for law, entry in harness._LAWS.items()})
+    assert documented == want
