@@ -1,14 +1,12 @@
 """Command-line entry point.
 
-    diracssf run --config scenario.cfg [--out results.csv] [--threads N]
+    diracssf run --config scenario.cfg [--out results.csv]
     diracssf validate --config scenario.cfg
     diracssf list-scenarios
 
 ``run`` exits 0 only when every pass/fail row passes; validation errors
 (one stderr line each), a basis too small for the run, a threshold on an
 eigenvalue and an unwritable --out exit 1, failed rows exit 2.
-Scenarios run serially; --threads is still accepted so existing command
-lines keep working, and it is ignored.
 """
 
 import argparse
@@ -32,8 +30,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a scenario and emit CSV")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility and ignored")
 
     val_p = sub.add_parser("validate", help="validate a scenario config")
     val_p.add_argument("--config", required=True)

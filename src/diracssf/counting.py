@@ -7,9 +7,9 @@ greater than s.  The stored order is an invariant the queries read: the
 positives with falling log values, then the zeros, then the negatives with
 rising log values, each sign group a known contiguous range.  Only the
 public constructor sorts (O(n log n)).  A constant rescaling keeps the
-order (one O(n) shift); a union merges the two sorted runs of each group
-(about linear); counts and the threshold margin are binary searches
-(O(log n)); the smallest positive entry is the last of its group (O(1)).
+order (one O(n) shift); counts and the threshold margin are binary
+searches (O(log n)); the smallest positive entry is the last of its group
+(O(1)).
 The module also hosts the Cauchy-measure average of counting
 functions over a matrix pencil A + tB with B >= 0, evaluated in closed
 form from the pencil roots.
@@ -46,8 +46,7 @@ class LogSpectrum:
     Ties keep their input order, as a stable sort leaves them.  Both
     arrays are read-only, so derived spectra may share them.  Costs:
     construction sorts, O(n log n); ``scaled`` is one O(n) shift and
-    checks only the ends of each group; ``union`` merges two sorted runs
-    per group, about linear; ``n_plus``, ``n_minus`` and
+    checks only the ends of each group; ``n_plus``, ``n_minus`` and
     ``threshold_margin`` are O(log n) binary searches; ``positive_logs``
     and ``negative_logs`` are O(1) views.
     """
@@ -136,18 +135,6 @@ class LogSpectrum:
                 raise ValueError("log spectrum entries must be finite")
         return LogSpectrum._from_sorted(lv, self.signs, self._pos_end, self._neg_start)
 
-    def union(self, other: "LogSpectrum"):
-        """Both spectra in one, merged group by group: on equal log values
-        ``self`` comes first, as in a stable sort of the concatenation."""
-        pos = _merge(self.positive_logs, other.positive_logs, falling=True)
-        neg = _merge(self.negative_logs, other.negative_logs, falling=False)
-        zeros = (self.log_values[self._pos_end:self._neg_start],
-                 other.log_values[other._pos_end:other._neg_start])
-        n_zero = zeros[0].size + zeros[1].size
-        lv = np.concatenate([pos, *zeros, neg])
-        sg = np.repeat(np.array([1, 0, -1], dtype=np.int8), (pos.size, n_zero, neg.size))
-        return LogSpectrum._from_sorted(lv, sg, pos.size, pos.size + n_zero)
-
     def log_schatten_pth_power(self, p: int) -> float:
         """log of sum |lambda_i|^p over the nonzero eigenvalues."""
         lv = self.log_values[self.signs != 0]
@@ -174,22 +161,6 @@ class LogSpectrum:
     def values(self) -> np.ndarray:
         """Eigenvalues in linear scale (may underflow; for small cases)."""
         return self.signs * np.exp(self.log_values) * (self.signs != 0)
-
-
-def _merge(a, b, falling: bool) -> np.ndarray:
-    """Stable merge of two sorted runs, ``a`` first on ties.
-
-    numpy's stable sort (timsort) finds the two runs and merges them in
-    one pass.  A falling merge sorts the negated logs, so ties, -0.0
-    against 0.0 included, keep their order and every bit survives.
-    """
-    out = np.concatenate([a, b])
-    if falling:
-        np.negative(out, out=out)
-    out.sort(kind="stable")
-    if falling:
-        np.negative(out, out=out)
-    return out
 
 
 def flag_near_threshold(spec: LogSpectrum, s: float) -> bool:

@@ -26,6 +26,8 @@ from .kernels1d import Grid1D
 from .landau import LadderModel, build_ladder
 from .ssf import PotentialSpec, SsfEstimator, edge_threshold
 
+EXTRA_ROUNDINGS = 4  # roundings outside the dot products and the eigensolve, per bound
+
 
 @dataclass(frozen=True)
 class DiscreteH0:
@@ -120,6 +122,23 @@ def check_square_identity(h0: DiscreteH0):
     mask = h0.interior_mask()
     interior = float(np.max(diff[:, mask][:, :, mask]))
     return interior, full
+
+
+def roundoff_bounds(h0: DiscreteH0) -> tuple[float, float]:
+    """(square, eigenvalue) round-off bounds, from ||H0|| = max |eigenvalue|.
+
+    Each entry of a squared fiber F F is a 4 L-term dot product, off by at
+    most 4 L eps (|F| |F|)_ij <= 4 L eps ||H0||^2, since a row and a column
+    of F have norm at most ||F|| <= ||H0||.  A backward-stable dense
+    eigensolve of dimension n = 4 L N moves each eigenvalue by at most
+    n eps ||H0||.  Each bound adds ``EXTRA_ROUNDINGS`` roundings of its
+    scale: the stored ladder roots and the reference diagonal's sums, or
+    the fiber formula's root of a three-term sum.
+    """
+    eps = float(np.finfo(float).eps)
+    norm = float(np.max(np.abs(h0.eigenvalues)))
+    return ((4 * h0.L + EXTRA_ROUNDINGS) * eps * norm**2,
+            (4 * h0.L * h0.N + EXTRA_ROUNDINGS) * eps * norm)
 
 
 def check_gap(h0: DiscreteH0) -> float:

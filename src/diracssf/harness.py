@@ -27,12 +27,12 @@ from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbo
                        check_pushnitski_bound, check_weyl, flag_near_threshold,
                        mu_average_counting)
 from .dirac_algebra import anticommutation_residual, dirac_matrices
-from .discrete_model import build_h0, check_square_identity, fiber_eigenvalues
+from .discrete_model import (build_h0, check_square_identity, fiber_eigenvalues,
+                             roundoff_bounds)
 from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, RankTwoImS,
                         im_s_norm_rows)
 from .landau import FieldSpec, build_lll_basis
-from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
-                  omega1_log_factors, sweep_rows)
+from .ssf import PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal, sweep_rows
 from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian_profile,
                        power_profile, suggest_truncation, toeplitz_radial_spectrum)
 
@@ -301,16 +301,10 @@ def _estimator(cfg: ScenarioConfig, s_min: float):
 
 
 def _edge_floor(cfg: ScenarioConfig, lams) -> float:
-    """Smallest level an H- bracket counts W+ at, over the energies ``lams``.
-
-    Inside the gap that is (1 - eps) t(lambda); outside, Omega1's arctan
-    trace compares log(f+ mu) with log(1 - eps), so the level is
-    exp(log(1 - eps) - log f+) in the same floats.
-    """
-    keep = 1.0 - cfg.eps_bracket
-    return min(math.exp(math.log(keep) - omega1_log_factors(lam, cfg.mass)[0])
-               if lam > cfg.mass else edge_threshold(lam, 1.0, cfg.mass) * keep
-               for lam in lams)
+    """Smallest level an H- bracket reads W+ at, over the energies ``lams``:
+    (1 - eps) t(lambda) on both sides of the gap, the float the inside
+    count and the outside arctan trace at s = 1 - eps compare with."""
+    return min((1.0 - cfg.eps_bracket) * edge_threshold(lam, 1.0, cfg.mass) for lam in lams)
 
 
 def _toeplitz_model(cfg: ScenarioConfig, profile, s_values):
@@ -421,14 +415,15 @@ def _scenario_dirac(cfg: ScenarioConfig):
     interior, full = check_square_identity(h0)
     smallest = float(np.min(np.abs(h0.eigenvalues)))
     dev = float(np.max(np.abs(fiber_eigenvalues(h0) - h0.eigenvalues)))
+    square_tol, eig_tol = roundoff_bounds(h0)
     return [
         ResultRow(cfg.scenario, "", "anticommutation_residual", res, passed=res <= 1e-12),
         ResultRow(cfg.scenario, "", "square_identity_interior", interior,
-                  passed=interior <= 1e-10),
+                  passed=interior <= square_tol),
         ResultRow(cfg.scenario, "", "square_identity_full", full),
         ResultRow(cfg.scenario, "", "min_abs_eigenvalue", smallest,
-                  passed=abs(smallest - cfg.mass) <= 1e-9 * cfg.mass),
-        ResultRow(cfg.scenario, "", "fiber_formula_deviation", dev, passed=dev <= 1e-9),
+                  passed=abs(smallest - cfg.mass) <= eig_tol),
+        ResultRow(cfg.scenario, "", "fiber_formula_deviation", dev, passed=dev <= eig_tol),
     ]
 
 

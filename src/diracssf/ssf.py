@@ -1,14 +1,16 @@
 """Spectral-shift estimators at the gap edges.
 
-Inside the gap the shift function is bracketed by eigenvalue counts of a
-scaled Toeplitz compression of the column-integrated potential entries;
-outside the gap by arctan-traces of the diagonal operator Omega1 built
-from the same two compressions, which are one compression pTp scaled:
-for V = M T(r) L(x3) the symbols are W+- = M_ii (integral L) T, i = 1, 3.
-The full block operator, assembled from longitudinal trigonometric
-moments, is kept as a reference for Omega1.  L is a Gaussian, whose
-integral and moments are closed forms over the whole line.
-Both sides count at one threshold map t(lam), ``edge_threshold``.
+Both sides of the gap read the same two compressions pW+-p at one
+threshold map t(lam, +-1), ``edge_threshold``; the compressions are one
+compression pTp scaled: for V = M T(r) L(x3) the symbols are
+W+- = M_ii (integral L) T, i = 1, 3.  Inside the gap the shift function
+is bracketed by eigenvalue counts of W+ or W- at (1 +- eps) t(lam);
+outside by (1/pi) Tr arctan(Omega1 / s), s = 1 -+ eps, for the diagonal
+Omega1 = diag(W+ / t(lam, +1), W- / t(lam, -1)), which ``omega1_trace``
+reads as each family's arctan trace at s t(lam, +-1).  The full block
+operator, assembled from longitudinal trigonometric moments, is kept as
+a reference for Omega1.  L is a Gaussian, whose integral and moments are
+closed forms over the whole line.
 Leading-order predictions read the transverse tail law: its counting
 law n(t) and, outside the gap, its outside-to-inside constant
 (1 / (2 cos(pi/alpha)) for power tails, 1/2 otherwise).
@@ -149,25 +151,6 @@ class BracketEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def omega1_log_factors(lam: float, m: float = 1.0) -> tuple[float, float]:
-    """Logs of the Omega1 scale factors (1/2) sqrt(|lam+-m| / |lam-+m|).
-
-    The first scales the +m family, the second the -m family.
-    """
-    if not abs(lam) > m:
-        raise ValueError("outside-gap operator requires |lambda| > m")
-    log_fp = math.log(0.5) + 0.5 * (math.log(abs(lam + m)) - math.log(abs(lam - m)))
-    log_fm = math.log(0.5) + 0.5 * (math.log(abs(lam - m)) - math.log(abs(lam + m)))
-    return log_fp, log_fm
-
-
-def build_omega1(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
-                 m: float = 1.0) -> LogSpectrum:
-    """Spectrum of the diagonal outside-gap block operator, in log storage."""
-    log_fp, log_fm = omega1_log_factors(lam, m)
-    return wplus_spec.scaled(log_fp).union(wminus_spec.scaled(log_fm))
-
-
 def trace_arctan(spec: LogSpectrum, s: float) -> float:
     """Tr arctan(T / s) for a positive spectrum in log storage.
 
@@ -180,6 +163,19 @@ def trace_arctan(spec: LogSpectrum, s: float) -> float:
     if lv.size == 0:
         return 0.0
     return float(np.sum(_arctan_of_log_ratio(lv, math.log(s))))
+
+
+def omega1_trace(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
+                 s: float, m: float = 1.0) -> float:
+    """Tr arctan(Omega1 / s) for Omega1 = diag(W+ / t(lam, +1), W- / t(lam, -1)).
+
+    Tr arctan((W / t) / s) = Tr arctan(W / (s t)), so each family is traced
+    at its own threshold and no spectrum is scaled or merged.
+    """
+    if not abs(lam) > m:
+        raise ValueError("outside-gap operator requires |lambda| > m")
+    return (trace_arctan(wplus_spec, s * edge_threshold(lam, 1.0, m))
+            + trace_arctan(wminus_spec, s * edge_threshold(lam, -1.0, m)))
 
 
 @dataclass(frozen=True)
@@ -329,10 +325,9 @@ class SsfEstimator:
                 "divergent asymptotics outside the gap pair H- with the +m edge "
                 "and H+ with the -m edge; other combinations are not estimated"
             )
-        omega1 = build_omega1(lam, self.wplus_model.spectrum,
-                              self.wminus_model.spectrum, self.m)
-        tr_lo = trace_arctan(omega1, 1.0 + eps)
-        tr_hi = trace_arctan(omega1, 1.0 - eps)
+        wp, wm = self.wplus_model.spectrum, self.wminus_model.spectrum
+        tr_lo = omega1_trace(lam, wp, wm, 1.0 + eps, self.m)
+        tr_hi = omega1_trace(lam, wp, wm, 1.0 - eps, self.m)
         self._check_arctan_tail(lam, 1.0 - eps, tr_hi)
         # H- (+m edge) carries the minus sign, H+ (-m edge) the plus sign
         lower, upper = sorted((-e * tr_lo / math.pi, -e * tr_hi / math.pi))
@@ -343,11 +338,10 @@ class SsfEstimator:
 
         The tail contribution is bounded by the scaled tail eigenvalue sum
         (arctan is below its argument); it must stay negligible against
-        the computed trace.
+        the computed trace.  Each family is read at s t(lam, +-1).
         """
         budget = max(ARC_TAIL_TOL, 1e-2 * abs(trace_value))
-        for model, log_f in zip((self.wplus_model, self.wminus_model),
-                                omega1_log_factors(lam, self.m)):
+        for model, edge in ((self.wplus_model, 1.0), (self.wminus_model, -1.0)):
             lv = model.spectrum.positive_logs[::-1]  # ascending
             if lv.size < 4:
                 continue
@@ -359,7 +353,7 @@ class SsfEstimator:
             tail_geo = math.exp(lv[0]) * ratio / (1.0 - ratio)
             tail_pow = math.exp(lv[0]) * lv.size
             tail_sum = min(tail_geo, tail_pow) if ratio > 0.99 else tail_geo
-            tail = math.exp(log_f) * tail_sum / s
+            tail = tail_sum / (s * edge_threshold(lam, edge, self.m))
             if tail > budget:
                 raise TruncatedTailError(
                     f"arctan tail estimate {tail:.3e} exceeds "

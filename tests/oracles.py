@@ -25,7 +25,7 @@ import numpy as np
 
 from diracssf._quad import gauss_legendre
 from diracssf.landau import build_ladder
-from diracssf.ssf import edge_threshold, omega1_log_factors
+from diracssf.ssf import edge_threshold
 
 
 def masked_arctan_of_log_ratio(log_num, log_den) -> np.ndarray:
@@ -73,10 +73,6 @@ class MaskedSpectrum:
         lv = np.where(self.signs != 0, self.log_values + log_factor, 0.0)
         return MaskedSpectrum(lv, self.signs.copy())
 
-    def union(self, other):
-        return MaskedSpectrum(np.concatenate([self.log_values, other.log_values]),
-                              np.concatenate([self.signs, other.signs]))
-
     def trace_arctan(self, s):
         lv = self.log_values[self.signs == 1]
         if lv.size == 0:
@@ -87,7 +83,7 @@ class MaskedSpectrum:
 def levinson_row(est, eps, pair="H-", eps_bracket=0.1):
     """One ``SsfEstimator.levinson_rows`` row, with every spectrum and query
     taken from ``MaskedSpectrum``: the column spectra are the transverse
-    one scaled, Omega1 is their lexsorted union."""
+    one scaled, and Omega1's trace at s sums W+- traced at s t(lam, +-1)."""
     e, _, _ = est._edge(pair)
     m = est.m
     tau = MaskedSpectrum.of(est.transverse_model.spectrum)
@@ -101,10 +97,12 @@ def levinson_row(est, eps, pair="H-", eps_bracket=0.1):
                            -e * edge_spec.n_plus((1.0 + eps_bracket) * t)))
     mid_in = 0.5 * (lower + upper)
 
-    log_fp, log_fm = omega1_log_factors(lam_out, m)
-    omega1 = wplus.scaled(log_fp).union(wminus.scaled(log_fm))
-    tr_lo = omega1.trace_arctan(1.0 + eps_bracket)
-    tr_hi = omega1.trace_arctan(1.0 - eps_bracket)
+    def omega1_trace(s):
+        return (wplus.trace_arctan(s * edge_threshold(lam_out, 1.0, m))
+                + wminus.trace_arctan(s * edge_threshold(lam_out, -1.0, m)))
+
+    tr_lo = omega1_trace(1.0 + eps_bracket)
+    tr_hi = omega1_trace(1.0 - eps_bracket)
     lower, upper = sorted((-e * tr_lo / math.pi, -e * tr_hi / math.pi))
     mid_out = 0.5 * (lower + upper)
     return (float(eps), lam_in, lam_out, mid_in, mid_out, float(mid_out / mid_in),

@@ -8,7 +8,11 @@ so the honest numbers stay visible instead of being tuned away.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +32,7 @@ from diracssf.discrete_model import (build_h0, check_gap, check_square_identity,
 from diracssf.kernels1d import Grid1D, RankTwoImS, im_s_norm_rows, im_s_schatten
 from diracssf.landau import FieldSpec, build_lll_basis
 from diracssf.ssf import (PotentialSpec, SsfEstimator, gap_edge_factor,
-                          gaussian_longitudinal, trace_arctan, build_omega1,
+                          gaussian_longitudinal, trace_arctan, omega1_trace,
                           build_omega_full)
 from diracssf.toeplitz import (disc_profile, gaussian_profile, power_profile,
                                suggest_truncation, toeplitz_radial_spectrum)
@@ -292,13 +296,13 @@ def test_criterion_08_arctan_paths(field_b2):
                 + mp.fsum(mp.atan(f_m * mp.exp(v) / s)
                           for v in wm.log_values[wm.signs == 1])
 
-    # the production path (Omega1 scale factors, sign masks and the
-    # log-domain arctan) against a 30-digit sum with f+- in closed form
+    # the production path (each family traced at s t(lam, +-1), sign masks
+    # and the log-domain arctan) against a 30-digit sum with f+- in closed form
     worst = 0.0
     for j in range(2, 12):
         for s in (0.3, 1.0, 4.0):
             for lam in (1.0 + 2.0**-j, -1.0 - 2.0**-j):
-                got = trace_arctan(build_omega1(lam, wp, wm, 1.0), s)
+                got = omega1_trace(lam, wp, wm, s)
                 want = oracle(lam, s)
                 worst = max(worst, float(abs(got - want) / abs(want)))
     ok = worst <= 1e-12
@@ -369,7 +373,7 @@ def test_criterion_11_trace_growth(field_b2):
     diag_traces, diffs = [], []
     for j in range(2, 11):
         lam = 1.0 + 2.0**-j
-        tr1 = trace_arctan(build_omega1(lam, wp, wm, 1.0), 1.0)
+        tr1 = omega1_trace(lam, wp, wm, 1.0)
         tr = trace_arctan(build_omega_full(est, lam).spectrum, 1.0)
         diag_traces.append(tr1)
         diffs.append(abs(tr - tr1))
@@ -383,22 +387,23 @@ def test_criterion_11_trace_growth(field_b2):
 
 
 def test_criterion_12_determinism(tmp_path):
+    # each run is a fresh process, so the BLAS thread count is set before
+    # numpy loads; dirac_check's round-off rows depend on it and are left out
     t0 = time.time()
-    configs = {
-        "identities": "[scenario]\nname = identities\n"
-                      "[sweep]\nn_random = 20\nseed = 11\n",
-        "kernels": "[scenario]\nname = kernels\n[sweep]\nlambdas = 1.5,2.0\n",
-    }
-    ok = True
-    for name, text in configs.items():
-        cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(text)
-        outputs = set()
-        for i, t in enumerate(("1", "4", "1", "4")):
-            out = tmp_path / f"{name}_{i}.csv"
-            main(["run", "--config", str(cfg), "--out", str(out), "--threads", t])
-            outputs.add(out.read_bytes())
-        ok &= len(outputs) == 1
-    report(12, ok, f"CLI CSV byte-identical across reruns with --threads "
-                   f"{{1, 4}} ({time.time() - t0:.2f}s)")
+    root = Path(__file__).resolve().parents[1]
+    names = ("identities", "kernels", "ssf_outside", "levinson_power")
+    outputs = {name: set() for name in names}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        for name in names:
+            out = tmp_path / f"{name}_{threads}.csv"
+            subprocess.run([sys.executable, "-m", "diracssf.cli", "run", "--config",
+                            str(root / "configs" / f"{name}.cfg"), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs[name].add(out.read_bytes())
+    ok = all(len(bytes_seen) == 1 for bytes_seen in outputs.values())
+    report(12, ok, f"CLI CSV byte-identical at 1 and 2 BLAS threads for "
+                   f"{', '.join(names)} ({time.time() - t0:.2f}s)")
     assert ok

@@ -272,13 +272,11 @@ class TestCountingAverageBound:
             assert check_pushnitski_bound(0.6, 0.8, t1, t2, sign=-1)
 
 
-def test_log_spectrum_scaling_and_union():
+def test_log_spectrum_scaling():
     spec = LogSpectrum.from_eigenvalues([4.0, 1.0])
     scaled = spec.scaled(math.log(0.5))
     assert np.allclose(np.sort(scaled.values()), [0.5, 2.0])
-    merged = spec.union(scaled)
-    assert len(merged) == 4
-    assert merged.n_plus(1.5) == 2
+    assert scaled.n_plus(1.5) == 1
 
 
 def log_spectra(max_size=40):
@@ -317,15 +315,6 @@ class TestLogSpectrumOrdering:
         out = spec.scaled(log_factor)
         assert_stored_order(out)
         pos = spec.log_values[spec.signs == 1] + log_factor
-        assert np.array_equal(out.log_values[out.signs == 1][::-1], np.sort(pos))
-
-    @settings(deadline=None)
-    @given(log_spectra(), log_spectra())
-    def test_union(self, a, b):
-        out = a.union(b)
-        assert_stored_order(out)
-        assert len(out) == len(a) + len(b)
-        pos = np.concatenate([a.log_values[a.signs == 1], b.log_values[b.signs == 1]])
         assert np.array_equal(out.log_values[out.signs == 1][::-1], np.sort(pos))
 
 
@@ -371,42 +360,36 @@ def assert_same_bits(spec, oracle):
     assert np.array_equal(spec.signs, oracle.signs)
 
 
-def derived(spec_s, other_s, log_factor):
-    """The spectrum, a rescaled copy and a union, each with its oracle."""
-    (spec, _), (other, _) = spec_s, other_s
-    oracle, other_oracle = MaskedSpectrum.of(spec), MaskedSpectrum.of(other)
-    return [(spec, oracle),
-            (spec.scaled(log_factor), oracle.scaled(log_factor)),
-            (spec.union(other.scaled(log_factor)),
-             oracle.union(other_oracle.scaled(log_factor)))]
+def derived(spec, log_factor):
+    """The spectrum and a rescaled copy, each with its oracle."""
+    oracle = MaskedSpectrum.of(spec)
+    return [(spec, oracle), (spec.scaled(log_factor), oracle.scaled(log_factor))]
 
 
 class TestSortedQueriesAgainstLexsortOracle:
     """Binary-search queries on the stored order against masks and np.lexsort."""
 
     @settings(deadline=None, max_examples=200)
-    @given(spectrum_and_threshold(), spectrum_and_threshold(), _LOG_FACTORS)
-    def test_scaled_and_union_are_bitwise_the_lexsort_result(self, a, b, log_factor):
-        for spec, oracle in derived(a, b, log_factor):
+    @given(spectrum_and_threshold(), _LOG_FACTORS)
+    def test_scaled_is_bitwise_the_lexsort_result(self, spec_s, log_factor):
+        for spec, oracle in derived(spec_s[0], log_factor):
             assert_same_bits(spec, oracle)
-        (spec, _), (other, _) = a, b
-        assert_same_bits(spec.union(other), MaskedSpectrum.of(spec).union(MaskedSpectrum.of(other)))
 
     @settings(deadline=None, max_examples=200)
-    @given(spectrum_and_threshold(), spectrum_and_threshold(), _LOG_FACTORS)
-    def test_counts_margin_and_smallest(self, a, b, log_factor):
-        s = a[1]
-        for spec, oracle in derived(a, b, log_factor):
+    @given(spectrum_and_threshold(), _LOG_FACTORS)
+    def test_counts_margin_and_smallest(self, spec_s, log_factor):
+        s = spec_s[1]
+        for spec, oracle in derived(spec_s[0], log_factor):
             assert spec.n_plus(s) == oracle.n_plus(s)
             assert spec.n_minus(s) == oracle.n_minus(s)
             assert spec.threshold_margin(s) == oracle.threshold_margin(s)
             assert ToeplitzModel(None, None, spec)._smallest_log() == oracle.smallest_log()
 
     @settings(deadline=None, max_examples=200)
-    @given(spectrum_and_threshold(), spectrum_and_threshold(), _LOG_FACTORS)
-    def test_trace_arctan_is_bitwise_the_masked_sum(self, a, b, log_factor):
-        s = a[1]
-        for spec, oracle in derived(a, b, log_factor):
+    @given(spectrum_and_threshold(), _LOG_FACTORS)
+    def test_trace_arctan_is_bitwise_the_masked_sum(self, spec_s, log_factor):
+        s = spec_s[1]
+        for spec, oracle in derived(spec_s[0], log_factor):
             assert trace_arctan(spec, s).hex() == oracle.trace_arctan(s).hex()
 
     @settings(deadline=None, max_examples=200)

@@ -8,6 +8,7 @@ from diracssf.discrete_model import (
     check_gap,
     check_square_identity,
     fiber_eigenvalues,
+    roundoff_bounds,
     spectrum_symmetry_residual,
     tdiv_spectrum,
     tdiv_vs_omega_count,
@@ -143,6 +144,20 @@ def test_fiber_formula(h0_ref):
     actual = np.sort(np.linalg.eigvalsh(h0_ref.matrix))
     assert fiber.shape == actual.shape
     assert np.max(np.abs(fiber - actual)) < 1e-9
+
+
+@pytest.mark.parametrize("b0, L, N, X", [(1.0, 8, 32, 1e-5), (1.0, 8, 32, 1e-3),
+                                          (1.0, 8, 32, 20.0), (1.0, 8, 32, 1e3),
+                                          (1.0, 4, 8, 20.0), (3.0, 12, 16, 0.1)])
+def test_roundoff_bounds_hold_from_tiny_to_wide_boxes(b0, L, N, X):
+    # ||H0|| runs from 3.9 to 5e6 over these boxes; the residuals that
+    # absolute tolerances would call failures stay within the derived bounds
+    h0 = build_h0(b0, 1.0, L, N, X)
+    square_tol, eig_tol = roundoff_bounds(h0)
+    interior, _ = check_square_identity(h0)
+    assert interior <= square_tol
+    assert abs(float(np.min(np.abs(h0.eigenvalues))) - 1.0) <= eig_tol
+    assert np.max(np.abs(fiber_eigenvalues(h0) - h0.eigenvalues)) <= eig_tol
 
 
 def test_build_guards():

@@ -33,7 +33,8 @@ from diracssf.harness import (
     run_scenario,
     serialize_config,
 )
-from diracssf.ssf import gaussian_longitudinal, omega1_log_factors
+from diracssf.discrete_model import build_h0, roundoff_bounds
+from diracssf.ssf import edge_threshold, gaussian_longitudinal
 from diracssf.toeplitz import (RadialProfile, count_truncation, gaussian_profile,
                                suggest_truncation, toeplitz_radial_spectrum)
 
@@ -443,7 +444,7 @@ class TestCli:
     def test_run_writes_csv(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)
         out = str(tmp_path / "rows.csv")
-        assert main(["run", "--config", cfg, "--out", out, "--threads", "2"]) == 0
+        assert main(["run", "--config", cfg, "--out", out]) == 0
         text = open(out).read()
         assert text.startswith("scenario,params,metric")
         assert "weyl_inequality" in text
@@ -545,16 +546,51 @@ class TestCli:
         assert len(sizes) == 1
 
 
-def test_dirac_check_on_a_tiny_box_fails_its_rows(tmp_path, capsys):
-    # at grid_x = 1e-5 the smallest |eigenvalue| misses the mass by an
-    # eigensolver error of order eps * |H|; the row reports it instead of
-    # an AssertionError stopping the run before any row is written
+def test_dirac_check_on_a_tiny_box_passes_its_rows(tmp_path, capsys):
+    # at grid_x = 1e-5, ||H0|| is about 5e6 and the eigensolver errs by
+    # tens of eps ||H0||, which the derived bounds allow: no row fails on
+    # round-off and no AssertionError stops the run
     path = tmp_path / "cfg.ini"
     path.write_text("[scenario]\nname = dirac-check\n[truncation]\ngrid_x = 1e-5\n")
     out = tmp_path / "rows.csv"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert "min_abs_eigenvalue" in out.read_text()
+
+
+def _shipped_h0():
+    cfg = parse_config((CONFIGS_DIR / "dirac_check.cfg").read_text())
+    return cfg, build_h0(cfg.b0, cfg.mass, cfg.ladder_l, cfg.grid_n, cfg.grid_x)
+
+
+def test_dirac_check_bounds_are_tighter_than_the_old_constants_at_the_shipped_config():
+    cfg, h0 = _shipped_h0()
+    square_tol, eig_tol = roundoff_bounds(h0)
+    assert square_tol < 1e-10
+    assert eig_tol < 1e-9 * cfg.mass
+
+
+@pytest.mark.parametrize("metric", ["square_identity_interior", "min_abs_eigenvalue",
+                                    "fiber_formula_deviation"])
+def test_dirac_check_row_fails_when_its_identity_is_broken_past_its_bound(monkeypatch,
+                                                                          metric):
+    # shifting the p = 0 fiber by delta I moves its eigenvalues +-m by delta
+    # and its interior squared entries by 2 delta F + delta^2, at least 2 m delta;
+    # delta is twice what the row's bound allows
+    cfg, h0 = _shipped_h0()
+    square_tol, eig_tol = roundoff_bounds(h0)
+    delta = square_tol / cfg.mass if metric == "square_identity_interior" else 2.0 * eig_tol
+    build = harness.build_h0
+
+    def perturbed(*args):
+        h0 = build(*args)
+        fibers = h0.fibers.copy()
+        fibers[h0.N // 2] += delta * np.eye(fibers.shape[1])
+        return replace(h0, fibers=fibers)
+
+    monkeypatch.setattr(harness, "build_h0", perturbed)
+    rows = {row.metric: row for row in run_scenario(cfg)}
+    assert rows[metric].passed is False
 
 
 def test_kernels_just_below_the_nyquist_momentum_runs():
@@ -647,6 +683,13 @@ def test_toeplitz_configs_are_count_sized_and_byte_identical(built_sizes, name, 
     rows = run_scenario(parse_config((CONFIGS_DIR / f"{name}.cfg").read_text()))
     assert built_sizes == [k]
     assert rows_to_csv_bytes(rows) == (REFERENCES / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["ssf_inside", "ssf_outside", "levinson_exponential"])
+def test_gap_edge_configs_keep_their_basis_size(built_sizes, name):
+    # both sides of the gap size the basis at (1 - eps) t(lambda)
+    run_scenario(parse_config((CONFIGS_DIR / f"{name}.cfg").read_text()))
+    assert built_sizes == [35]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
@@ -827,8 +870,8 @@ def test_count_sized_basis_keeps_the_depth_margin_counts(cfg):
 @settings(deadline=None)
 @given(st.floats(1.0, 10.0, exclude_min=True), st.floats(0.01, 0.5), st.floats(0.5, 4.0))
 def test_outside_floor_is_the_level_the_arctan_trace_reads(lam, eps, mass):
-    # Omega1 compares log(f+ mu) with log(1 - eps): the floor must be that
-    # level in the same floats, not (1 - eps) t(lambda) rounded another way
+    # the outside trace at s = 1 - eps reads W+ at s t(lambda, +1), the
+    # float the inside bracket counts at: the floor must be that level
     cfg = ScenarioConfig("ssf-outside", mass=mass, eps_bracket=eps)
-    level = math.exp(math.log(1.0 - eps) - omega1_log_factors(lam * mass, mass)[0])
+    level = (1.0 - eps) * edge_threshold(lam * mass, 1.0, mass)
     assert harness._edge_floor(cfg, [lam * mass]) == level

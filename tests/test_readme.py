@@ -4,6 +4,8 @@ import operator
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # one list entry: `NAME = value`[, `NAME = value`...] (`module`): meaning
@@ -59,3 +61,46 @@ def test_readme_read_sets_are_the_harness_tables():
     want = {name: list(entry[1]) for name, entry in harness._SCENARIOS.items()}
     want.update({law: list(entry[3]) for law, entry in harness._LAWS.items()})
     assert documented == want
+
+
+# a usage line: diracssf <command> [options...], in the README or the cli docstring
+_USAGE = re.compile(r"^\s*diracssf ([a-z-]+)(.*)$", re.M)
+_OPTION = re.compile(r"--[a-z][a-z-]*")
+
+
+def _documented_options(text):
+    """(command, option) of every ``--option`` on a ``diracssf`` usage line."""
+    return {(command, option) for command, rest in _USAGE.findall(text)
+            for option in _OPTION.findall(rest)}
+
+
+def _parser_options(capsys):
+    """(command, option) of every option ``cli.main``'s parser accepts,
+    read from its own --help output; --help itself is left out."""
+    cli = importlib.import_module("diracssf.cli")
+
+    def help_text(argv):
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--help"])
+        return capsys.readouterr().out
+
+    usage = help_text([]).splitlines()[0]
+    commands = re.search(r"\{([a-z,-]+)\}", usage).group(1).split(",")
+    return {(command, option) for command in commands
+            for option in _OPTION.findall(help_text([command])) if option != "--help"}
+
+
+def _cli_docs():
+    return README.read_text() + importlib.import_module("diracssf.cli").__doc__
+
+
+def test_documented_cli_options_are_accepted(capsys):
+    accepted = _parser_options(capsys)
+    assert _documented_options(_cli_docs()) - accepted == set()
+    # a stale usage line is caught
+    stale = "    diracssf run --config a.cfg --threads 4\n"
+    assert _documented_options(stale) - accepted == {("run", "--threads")}
+
+
+def test_accepted_cli_options_are_documented(capsys):
+    assert _parser_options(capsys) - _documented_options(_cli_docs()) == set()

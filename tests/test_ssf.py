@@ -16,12 +16,11 @@ from diracssf.ssf import (
     BracketEstimate,
     PotentialSpec,
     SsfEstimator,
-    build_omega1,
     build_omega_full,
     edge_threshold,
     gap_edge_factor,
     gaussian_longitudinal,
-    omega1_log_factors,
+    omega1_trace,
     TruncatedTailError,
     sweep_rows,
     trace_arctan,
@@ -191,17 +190,6 @@ class TestThresholdMap:
 _MASSES = st.floats(1e-3, 1e3)
 
 
-@settings(deadline=None, max_examples=300)
-@given(_MASSES, st.floats(1e-12, 1e6))
-def test_omega1_factors_invert_the_edge_thresholds(m, excess):
-    # outside the gap Omega1 counts W+ at (1 -+ eps) / f+ and W- at
-    # (1 -+ eps) / f-, so 1 / f+- is the threshold map at the edge +-m
-    lam = m * (1.0 + excess)
-    log_fp, log_fm = omega1_log_factors(lam, m)
-    assert math.exp(-log_fp) == pytest.approx(edge_threshold(lam, 1.0, m), rel=1e-14)
-    assert math.exp(-log_fm) == pytest.approx(edge_threshold(lam, -1.0, m), rel=1e-14)
-
-
 _ZERO_POTENTIAL = PotentialSpec(diag_matrix(0.0, 0.0), gaussian_profile(1.0),
                                 gaussian_longitudinal(), nu=5.0)
 _ZERO_BASIS = build_lll_basis(FieldSpec(2.0), 8)
@@ -225,10 +213,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
                                   "levinson_exponential", "levinson_power"])
 def test_harness_basis_floor_is_below_every_counted_level(monkeypatch, name):
     # the basis is sized for the smallest threshold the harness expects;
-    # record it and every level the scenario's brackets actually count W+ at.
-    # Inside, the bracket counts at edge_threshold itself; outside, the
-    # arctan trace compares log(f+ mu) with log(1 - eps), f+ in the log
-    # form of omega1_log_factors, so W+ is read at exp(log(1 - eps) - log f+)
+    # record it and every level the scenario's brackets actually read W+ at:
+    # (1 - eps) t(lambda) on both sides, the inside count and the outside
+    # arctan trace at s = 1 - eps
     floors, inside_levels, outside_levels = [], [], []
     build = harness._estimator
 
@@ -244,8 +231,7 @@ def test_harness_basis_floor_is_below_every_counted_level(monkeypatch, name):
             return br
 
         def outside_bracket(lam, eps, pair):
-            outside_levels.append(math.exp(math.log(1.0 - eps)
-                                           - omega1_log_factors(lam, est.m)[0]))
+            outside_levels.append((1.0 - eps) * edge_threshold(lam, 1.0, est.m))
             return outside(lam, eps, pair)
 
         est.inside_bracket, est.outside_bracket = inside_bracket, outside_bracket
@@ -318,31 +304,36 @@ class TestInsideBracket:
 
 class TestOmega1:
     def test_scale_factor(self):
-        # (1/2) sqrt(|lam + m| / |lam - m|) on the +m family and the
-        # reciprocal (1/2) sqrt(|lam - m| / |lam + m|) on the -m family
+        # Omega1 scales the +m family by f+ = (1/2) sqrt(|lam + m| / |lam - m|)
+        # and the -m family by f- = 1 / (4 f+): 3/2 and 1/6 at lam = 1.25
         spec = LogSpectrum.from_eigenvalues([1.0])
         empty = LogSpectrum.from_log(np.empty(0))
         for lam, f_plus, f_minus in ((1.25, 1.5, 1.0 / 6.0), (-1.25, 1.0 / 6.0, 1.5)):
-            out = build_omega1(lam, spec, empty, 1.0)
-            assert np.exp(out.log_values[0]) == pytest.approx(f_plus, rel=1e-12)
-            out = build_omega1(lam, empty, spec, 1.0)
-            assert np.exp(out.log_values[0]) == pytest.approx(f_minus, rel=1e-12)
+            for s in (0.5, 1.0, 3.0):
+                assert omega1_trace(lam, spec, empty, s) == pytest.approx(
+                    math.atan(f_plus / s), rel=1e-12)
+                assert omega1_trace(lam, empty, spec, s) == pytest.approx(
+                    math.atan(f_minus / s), rel=1e-12)
 
     def test_empty_minus_family(self):
+        # an empty family adds nothing; f+ = sqrt(3) / 2 at lam = 2
         spec = LogSpectrum.from_eigenvalues([2.0, 1.0])
         empty = LogSpectrum.from_log(np.empty(0))
-        out = build_omega1(2.0, spec, empty, 1.0)
-        assert len(out) == 2
+        want = math.atan(math.sqrt(3.0)) + math.atan(0.5 * math.sqrt(3.0))
+        assert omega1_trace(2.0, spec, empty, 1.0) == pytest.approx(want, rel=1e-14)
+        assert omega1_trace(2.0, empty, empty, 1.0) == 0.0
 
     def test_large_energy_limit(self):
+        # both scale factors tend to 1/2
         spec = LogSpectrum.from_eigenvalues([1.0])
-        out = build_omega1(1e8, spec, spec, 1.0)
-        assert np.allclose(np.exp(out.log_values), 0.5, rtol=1e-7)
+        assert omega1_trace(1e8, spec, spec, 1.0) == pytest.approx(2.0 * math.atan(0.5),
+                                                                   rel=1e-7)
 
     def test_rejects_gap_interior(self):
         spec = LogSpectrum.from_eigenvalues([1.0])
-        with pytest.raises(ValueError):
-            build_omega1(0.5, spec, spec, 1.0)
+        for lam in (0.5, 1.0, -1.0):
+            with pytest.raises(ValueError):
+                omega1_trace(lam, spec, spec, 1.0)
 
 
 class TestTraceArctan:
@@ -358,7 +349,8 @@ class TestTraceArctan:
         # log-ratios beyond +-30 take the expansion branches; zero and
         # negative entries contribute nothing
         lv = np.array([-95.0, -40.0, -30.5, -2.0, 0.0, 3.0, 30.5, 41.0, 88.0])
-        spec = LogSpectrum.from_log(lv).union(LogSpectrum.from_eigenvalues([0.0, -3.0]))
+        spec = LogSpectrum(np.append(lv, [0.0, math.log(3.0)]),
+                           np.append(np.ones(lv.size), [0, -1]))
         want = math.fsum(math.atan(math.exp(v) / 2.0) for v in lv)
         assert trace_arctan(spec, 2.0) == pytest.approx(want, rel=1e-14)
         assert trace_arctan(LogSpectrum.from_eigenvalues([0.0, -1.0]), 1.0) == 0.0
@@ -387,8 +379,8 @@ class TestOmegaFull:
         for j in (2, 6, 10):
             lam = 1.0 + 2.0**-j
             full = trace_arctan(build_omega_full(est, lam).spectrum, 1.0)
-            diag = trace_arctan(build_omega1(lam, est.wplus_model.spectrum,
-                                             est.wminus_model.spectrum, est.m), 1.0)
+            diag = omega1_trace(lam, est.wplus_model.spectrum,
+                                est.wminus_model.spectrum, 1.0, est.m)
             diffs.append(abs(full - diag))
         assert diffs[-1] < diffs[0]
 

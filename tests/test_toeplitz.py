@@ -260,7 +260,8 @@ class TestCountCertificate:
         # the margin is tested on the positive eigenvalues only, so a tiny
         # negative eigenvalue must not stand in for lambda_(K-1) = 2^-64
         model = toeplitz_radial_spectrum(gaussian_profile(1.0), basis_b2_64)
-        spec = model.spectrum.union(LogSpectrum.from_eigenvalues(np.array([-1e-300])))
+        spec = LogSpectrum(np.append(model.spectrum.log_values, np.log(1e-300)),
+                           np.append(model.spectrum.signs, -1))
         mixed = ToeplitzModel(model.basis, None, spec)
         with pytest.raises(TruncationError) as err:
             mixed.require_adequate(1e-18)
