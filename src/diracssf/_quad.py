@@ -170,29 +170,6 @@ def _legendre_near_one(n, y):
     return p, n * (d - y * p)
 
 
-def _row_logsumexp(a):
-    """log(sum(exp(a), axis=1)) for a real 2-D array, in one exp pass.
-
-    The arithmetic is scipy.special.logsumexp's for real input: the
-    maximum of each row is split off with its multiplicity, so the result
-    is bitwise equal to ``logsumexp(a, axis=1)``.  Rows whose result is not
-    finite (NaN, all -inf, +inf entries) take log(sum(exp(row))) instead.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        top = np.max(a, axis=1)
-        at_top = a == top[:, None]
-        shifted = a - top[:, None]  # inf - inf only where at_top
-        np.exp(shifted, out=shifted)
-        np.putmask(shifted, at_top, 0.0)
-        count = np.count_nonzero(at_top, axis=1)
-        out = np.log1p(np.sum(shifted, axis=1) / count) + np.log(count) + top
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        with np.errstate(over="ignore", divide="ignore"):
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
-    return out
-
-
 def log_integral_batch(log_f, lo, hi, *, tol, n0):
     """log of integral_{lo_k}^{hi_k} exp(log_f(r)) dr, one value per row.
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import _row_logsumexp
-
 THRESHOLD_FLAG_TOL = 1e-13
 FLIP_RTOL = 1e-12      # check_flip: shared eigenvalues agree to this times the top one
 PSD_TOL = 1e-12        # eigenvalues of B below -PSD_TOL * ||B|| make it indefinite
@@ -136,11 +134,21 @@ class LogSpectrum:
         return LogSpectrum._from_sorted(lv, self.signs, self._pos_end, self._neg_start)
 
     def log_schatten_pth_power(self, p: int) -> float:
-        """log of sum |lambda_i|^p over the nonzero eigenvalues."""
-        lv = self.log_values[self.signs != 0]
-        if lv.size == 0:
+        """log of sum |lambda_i|^p over the nonzero eigenvalues.
+
+        scipy.special.logsumexp's arithmetic for finite real input, so the
+        result is bitwise equal to it: the maximum is split off with its
+        multiplicity and the rest is summed shifted by it.
+        """
+        a = p * self.log_values[self.signs != 0]
+        if a.size == 0:
             return -np.inf
-        return float(_row_logsumexp(p * lv[None, :])[0])
+        top = np.max(a)
+        at_top = a == top
+        shifted = np.exp(a - top)
+        shifted[at_top] = 0.0
+        count = np.count_nonzero(at_top)
+        return float(np.log1p(np.sum(shifted) / count) + np.log(count) + top)
 
     def threshold_margin(self, s: float) -> float:
         """Min log-distance of any nonzero eigenvalue to the threshold.

@@ -36,7 +36,6 @@ class DiscreteH0:
     ladder: LadderModel
     momenta: np.ndarray
     m: float
-    box_half_width: float
     fibers: np.ndarray
 
     @property
@@ -98,7 +97,20 @@ def build_h0(b0: float, m: float, L: int, N: int, X: float) -> DiscreteH0:
     rest = np.kron(off, s_perp) + np.kron(np.diag([m, -m]), np.eye(2 * L))
     pattern = np.kron(off, np.block([[eye, z], [z, -eye]]))
     fibers = rest + momenta[:, None, None] * pattern
-    return DiscreteH0(ladder, momenta, float(m), float(X), fibers)
+    return DiscreteH0(ladder, momenta, float(m), fibers)
+
+
+def _square_residuals(h0: DiscreteH0) -> np.ndarray:
+    """|F F - reference| for every fiber F, shape (N, 4 L, 4 L).
+
+    Fiber j is squared against its diagonal reference, levels + p_j^2 +
+    m^2; the square of a direct sum has no entries between fibers.
+    """
+    L, m = h0.L, h0.m
+    fibers = h0.fibers
+    levels = 2.0 * h0.ladder.b0 * np.add.outer([0.0, 1.0, 0.0, 1.0], np.arange(L)).ravel()
+    diag = levels[None, :] + (h0.momenta**2)[:, None] + m * m
+    return np.abs(fibers @ fibers - diag[:, :, None] * np.eye(4 * L))
 
 
 def check_square_identity(h0: DiscreteH0):
@@ -108,48 +120,48 @@ def check_square_identity(h0: DiscreteH0):
     and 2 b0 (k+1); the square matches them exactly except on the top
     ladder level of the raised components, where the cut leaks an error
     of size 2 b0 L.  Returns (interior, full) max-abs residuals.
-
-    Fiber j is squared against its diagonal reference, levels + p_j^2 +
-    m^2; the square of a direct sum has no entries between fibers.
     """
-    L, m = h0.L, h0.m
-    b0 = h0.ladder.b0
-    fibers = h0.fibers
-    levels = 2.0 * b0 * np.add.outer([0.0, 1.0, 0.0, 1.0], np.arange(L)).ravel()
-    diag = levels[None, :] + (h0.momenta**2)[:, None] + m * m
-    diff = np.abs(fibers @ fibers - diag[:, :, None] * np.eye(4 * L))
-    full = float(np.max(diff))
+    diff = _square_residuals(h0)
     mask = h0.interior_mask()
-    interior = float(np.max(diff[:, mask][:, :, mask]))
-    return interior, full
+    return float(np.max(diff[:, mask][:, :, mask])), float(np.max(diff))
 
 
-def roundoff_bounds(h0: DiscreteH0) -> tuple[float, float]:
-    """(square, eigenvalue) round-off bounds, from ||H0|| = max |eigenvalue|.
+def roundoff_bounds(h0: DiscreteH0) -> tuple[np.ndarray, float]:
+    """(square, eigenvalue) round-off bounds.
 
     Each entry of a squared fiber F F is a 4 L-term dot product, off by at
-    most 4 L eps (|F| |F|)_ij <= 4 L eps ||H0||^2, since a row and a column
-    of F have norm at most ||F|| <= ||H0||.  A backward-stable dense
-    eigensolve of dimension n = 4 L N moves each eigenvalue by at most
-    n eps ||H0||.  Each bound adds ``EXTRA_ROUNDINGS`` roundings of its
+    most 4 L eps (|F| |F|)_ij; the square bound is that entrywise array,
+    shape (N, 4 L, 4 L).  A backward-stable dense eigensolve of dimension
+    n = 4 L N moves each eigenvalue by at most n eps ||H0||, with ||H0|| =
+    max |eigenvalue|.  Each bound adds ``EXTRA_ROUNDINGS`` roundings of its
     scale: the stored ladder roots and the reference diagonal's sums, or
     the fiber formula's root of a three-term sum.
     """
     eps = float(np.finfo(float).eps)
+    absf = np.abs(h0.fibers)
     norm = float(np.max(np.abs(h0.eigenvalues)))
-    return ((4 * h0.L + EXTRA_ROUNDINGS) * eps * norm**2,
+    return ((4 * h0.L + EXTRA_ROUNDINGS) * eps * (absf @ absf),
             (4 * h0.L * h0.N + EXTRA_ROUNDINGS) * eps * norm)
 
 
+def square_identity_within_roundoff(h0: DiscreteH0) -> bool:
+    """Whether every interior entry of each squared fiber is within its
+    entrywise round-off bound from ``roundoff_bounds``."""
+    square_bound, _ = roundoff_bounds(h0)
+    within = _square_residuals(h0) <= square_bound
+    mask = h0.interior_mask()
+    return bool(np.all(within[:, mask][:, :, mask]))
+
+
 def check_gap(h0: DiscreteH0) -> float:
-    """Smallest spectral magnitude; must equal the mass up to round-off."""
+    """Smallest spectral magnitude; must equal the mass up to the
+    eigenvalue round-off bound of ``roundoff_bounds``."""
     smallest = float(np.min(np.abs(h0.eigenvalues)))
-    delta_grid = (np.pi / h0.box_half_width) ** 2
-    lo = h0.m * (1.0 - 1e-10)
-    hi = math.sqrt(h0.m**2 + delta_grid)
-    if not lo <= smallest <= hi:
+    _, eig_tol = roundoff_bounds(h0)
+    if not abs(smallest - h0.m) <= eig_tol:
         raise AssertionError(
-            f"spectral gap violated: min |eig| = {smallest!r} outside [{lo!r}, {hi!r}]"
+            f"spectral gap violated: min |eig| = {smallest!r} is farther than "
+            f"{eig_tol!r} from the mass {h0.m!r}"
         )
     return smallest
 

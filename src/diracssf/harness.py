@@ -28,11 +28,12 @@ from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbo
                        mu_average_counting)
 from .dirac_algebra import anticommutation_residual, dirac_matrices
 from .discrete_model import (build_h0, check_square_identity, fiber_eigenvalues,
-                             roundoff_bounds)
+                             roundoff_bounds, square_identity_within_roundoff)
 from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, RankTwoImS,
                         im_s_norm_rows)
 from .landau import FieldSpec, build_lll_basis
-from .ssf import PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal, sweep_rows
+from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
+                  levinson_energies)
 from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian_profile,
                        power_profile, suggest_truncation, toeplitz_radial_spectrum)
 
@@ -350,13 +351,20 @@ def _scenario_ssf(cfg: ScenarioConfig, side: str):
     lams = cfg.lambdas or ((0.9, 0.99) if side == "inside" else (1.1, 1.01))
     lams = [lam * cfg.mass for lam in lams]
     est = _estimator(cfg, _edge_floor(cfg, lams))
+    bracket = est.inside_bracket if side == "inside" else est.outside_bracket
     rows = []
-    for lam, eps, lower, upper, pred, ratio in sweep_rows(est, lams, cfg.eps_bracket,
-                                                          "H-", side):
-        params = f"lambda={format_value(lam)};eps={format_value(eps)}"
+    for lam in lams:
+        br = bracket(lam, cfg.eps_bracket, "H-")
+        try:
+            pred = est.predict(lam, side, "H-")
+        except ValueError:
+            # lambda outside the validity window of the logarithmic laws
+            pred = math.nan
+        ratio = br.midpoint / pred if pred != 0.0 else math.nan
+        params = f"lambda={format_value(lam)};eps={format_value(cfg.eps_bracket)}"
         rows += [
-            ResultRow(cfg.scenario, params, "bracket_lower", lower),
-            ResultRow(cfg.scenario, params, "bracket_upper", upper),
+            ResultRow(cfg.scenario, params, "bracket_lower", br.lower),
+            ResultRow(cfg.scenario, params, "bracket_upper", br.upper),
             ResultRow(cfg.scenario, params, "prediction", pred),
             ResultRow(cfg.scenario, params, "ratio_mid_to_prediction", ratio),
         ]
@@ -366,9 +374,8 @@ def _scenario_ssf(cfg: ScenarioConfig, side: str):
 def _scenario_levinson(cfg: ScenarioConfig):
     eps_values = tuple(sorted(cfg.eps_values or (1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
                               reverse=True))
-    # levinson_rows counts at lambda_in = m (1 - eps) and lambda_out = m / (1 - eps)
-    est = _estimator(cfg, _edge_floor(cfg, [lam for eps in eps_values for lam in
-                                            (cfg.mass * (1.0 - eps), cfg.mass / (1.0 - eps))]))
+    est = _estimator(cfg, _edge_floor(cfg, [lam for eps in eps_values
+                                            for lam in levinson_energies(eps, cfg.mass, 1.0)]))
     lo, hi = _LAWS[cfg.law][2]
     rows = []
     for eps in eps_values:
@@ -415,11 +422,11 @@ def _scenario_dirac(cfg: ScenarioConfig):
     interior, full = check_square_identity(h0)
     smallest = float(np.min(np.abs(h0.eigenvalues)))
     dev = float(np.max(np.abs(fiber_eigenvalues(h0) - h0.eigenvalues)))
-    square_tol, eig_tol = roundoff_bounds(h0)
+    _, eig_tol = roundoff_bounds(h0)
     return [
         ResultRow(cfg.scenario, "", "anticommutation_residual", res, passed=res <= 1e-12),
         ResultRow(cfg.scenario, "", "square_identity_interior", interior,
-                  passed=interior <= square_tol),
+                  passed=square_identity_within_roundoff(h0)),
         ResultRow(cfg.scenario, "", "square_identity_full", full),
         ResultRow(cfg.scenario, "", "min_abs_eigenvalue", smallest,
                   passed=abs(smallest - cfg.mass) <= eig_tol),

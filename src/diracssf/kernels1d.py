@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_legendre, panel_integral
+from ._quad import panel_integral
 
 GRID_DEFAULT_HALF_WIDTH = 200.0
 GRID_DEFAULT_POINTS = 2**14
@@ -80,33 +80,25 @@ def _branch_root(z: complex, m: float) -> complex:
     return w
 
 
-def s_kernel(z: complex, nu3: float, x3: float, x3p: float, m: float = 1.0) -> complex:
+def s_kernel(z: complex, nu3: float, x3, x3p, m: float = 1.0):
     """Integral kernel of the weighted operator <Q>^(-nu3/2) P3 R <Q>^(-nu3/2).
 
-    Antisymmetric sign factor with sgn(0) = 0 on the diagonal (the
-    diagonal carries no measure).  For real z inside the gap the root
-    continues to i sqrt(m^2 - z^2), giving a decaying real profile times
-    the i/2 prefactor.
+    Elementwise in (x3, x3p), which broadcast.  Antisymmetric sign factor
+    with sgn(0) = 0 on the diagonal (the diagonal carries no measure).
+    For real z inside the gap the root continues to i sqrt(m^2 - z^2),
+    giving a decaying real profile times the i/2 prefactor.
     """
-    if x3 == x3p:
-        return 0.0j
-    root = _branch_root(z, m)
-    sgn = 1.0 if x3 > x3p else -1.0
+    diff = x3 - x3p
     w1 = (1.0 + x3 * x3) ** (-nu3 / 4.0)
     w2 = (1.0 + x3p * x3p) ** (-nu3 / 4.0)
-    return 0.5j * w1 * sgn * np.exp(1j * root * abs(x3 - x3p)) * w2
+    return 0.5j * w1 * np.sign(diff) * np.exp(1j * _branch_root(z, m) * np.abs(diff)) * w2
 
 
 def s_matrix(z: complex, nu3: float, grid: Grid1D, m: float = 1.0) -> np.ndarray:
     """Symmetrised Nystrom discretisation of the S_z kernel."""
     x = grid.nodes
     sw = np.sqrt(grid.trapezoid_weights)
-    diff = np.subtract.outer(x, x)
-    root = _branch_root(z, m)
-    w = (1.0 + x * x) ** (-nu3 / 4.0)
-    kern = 0.5j * np.sign(diff) * np.exp(1j * root * np.abs(diff))
-    kern *= np.outer(w, w)
-    return kern * np.outer(sw, sw)
+    return s_kernel(z, nu3, x[:, None], x[None, :], m) * np.outer(sw, sw)
 
 
 def _weight_halfline_integral(nu3: float) -> float:
@@ -135,11 +127,15 @@ def _weight_cos_halfline(nu3: float, omega: float) -> float:
 def _weighted_trig_sq(nu3: float, k: float, trig: str, half_width: float | None):
     """integral of <x>^(-nu3) trig(kx)^2 over the line or over [-X, X].
 
-    Oscillation-aware panels (width capped by both the half period and
-    the unit weight scale) cover the head; on the full line the two tail
-    pieces are exact: a tangent substitution for the plain weight and the
-    Bessel cosine transform minus the head for the oscillatory part.
+    On the line, trig^2 = (1 -+ cos 2kx) / 2 gives I -+ C(2k), with I the
+    weight's half-line integral and C its cosine transform (the sine takes
+    the minus sign).  On the box, oscillation-aware panels (width capped by
+    both the half period and the unit weight scale) integrate it directly.
     """
+    if half_width is None:
+        sign = -1.0 if trig == "sin" else 1.0
+        return _weight_halfline_integral(nu3) + sign * _weight_cos_halfline(nu3, 2.0 * k)
+
     def f(x):
         w = (1.0 + x * x) ** (-nu3 / 2.0)
         t = np.sin(k * x) if trig == "sin" else np.cos(k * x)
@@ -147,29 +143,7 @@ def _weighted_trig_sq(nu3: float, k: float, trig: str, half_width: float | None)
 
     # panels must resolve both the oscillation and the unit weight scale
     panel = min(np.pi / (2.0 * max(k, 1e-12)), 8.0)
-    if half_width is not None:
-        core = panel_integral(f, 0.0, half_width, min(panel, half_width / 8.0))
-        return 2.0 * core
-
-    x_cut = max(48.0, 6.0 / max(k, 0.125))
-    core = panel_integral(f, 0.0, x_cut, min(panel, x_cut / 8.0))
-
-    # plain-weight tail: t = tan(theta) maps it onto a smooth finite integral
-    theta0 = np.arctan(x_cut)
-    x, w = gauss_legendre(96)
-    theta = 0.5 * (np.pi / 2.0 - theta0) * (x + 1.0) + theta0
-    t0 = float(np.sum(w * 0.5 * (np.pi / 2.0 - theta0)
-                      * np.cos(theta) ** (nu3 - 2.0)))
-
-    # oscillatory tail: exact transform minus the head panels
-    omega = 2.0 * k
-    head_cos = panel_integral(
-        lambda x: (1.0 + x * x) ** (-nu3 / 2.0) * np.cos(omega * x),
-        0.0, x_cut, min(panel, x_cut / 8.0))
-    tc = _weight_cos_halfline(nu3, omega) - head_cos
-
-    sign = -1.0 if trig == "sin" else 1.0
-    return 2.0 * (core + 0.5 * (t0 + sign * tc))
+    return 2.0 * panel_integral(f, 0.0, half_width, min(panel, half_width / 8.0))
 
 
 @dataclass(frozen=True)

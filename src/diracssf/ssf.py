@@ -132,6 +132,12 @@ def edge_threshold(lam: float, edge: float, m: float = 1.0) -> float:
     return 2.0 * math.sqrt(abs(lam - edge * m) / abs(lam + edge * m))
 
 
+def levinson_energies(eps: float, m: float, edge: float) -> tuple[float, float]:
+    """(inside, outside) energies of a Levinson row: edge m (1 - eps) and
+    edge m / (1 - eps), mirrored about the edge edge * m (edge = +-1)."""
+    return edge * m * (1.0 - eps), edge * m / (1.0 - eps)
+
+
 @dataclass(frozen=True)
 class BracketEstimate:
     """(lower, upper) bracket with its slack; bounded terms excluded."""
@@ -391,8 +397,7 @@ class SsfEstimator:
         e = self._edge(pair)[0]
         rows = []
         for eps in eps_sequence:
-            lam_in = e * self.m * (1.0 - eps)
-            lam_out = e * self.m / (1.0 - eps)
+            lam_in, lam_out = levinson_energies(eps, self.m, e)
             inside = self.inside_bracket(lam_in, eps_bracket, pair)
             outside = self.outside_bracket(lam_out, eps_bracket, pair)
             if inside.midpoint == 0.0:
@@ -442,24 +447,3 @@ def gap_edge_factor(est: SsfEstimator, grid: Grid1D, lam: float,
     prefactor = 1.0 / edge_threshold(lam, edge, m)
     factor = np.kron(np.diag(theta), np.kron(sqrt_long, row))
     return math.sqrt(prefactor) * factor
-
-
-def sweep_rows(estimator: SsfEstimator, lams, eps: float, pair: str, side: str):
-    """(lambda, eps, lower, upper, prediction, midpoint/prediction) rows.
-
-    Lambdas too far from the edge fall outside the validity window of the
-    logarithmic laws; those rows carry nan predictions instead of dying.
-    """
-    rows = []
-    for lam in lams:
-        if side == "inside":
-            br = estimator.inside_bracket(lam, eps, pair)
-        else:
-            br = estimator.outside_bracket(lam, eps, pair)
-        try:
-            pred = estimator.predict(lam, side, pair)
-        except ValueError:
-            pred = math.nan
-        ratio = br.midpoint / pred if pred != 0.0 else math.nan
-        rows.append((float(lam), float(eps), br.lower, br.upper, pred, ratio))
-    return rows

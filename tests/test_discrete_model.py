@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from diracssf.discrete_model import (
     fiber_eigenvalues,
     roundoff_bounds,
     spectrum_symmetry_residual,
+    square_identity_within_roundoff,
     tdiv_spectrum,
     tdiv_vs_omega_count,
 )
@@ -153,11 +155,51 @@ def test_roundoff_bounds_hold_from_tiny_to_wide_boxes(b0, L, N, X):
     # ||H0|| runs from 3.9 to 5e6 over these boxes; the residuals that
     # absolute tolerances would call failures stay within the derived bounds
     h0 = build_h0(b0, 1.0, L, N, X)
-    square_tol, eig_tol = roundoff_bounds(h0)
-    interior, _ = check_square_identity(h0)
-    assert interior <= square_tol
+    _, eig_tol = roundoff_bounds(h0)
+    assert square_identity_within_roundoff(h0)
     assert abs(float(np.min(np.abs(h0.eigenvalues))) - 1.0) <= eig_tol
     assert np.max(np.abs(fiber_eigenvalues(h0) - h0.eigenvalues)) <= eig_tol
+
+
+@pytest.mark.parametrize("b0, L, N, X", [(1.0, 8, 32, 1e-5), (1.0, 8, 32, 20.0),
+                                          (3.0, 12, 16, 0.1)])
+def test_entrywise_square_bound_is_within_the_norm_bound(b0, L, N, X):
+    # (|F| |F|)_ij <= ||row i|| ||column j|| <= ||H0||^2 (Cauchy-Schwarz), so the
+    # entrywise bound is at most (4 L + 4) eps ||H0||^2 at every entry
+    h0 = build_h0(b0, 1.0, L, N, X)
+    square_bound, _ = roundoff_bounds(h0)
+    norm_bound = (4 * L + 4) * np.finfo(float).eps * np.max(np.abs(h0.eigenvalues)) ** 2
+    assert square_bound.shape == h0.fibers.shape
+    assert np.all(square_bound <= norm_bound)
+
+
+def _shifted_zero_momentum_fiber(h0, delta):
+    fibers = h0.fibers.copy()
+    fibers[h0.N // 2] += delta * np.eye(fibers.shape[1])
+    return replace(h0, fibers=fibers)
+
+
+def test_check_gap_accepts_round_off_on_a_tiny_box():
+    # ||H0|| is about 5e6 at grid_x = 1e-5, so min |eig| misses the mass by
+    # far more than 1e-10 relative, yet within the eigenvalue round-off bound
+    h0 = build_h0(1.0, 1.0, 8, 32, 1e-5)
+    _, eig_tol = roundoff_bounds(h0)
+    assert abs(check_gap(h0) - 1.0) <= eig_tol
+    # the p = 0 fiber holds the gap states: a shift by twice the bound is refused
+    with pytest.raises(AssertionError, match="spectral gap violated"):
+        check_gap(_shifted_zero_momentum_fiber(h0, 2.0 * eig_tol))
+
+
+@pytest.mark.parametrize("delta", [1e-6, 0.02])
+def test_entrywise_square_bound_catches_a_shift_the_norm_bound_misses(delta):
+    # on the tiny box (4 L + 4) eps ||H0||^2 is 0.2, set by the top momentum,
+    # while the p = 0 fiber's entries are O(1); a shift by delta moves its
+    # diagonal squared entries by 2 m delta, far past their entrywise bounds
+    h0 = _shifted_zero_momentum_fiber(build_h0(1.0, 1.0, 8, 32, 1e-5), delta)
+    interior, _ = check_square_identity(h0)
+    norm_bound = (4 * 8 + 4) * np.finfo(float).eps * np.max(np.abs(h0.eigenvalues)) ** 2
+    assert interior <= norm_bound
+    assert not square_identity_within_roundoff(h0)
 
 
 def test_build_guards():

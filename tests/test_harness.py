@@ -558,6 +558,25 @@ def test_dirac_check_on_a_tiny_box_passes_its_rows(tmp_path, capsys):
     assert "min_abs_eigenvalue" in out.read_text()
 
 
+def test_dirac_check_square_row_fails_a_shifted_fiber_on_a_tiny_box(monkeypatch):
+    # at grid_x = 1e-5 a norm bound (4 L + 4) eps ||H0||^2 = 0.2 would pass a
+    # 1e-6 shift of the p = 0 fiber; the entrywise bound refuses it, while
+    # the eigenvalues move by less than their own round-off bound
+    cfg = parse_config("[scenario]\nname = dirac-check\n[truncation]\ngrid_x = 1e-5\n")
+    build = harness.build_h0
+
+    def perturbed(*args):
+        h0 = build(*args)
+        fibers = h0.fibers.copy()
+        fibers[h0.N // 2] += 1e-6 * np.eye(fibers.shape[1])
+        return replace(h0, fibers=fibers)
+
+    monkeypatch.setattr(harness, "build_h0", perturbed)
+    rows = {row.metric: row for row in run_scenario(cfg)}
+    assert rows["square_identity_interior"].passed is False
+    assert rows["min_abs_eigenvalue"].passed is True
+
+
 def _shipped_h0():
     cfg = parse_config((CONFIGS_DIR / "dirac_check.cfg").read_text())
     return cfg, build_h0(cfg.b0, cfg.mass, cfg.ladder_l, cfg.grid_n, cfg.grid_x)
@@ -566,7 +585,7 @@ def _shipped_h0():
 def test_dirac_check_bounds_are_tighter_than_the_old_constants_at_the_shipped_config():
     cfg, h0 = _shipped_h0()
     square_tol, eig_tol = roundoff_bounds(h0)
-    assert square_tol < 1e-10
+    assert np.max(square_tol) < 1e-10
     assert eig_tol < 1e-9 * cfg.mass
 
 
@@ -579,7 +598,8 @@ def test_dirac_check_row_fails_when_its_identity_is_broken_past_its_bound(monkey
     # delta is twice what the row's bound allows
     cfg, h0 = _shipped_h0()
     square_tol, eig_tol = roundoff_bounds(h0)
-    delta = square_tol / cfg.mass if metric == "square_identity_interior" else 2.0 * eig_tol
+    delta = (np.max(square_tol) / cfg.mass if metric == "square_identity_interior"
+             else 2.0 * eig_tol)
     build = harness.build_h0
 
     def perturbed(*args):
@@ -624,6 +644,25 @@ def test_lambda_equal_to_mass_runs_above_the_edge(scenario):
                        + "mass = 2.0\n[sweep]\nlambdas = 2.0\n")
     rows = run_scenario(cfg)
     assert rows and all(r.params.startswith("lambda=4") for r in rows)
+
+
+@pytest.mark.parametrize("potential, sweep, prediction", [
+    ("m11 = 0.0\n", "", 0.0),     # a zero edge symbol predicts 0
+    ("", "lambdas = 0.5\n", math.nan),  # t(0.5) > 1/e: outside the law's window
+])
+def test_ssf_inside_rows_without_a_finite_ratio(tmp_path, potential, sweep, prediction):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[scenario]\nname = ssf-inside\n[field]\nb0 = 2.0\n"
+                    f"[potential]\n{potential}[sweep]\n{sweep}")
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert rows
+    for row in rows:
+        want = {"bracket_lower": 0.0, "bracket_upper": 0.0, "prediction": prediction,
+                "ratio_mid_to_prediction": math.nan}[row["metric"]]
+        assert float(row["value"]) == want or math.isnan(want) and row["value"] == "nan"
+        assert row["status"] == ""
 
 
 def test_ssf_scenarios_run():

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -90,6 +91,43 @@ class TestRankTwoImS:
         small = RankTwoImS(1.0 + 1e-8, 2.0, 1.0).norm_u()
         assert small < 0.05
         assert small < 0.2 * mid
+
+
+def _mp_weight_integrals(nu3, omega):
+    """40-digit (I, C(omega)): the half-line integral of <x>^(-nu3) and its
+    cosine transform, sqrt(pi) / Gamma(nu3/2) (omega/2)^a K_a(omega) with
+    a = (nu3 - 1)/2 (Basset's integral)."""
+    with mp.workdps(40):
+        nu3, omega = mp.mpf(nu3), mp.mpf(omega)
+        a = (nu3 - 1) / 2
+        whole = mp.sqrt(mp.pi) / 2 * mp.gamma(a) / mp.gamma(nu3 / 2)
+        cos = mp.sqrt(mp.pi) / mp.gamma(nu3 / 2) * (omega / 2) ** a * mp.besselk(a, omega)
+        return whole, cos
+
+
+@pytest.mark.parametrize("nu3", [3.0, 8.0])
+def test_mpmath_cosine_transform_is_the_oscillatory_quadrature(nu3):
+    # Basset's closed form against a direct 40-digit oscillatory quadrature
+    with mp.workdps(40):
+        quad = mp.quadosc(lambda x: (1 + x * x) ** (-mp.mpf(nu3) / 2) * mp.cos(2 * x),
+                          [0, mp.inf], omega=2)
+        assert abs(quad / _mp_weight_integrals(nu3, 2.0)[1] - 1) < mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("nu3", [2.0, 3.0, 8.0])
+def test_full_line_norms_match_mpmath(nu3):
+    # ||u||^2 = I - C(2 kappa) and ||v||^2 = (I + C(2 kappa)) / 4 at the kappa the
+    # code computes.  I and C each come from gamma and kv within 3 eps relative
+    # at these orders, C <= I, and the difference, the square root in the norm
+    # and its square add 3 roundings: each norm^2 is off by at most 10 eps I
+    # absolute, a relative bound of about 10 eps I / ||u||^2 where I - C cancels
+    eps = np.finfo(float).eps
+    for gap in np.geomspace(1e-6, 49.0, 12):
+        ops = RankTwoImS(1.0 + gap, nu3)
+        whole, cos = _mp_weight_integrals(nu3, 2.0 * ops.kappa)
+        bound = 10.0 * eps * float(whole)
+        assert abs(ops.norm_u() ** 2 - float(whole - cos)) <= bound
+        assert abs(ops.norm_v() ** 2 - float((whole + cos) / 4)) <= bound
 
 
 class TestSchattenNorms:

@@ -697,41 +697,6 @@ def test_searches_raise_at_their_iteration_caps(monkeypatch):
         _quad.bracket_drop(g, peak, g(peak), side="left")
 
 
-_SPECIAL = st.sampled_from([-np.inf, np.inf, np.nan])
-
-
-@st.composite
-def logsumexp_rows(draw):
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 24))
-    # quarter-integers make ties at the row maximum common
-    a = draw(arrays(np.float64, (m, n), elements=st.one_of(
-        st.integers(-40, 40).map(lambda i: i / 4.0),
-        st.floats(-700.0, 700.0),
-        st.just(-np.inf),
-    )))
-    for i in range(m):
-        kind = draw(st.sampled_from(["plain", "all -inf", "special"]))
-        if kind == "all -inf":
-            a[i] = -np.inf
-        elif kind == "special":
-            a[i, draw(st.integers(0, n - 1))] = draw(_SPECIAL)
-    return a
-
-
-@settings(max_examples=150, deadline=None)
-@given(logsumexp_rows())
-def test_row_logsumexp_is_bitwise_scipy(a):
-    from scipy.special import logsumexp
-
-    from diracssf._quad import _row_logsumexp
-
-    got = _row_logsumexp(a)
-    want = logsumexp(a, axis=1)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 @st.composite
 def log_vectors(draw):
     elements = [st.integers(-40, 40).map(lambda i: i / 4.0), st.floats(-700.0, 700.0)]

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import math
 import operator
+import pkgutil
 import re
 from pathlib import Path
 
@@ -16,9 +18,13 @@ _OPERATORS = {ast.Pow: operator.pow, ast.LShift: operator.lshift, ast.Mult: oper
 
 
 def _number(node):
-    """Value of a numeric literal, possibly with ``-``, ``*``, ``**`` or ``<<``."""
+    """Value of a numeric literal, possibly with ``-``, ``*``, ``**``, ``<<`` or
+    ``math.exp``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         return node.value
+    if (isinstance(node, ast.Call) and ast.unparse(node.func) == "math.exp"
+            and len(node.args) == 1 and not node.keywords):
+        return math.exp(_number(node.args[0]))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
         return _OPERATORS[type(node.op)](_number(node.operand))
     if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
@@ -48,6 +54,29 @@ def test_every_readme_rule_constant_has_its_documented_value():
         if type(got) is not type(want) or got != want:
             wrong.append(f"{module}.{name}: README {text}, code {got!r}")
     assert not wrong
+
+
+def _module_constants():
+    """(module, name) of every public numeric constant a diracssf module defines:
+    an upper-case module-level assignment whose value is an int or a float."""
+    package = importlib.import_module("diracssf")
+    found = set()
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"diracssf.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in tree.body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if (isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+                        and type(getattr(module, target.id)) in (int, float)):
+                    found.add((info.name, target.id))
+    return found
+
+
+def test_every_module_constant_is_documented():
+    documented = {(module, name) for module, name, _ in _documented_constants()}
+    constants = _module_constants()
+    assert len(constants) >= 40
+    assert constants - documented == set()
 
 
 # one row of the read-set tables: | `name` | `key`, `key`, ... |

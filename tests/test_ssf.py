@@ -20,9 +20,9 @@ from diracssf.ssf import (
     edge_threshold,
     gap_edge_factor,
     gaussian_longitudinal,
+    levinson_energies,
     omega1_trace,
     TruncatedTailError,
-    sweep_rows,
     trace_arctan,
 )
 from diracssf.toeplitz import (TruncationError, disc_profile, gaussian_profile, power_profile,
@@ -447,8 +447,8 @@ class TestPredictions:
         est = SsfEstimator(pot, basis_b2_64, m=1.0)
         assert est.predict(lam, "inside", pair) == 0.0
         assert est.predict(1.0 / lam, "outside", pair) == 0.0
-        [(_, _, lower, upper, pred, ratio)] = sweep_rows(est, [lam], 0.1, pair, "inside")
-        assert lower == upper == pred == 0.0 and math.isnan(ratio)
+        bracket = est.inside_bracket(lam, 0.1, pair)
+        assert bracket.lower == bracket.upper == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +529,12 @@ class TestLevinsonRows:
         with pytest.raises(ZeroDivisionError):
             est_exp.levinson_rows([0.49], "H-", eps_bracket=0.1)
 
+    @pytest.mark.parametrize("pair, edge", [("H-", 1.0), ("H+", -1.0)])
+    def test_rows_sit_at_the_levinson_energies(self, est_exp, pair, edge):
+        [(_, lam_in, lam_out, *_)] = est_exp.levinson_rows([1e-2], pair, eps_bracket=0.1)
+        assert (lam_in, lam_out) == levinson_energies(1e-2, est_exp.m, edge)
+        assert lam_in * lam_out == pytest.approx(1.0, rel=1e-15)
+
 
 class TestGapEdgeFactorisation:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])
@@ -558,15 +564,6 @@ class TestGapEdgeFactorisation:
 def test_bracket_estimate_invariant():
     with pytest.raises(ValueError):
         BracketEstimate(1.0, 0.0, 0.1)
-
-
-def test_sweep_rows_shape(est_exp):
-    rows = sweep_rows(est_exp, [0.99, 0.999], 0.1, "H-", "inside")
-    assert len(rows) == 2
-    lam, eps, lower, upper, pred, ratio = rows[0]
-    assert lam == 0.99 and eps == 0.1
-    assert lower <= upper and pred < 0.0
-    assert ratio == pytest.approx(0.5 * (lower + upper) / pred)
 
 
 def test_outside_prefactor_large_exponent_limit():
