@@ -196,13 +196,12 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
     so no temporary outgrows a per-core L2 cache; the result is the same
     for any block size.
 
-    A row that is -inf at every node of the first rule is a zero integrand
-    and must stay -inf on every rule.  A later rule that finds it finite,
-    or a remainder of another row that is not finite (a NaN or +inf
-    log-integrand, a value more than the float range above the first
-    rule's maximum, or every value that far below it), raises
-    QuadratureError naming the row.  Failure to stabilise by
-    ``LOG_NODE_CAP`` raises QuadratureError with the largest last change.
+    A remainder that is not finite raises QuadratureError naming the row:
+    a NaN or +inf log-integrand, one that is -inf at every node of the
+    first rule (the shift is then -inf and the remainder NaN), a value more
+    than the float range above the first rule's maximum, or every value
+    that far below it.  Failure to stabilise by ``LOG_NODE_CAP`` raises
+    QuadratureError with the largest last change.
     """
     if n0 > LOG_NODE_CAP:
         raise ValueError(f"node ladder {n0}..{LOG_NODE_CAP} is empty: n0 > LOG_NODE_CAP")
@@ -214,7 +213,6 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
     mid = 0.5 * (hi + lo)
     m = half.shape[0]
     shift = np.empty(m)
-    offset = np.empty(m)  # shift, with 0 for a zero row so that exp gives 0
     prev = None
     delta = np.inf
     n = n0
@@ -230,24 +228,25 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
             nodes += mid[rows, None]
             e = log_f(nodes, rows)
             if n == n0:
-                top = np.max(e, axis=1)
-                shift[rows] = top
-                offset[rows] = np.where(np.isneginf(top), 0.0, top)
+                shift[rows] = np.max(e, axis=1)
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                e -= offset[rows, None]
+                e -= shift[rows, None]
                 np.exp(e, out=e)
                 rem[rows] = np.log(np.einsum("ij,j->i", e, w))
             # free the block's integrand before the next one is built, so
             # the allocator hands its memory back instead of new pages
             del e
-        if n == n0:
-            zero = np.isneginf(shift)
-        _check_remainder(rem, zero, shift, n, n0)
+        bad = ~np.isfinite(rem)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise QuadratureError(
+                f"log-integral row {i}: remainder log(sum w exp(log_f - shift)) is "
+                f"{float(rem[i])!r} at {n} nodes (shift {float(shift[i])!r}): the "
+                f"log-integrand is NaN or +inf, -inf at every node of the {n0}-node rule, "
+                f"exceeds that rule's maximum by more than the float range, or lies that "
+                f"far below it at every node")
         if prev is not None:
-            with np.errstate(invalid="ignore"):
-                delta = np.abs(rem - prev)
-            # rows that are -inf on every rule are converged (zero symbol)
-            delta[zero] = 0.0
+            delta = np.abs(rem - prev)
             if np.max(delta) <= tol:
                 return shift + (np.log(half) + rem), n
         prev = rem
@@ -256,25 +255,6 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
         f"log-integral did not stabilise to {tol:g} below {LOG_NODE_CAP} nodes; "
         f"last change {np.max(delta):.3e}"
     )
-
-
-def _check_remainder(rem, zero, shift, n, n0):
-    """Refuse a row whose remainder the shift cannot represent: a zero row
-    (every first-rule node -inf) must stay -inf, any other must be finite."""
-    bad = np.where(zero, ~np.isneginf(rem), ~np.isfinite(rem))
-    if not np.any(bad):
-        return
-    i = int(np.argmax(bad))
-    if zero[i]:
-        raise QuadratureError(
-            f"log-integral row {i}: every node of the {n0}-node rule is -inf, so the "
-            f"row was taken as a zero integrand, but the {n}-node rule is not "
-            f"(remainder {float(rem[i])!r})")
-    raise QuadratureError(
-        f"log-integral row {i}: remainder log(sum w exp(log_f - shift)) is {float(rem[i])!r} "
-        f"at {n} nodes (shift {float(shift[i])!r}): the log-integrand is NaN or +inf, "
-        f"exceeds the {n0}-node rule's maximum by more than the float range, or lies "
-        f"that far below it at every node")
 
 
 def panel_integral(f, a, b, panel_width):

@@ -150,6 +150,19 @@ class LogSpectrum:
         count = np.count_nonzero(at_top)
         return float(np.log1p(np.sum(shifted) / count) + np.log(count) + top)
 
+    def trace_arctan(self, s: float) -> float:
+        """Tr arctan(T / s) over the positive eigenvalues.
+
+        Reads the sorted positive group, split at log(T/s) = +-30 into
+        contiguous slices by binary search.
+        """
+        if not s > 0:
+            raise ValueError("scale s must be positive")
+        lv = self.positive_logs
+        if lv.size == 0:
+            return 0.0
+        return float(np.sum(_arctan_of_log_ratio(lv, math.log(s))))
+
     def threshold_margin(self, s: float) -> float:
         """Min log-distance of any nonzero eigenvalue to the threshold.
 
@@ -323,9 +336,10 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
 
     For a positive trace-class T the mu-average of n_+(s; tT) equals
     (1/pi) Tr arctan(T/s).  The left side is assembled from per-eigenvalue
-    Cauchy tails mu((s/lambda_j, inf)), the right side from the arctan sum;
-    they are asserted equal to 1e-12 and returned as a pair so callers can
-    cross-check the matrix quadrature path against either.
+    Cauchy tails mu((s/lambda_j, inf)), the right side is
+    ``LogSpectrum.trace_arctan``; they are asserted equal to 1e-12 and
+    returned as a pair so callers can cross-check the matrix quadrature
+    path against either.
     """
     if not s > 0:
         raise ValueError("threshold s must be positive")
@@ -334,11 +348,10 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
     lv = spec.positive_logs
     if lv.size == 0:
         return 0.0, 0.0
-    log_s = float(np.log(s))
     # mu((s/lambda, inf)) = 1/2 - arctan(s/lambda)/pi
-    tails = 0.5 - _arctan_of_log_ratio(np.full_like(lv, log_s), lv) / np.pi
+    tails = 0.5 - _arctan_of_log_ratio(np.full_like(lv, math.log(s)), lv) / np.pi
     lhs = float(np.sum(tails))
-    rhs = float(np.sum(_arctan_of_log_ratio(lv, log_s))) / np.pi
+    rhs = spec.trace_arctan(s) / np.pi
     if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
         raise AssertionError(f"arctan-trace identity violated: {lhs} vs {rhs}")
     return lhs, rhs

@@ -87,22 +87,23 @@ class ScenarioConfig:
     seed: int = 7
 
 
-_SCHEMA = {
-    "scenario": {"name": ("scenario", str)},
-    "field": {"b0": ("b0", float), "phi_tilde": ("phi_tilde", str),
-              "phi_amp": ("phi_amp", float)},
-    "potential": {"law": ("law", str), "amplitude": ("amplitude", float),
-                  "eta": ("eta", float), "radius": ("radius", float),
-                  "m11": ("m11", float), "m33": ("m33", float),
-                  "m13": ("m13", float), "nu": ("nu", float),
-                  "mass": ("mass", float), "long_width": ("long_width", float)},
-    "truncation": {"k": ("k", int), "ladder_l": ("ladder_l", int),
-                   "grid_n": ("grid_n", int), "grid_x": ("grid_x", float)},
-    "sweep": {"lambdas": ("lambdas", "floats"), "s_values": ("s_values", "floats"),
-              "eps_values": ("eps_values", "floats"),
-              "eps_bracket": ("eps_bracket", float),
-              "n_random": ("n_random", int), "seed": ("seed", int)},
+# section -> its keys.  Each key sets the ScenarioConfig field of its name,
+# except [scenario] name, which sets ``scenario``; the field's type is the
+# key's kind, and a tuple is a comma-separated list of floats.
+_SECTIONS = {
+    "scenario": ("name",),
+    "field": ("b0", "phi_tilde", "phi_amp"),
+    "potential": ("law", "amplitude", "eta", "radius", "m11", "m33", "m13", "nu", "mass",
+                  "long_width"),
+    "truncation": ("k", "ladder_l", "grid_n", "grid_x"),
+    "sweep": ("lambdas", "s_values", "eps_values", "eps_bracket", "n_random", "seed"),
 }
+_KINDS = {f.name: f.type for f in fields(ScenarioConfig)}
+
+
+def _attr(key: str) -> str:
+    """The ScenarioConfig field a config key sets."""
+    return "scenario" if key == "name" else key
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -116,24 +117,23 @@ def parse_config(text: str) -> ScenarioConfig:
     violations = []
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             violations.append(f"unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 violations.append(f"unknown key '{key}' in section [{section}]")
                 continue
-            attr, kind = _SCHEMA[section][key]
+            attr = _attr(key)
+            kind = _KINDS[attr]
             try:
-                if kind == "floats":
+                if kind is tuple:
                     values[attr] = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-                elif kind is float:
-                    values[attr] = float(raw)
-                elif kind is int:
-                    values[attr] = int(raw)
-                else:
+                elif kind is str:
                     values[attr] = raw.strip()
-                if kind in (float, "floats") and not np.all(np.isfinite(values[attr])):
+                else:
+                    values[attr] = kind(raw)
+                if kind in (float, tuple) and not np.all(np.isfinite(values[attr])):
                     raise ValueError
             except ValueError:
                 violations.append(f"key '{key}' in [{section}]: cannot parse {raw!r} "
@@ -218,14 +218,15 @@ def _guard_violations(cfg: ScenarioConfig):
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Inverse of parse_config (round-trips to an equal config)."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         parser.add_section(section)
-        for key, (attr, kind) in keys.items():
-            val = getattr(cfg, attr)
-            if kind == "floats":
+        for key in keys:
+            attr = _attr(key)
+            val, kind = getattr(cfg, attr), _KINDS[attr]
+            if kind is tuple:
                 parser.set(section, key, ",".join(repr(v) for v in val))
             else:
-                parser.set(section, key, repr(val) if not isinstance(val, str) else val)
+                parser.set(section, key, val if kind is str else repr(val))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import LogSpectrum, _arctan_of_log_ratio
+from .counting import LogSpectrum
 from .kernels1d import Grid1D
 from .landau import LLLBasis
 from .toeplitz import RadialProfile, ToeplitzModel, toeplitz_radial_spectrum
@@ -157,20 +157,6 @@ class BracketEstimate:
         return 0.5 * (self.lower + self.upper)
 
 
-def trace_arctan(spec: LogSpectrum, s: float) -> float:
-    """Tr arctan(T / s) for a positive spectrum in log storage.
-
-    Reads the sorted positive group, split at log(T/s) = +-30 into
-    contiguous slices by binary search.
-    """
-    if not s > 0:
-        raise ValueError("scale s must be positive")
-    lv = spec.positive_logs
-    if lv.size == 0:
-        return 0.0
-    return float(np.sum(_arctan_of_log_ratio(lv, math.log(s))))
-
-
 def omega1_trace(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
                  s: float, m: float = 1.0) -> float:
     """Tr arctan(Omega1 / s) for Omega1 = diag(W+ / t(lam, +1), W- / t(lam, -1)).
@@ -180,8 +166,8 @@ def omega1_trace(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
     """
     if not abs(lam) > m:
         raise ValueError("outside-gap operator requires |lambda| > m")
-    return (trace_arctan(wplus_spec, s * edge_threshold(lam, 1.0, m))
-            + trace_arctan(wminus_spec, s * edge_threshold(lam, -1.0, m)))
+    return (wplus_spec.trace_arctan(s * edge_threshold(lam, 1.0, m))
+            + wminus_spec.trace_arctan(s * edge_threshold(lam, -1.0, m)))
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,6 @@ class PowerLawTail:
     alpha: float
     u_value: float = 1.0
 
-    def log_model(self, r):
-        return np.log(self.u_value) - self.alpha * np.log(r)
-
     def count(self, s: float, b0: float) -> float:
         """n(s) ~ s^(-2/alpha) * b0/(4 pi) * integral of u^(2/alpha) d theta."""
         if not s > 0:
@@ -94,9 +91,6 @@ class ExponentialTail:
 
     eta: float
     beta: float = 1.0
-
-    def log_model(self, r):
-        return -self.eta * np.asarray(r, dtype=float) ** (2.0 * self.beta)
 
     def count(self, s: float, b0: float) -> float:
         """Three-branch law in the stretch exponent beta, valid on (0, 1/e)."""
@@ -143,10 +137,10 @@ def phi_inf(s: float) -> float:
 
 @dataclass(frozen=True)
 class CompactSupportTail:
-    """U supported in the disc of radius R, bounded below by c inside."""
+    """U supported in the disc of radius R and bounded below by a positive
+    constant inside it, as the law assumes; only R is recorded."""
 
     radius: float
-    lower: float = 1.0
 
     def count(self, s: float, b0: float) -> float:
         """n(s) ~ |log s| / log|log s| on (0, 1/e); no shape parameters."""
@@ -161,7 +155,7 @@ class CompactSupportTail:
         return k
 
     def scaled(self, c: float) -> "CompactSupportTail":
-        return CompactSupportTail(self.radius, self.lower * c)
+        return self
 
     def outside_prefactor(self) -> float:
         return 0.5
@@ -185,27 +179,6 @@ class RadialProfile:
 
     def support_radius(self):
         return self.law.radius if isinstance(self.law, CompactSupportTail) else None
-
-    def tail_consistent(self, radii=(10.0, 20.0, 40.0), slack=0.5) -> bool:
-        """Spot-check that the tail classification matches the callable."""
-        if isinstance(self.law, CompactSupportTail):
-            r = self.law.radius
-            outside = self.log_value(np.array([1.01 * r, 1.5 * r, 2.0 * r]))
-            inside = self.log_value(np.linspace(0.0, r * 0.99, 64))
-            return bool(np.all(np.isneginf(outside)) and (
-                self.law.lower <= 0.0 or np.max(inside) >= math.log(self.law.lower)))
-        checked = 0
-        for r in radii:
-            model = float(self.law.log_model(np.asarray(r)))
-            if model < -700.0:  # value not representable, skip the point
-                continue
-            actual = float(self.log_value(np.asarray(r)))
-            if not np.isfinite(actual):
-                return False
-            if abs(actual - model) > slack + 0.05 * abs(model):
-                return False
-            checked += 1
-        return checked > 0
 
 
 def gaussian_profile(eta: float = 1.0, amplitude: float = 1.0) -> RadialProfile:
@@ -244,7 +217,7 @@ def disc_profile(radius: float = 1.0, height: float = 1.0) -> RadialProfile:
     log_h = math.log(height)
     return RadialProfile(
         log_value=lambda r: np.where(np.asarray(r, dtype=float) <= radius, log_h, -np.inf),
-        law=CompactSupportTail(radius=radius, lower=height),
+        law=CompactSupportTail(radius=radius),
         nonincreasing=height >= 0.0,
     )
 
@@ -471,7 +444,8 @@ def check_raikov_bound(model: ToeplitzModel, q: int) -> RaikovCheck:
     """Schatten-q bound: sum lambda_k^q <= (b0/2pi) e^(2 osc) integral U^q.
 
     The left side only grows with the truncation, so the bound must hold
-    at every K.
+    at every K.  The zero operator passes with both sides 0, before any
+    quadrature: its symbol has no plane integral to compute.
     """
     if q < 1:
         raise ValueError("Schatten index q must be >= 1")
@@ -479,13 +453,12 @@ def check_raikov_bound(model: ToeplitzModel, q: int) -> RaikovCheck:
         raise ValueError("Raikov check needs the radial profile metadata")
     fs = model.basis.field
     log_lhs = model.spectrum.log_schatten_pth_power(q)
-    zero = np.isneginf(log_lhs)
+    if np.isneginf(log_lhs):
+        return RaikovCheck(True, 0.0, 0.0)
     log_rhs = np.log(fs.b0 / (2.0 * np.pi)) + 2.0 * fs.osc \
         + _log_plane_integral(model.profile, q)
-    lhs = float(np.exp(log_lhs)) if not zero else 0.0
-    rhs = float(np.exp(log_rhs))
-    ok = zero or log_lhs <= log_rhs + 1e-10
-    return RaikovCheck(ok, lhs, rhs)
+    return RaikovCheck(bool(log_lhs <= log_rhs + 1e-10), float(np.exp(log_lhs)),
+                       float(np.exp(log_rhs)))
 
 
 def suggest_truncation(law, s_min: float, b0: float) -> int:

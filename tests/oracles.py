@@ -140,8 +140,8 @@ def gather_fibers(matrix, L, N):
 def one_shot_log_integral(log_f, lo, hi, *, tol, n0, n_max=8192):
     """The unblocked rule: each rule evaluates every row's nodes at once.
 
-    The shift is each row's maximum over the first rule (0 for a row that
-    is -inf there); the node count doubles on the remainder
+    The shift is each row's maximum over the first rule; the node count
+    doubles on the remainder
     rem = log(sum w exp(log_f - shift)); the value is shift + (log(half) + rem).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -153,14 +153,9 @@ def one_shot_log_integral(log_f, lo, hi, *, tol, n0, n_max=8192):
         vals = log_f(half[:, None] * x[None, :] + mid[:, None], slice(None))
         if shift is None:
             shift = np.max(vals, axis=1)
-            offset = np.where(np.isneginf(shift), 0.0, shift)
-        with np.errstate(divide="ignore"):
-            rem = np.log(np.einsum("ij,j->i", np.exp(vals - offset[:, None]), w))
+        rem = np.log(np.einsum("ij,j->i", np.exp(vals - shift[:, None]), w))
         if prev is not None:
-            with np.errstate(invalid="ignore"):
-                delta = np.abs(rem - prev)
-            delta[np.isneginf(shift)] = 0.0
-            if np.max(delta) <= tol:
+            if np.max(np.abs(rem - prev)) <= tol:
                 return shift + (np.log(half) + rem), n
         prev = rem
         n *= 2

@@ -32,7 +32,7 @@ from diracssf.discrete_model import (build_h0, check_gap, check_square_identity,
 from diracssf.kernels1d import Grid1D, RankTwoImS, im_s_norm_rows, im_s_schatten
 from diracssf.landau import FieldSpec, build_lll_basis
 from diracssf.ssf import (PotentialSpec, SsfEstimator, gap_edge_factor,
-                          gaussian_longitudinal, trace_arctan, omega1_trace,
+                          gaussian_longitudinal, omega1_trace,
                           build_omega_full)
 from diracssf.toeplitz import (disc_profile, gaussian_profile, power_profile,
                                suggest_truncation, toeplitz_radial_spectrum)
@@ -374,7 +374,7 @@ def test_criterion_11_trace_growth(field_b2):
     for j in range(2, 11):
         lam = 1.0 + 2.0**-j
         tr1 = omega1_trace(lam, wp, wm, 1.0)
-        tr = trace_arctan(build_omega_full(est, lam).spectrum, 1.0)
+        tr = build_omega_full(est, lam).spectrum.trace_arctan(1.0)
         diag_traces.append(tr1)
         diffs.append(abs(tr - tr1))
     growth = diag_traces[-1] / diag_traces[0]

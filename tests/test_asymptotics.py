@@ -101,7 +101,7 @@ class TestLawsIncrease:
 
 _BRANCHES = [PowerLawTail(3.0, 1.0), PowerLawTail(3.5, 8.0),
              ExponentialTail(0.05, 0.5), ExponentialTail(1.0, 1.0),
-             ExponentialTail(0.7, 2.0), CompactSupportTail(1.0, 2.0)]
+             ExponentialTail(0.7, 2.0), CompactSupportTail(1.0)]
 
 
 @pytest.mark.parametrize("law", _BRANCHES, ids=repr)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from diracssf import harness
 from diracssf.cli import main
 from diracssf.harness import (
-    _SCHEMA,
+    _KINDS,
+    _SECTIONS,
     LAWS,
     SCENARIOS,
     ConfigError,
@@ -180,12 +181,14 @@ _WORDS = {"scenario": SCENARIOS + ("bogus",), "law": LAWS + ("bogus",),
 def config_texts(draw):
     """Config text setting the scenario and about a sixth of the other keys."""
     lines = []
-    for section, keys in _SCHEMA.items():
+    for section, keys in _SECTIONS.items():
         lines.append(f"[{section}]")
-        for key, (attr, kind) in keys.items():
+        for key in keys:
             if section != "scenario" and draw(st.integers(0, 5)):
                 continue
-            if kind == "floats":
+            attr = "scenario" if key == "name" else key
+            kind = _KINDS[attr]
+            if kind is tuple:
                 raw = ",".join(draw(st.lists(_ENTRIES, max_size=3)))
             elif kind is float:
                 raw = draw(_NUMBERS)
@@ -235,7 +238,7 @@ _NON_DEFAULT = {
     "lambdas": (1.5,), "s_values": (1e-4,), "eps_values": (1e-2,), "eps_bracket": 0.2,
     "n_random": 12, "seed": 3,
 }
-_SECTION = {attr: section for section, keys in _SCHEMA.items() for attr, _ in keys.values()}
+_SECTION = {key: section for section, keys in _SECTIONS.items() for key in keys}
 
 
 def _config_text(scenario, **values):

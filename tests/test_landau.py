@@ -339,12 +339,12 @@ def test_combined_transverse_gap():
     assert inside.size == 0
 
 
-def test_log_integral_batch_failure_names_the_change_beside_a_zero_row(monkeypatch):
+def test_log_integral_batch_failure_names_the_change_beside_a_settled_row(monkeypatch):
     from diracssf import _quad
 
     def log_f(nodes, rows):
         out = np.sin(1e4 * nodes)  # second row never settles
-        out[0] = -np.inf           # first row is a zero integrand
+        out[0] = -0.5 * nodes[0]   # first row settles at once
         return out
 
     monkeypatch.setattr(_quad, "LOG_NODE_CAP", 512)
@@ -373,31 +373,28 @@ def test_panel_integral_failure_counts_the_rules_it_compared(monkeypatch):
 # -- cache-blocked node evaluation ---------------------------------------------
 
 
-def rowwise_log_integrand(k, zero_rows=(), calls=None):
-    """g_k(r) = (2k+1) log r - r^2/2, read at ``rows``; ``zero_rows`` are -inf.
+def rowwise_log_integrand(k, calls=None):
+    """g_k(r) = (2k+1) log r - r^2/2, read at ``rows``.
 
     ``calls`` collects (node count, rows) for every evaluation.
     """
     k = np.asarray(k, dtype=float)
-    zero = np.isin(np.arange(k.size), zero_rows)
 
     def log_f(nodes, rows):
         if calls is not None:
             calls.append((nodes.shape[1], rows))
         with np.errstate(divide="ignore"):
-            out = (2.0 * k[rows, None] + 1.0) * np.log(nodes) - 0.5 * nodes * nodes
-        out[zero[rows]] = -np.inf
-        return out
+            return (2.0 * k[rows, None] + 1.0) * np.log(nodes) - 0.5 * nodes * nodes
 
     return log_f
 
 
-@pytest.mark.parametrize("m, zero_rows, budget", [
-    (1553, (1500,), None),   # ragged last block; a -inf row in a later block
-    (5, (), None),           # the whole batch is smaller than one block
-    (37, (30,), 100),        # a budget below one row: one row per block
+@pytest.mark.parametrize("m, budget", [
+    (1553, None),   # ragged last block
+    (5, None),      # the whole batch is smaller than one block
+    (37, 100),      # a budget below one row: one row per block
 ])
-def test_blocked_log_integral_is_bitwise_the_one_shot_rule(monkeypatch, m, zero_rows, budget):
+def test_blocked_log_integral_is_bitwise_the_one_shot_rule(monkeypatch, m, budget):
     from diracssf import _quad
 
     if budget is not None:
@@ -406,13 +403,11 @@ def test_blocked_log_integral_is_bitwise_the_one_shot_rule(monkeypatch, m, zero_
     peak = np.sqrt(2.0 * k + 1.0)
     lo, hi = np.maximum(peak - 13.0, 1e-3), peak + 13.0
     calls = []
-    got = _quad.log_integral_batch(rowwise_log_integrand(k, zero_rows, calls), lo, hi,
+    got = _quad.log_integral_batch(rowwise_log_integrand(k, calls), lo, hi,
                                    tol=1e-10, n0=64)
-    want = one_shot_log_integral(rowwise_log_integrand(k, zero_rows), lo, hi,
-                                 tol=1e-10, n0=64)
+    want = one_shot_log_integral(rowwise_log_integrand(k), lo, hi, tol=1e-10, n0=64)
     assert got[1] == want[1]
     assert np.array_equal(got[0], want[0])
-    assert np.all(np.isneginf(got[0][list(zero_rows)]))
     # every rung tiles the batch with blocks of max(1, budget // n) rows
     for n in {c[0] for c in calls}:
         step = max(1, _quad.BLOCK_ELEMENTS // n)
@@ -575,17 +570,16 @@ def test_log_integral_moves_with_a_constant_added_to_the_log_integrand(c):
     assert np.max(np.abs(got - (want + c))) <= tol
 
 
-def test_a_zero_row_that_a_later_rule_finds_finite_is_refused():
+def test_a_row_that_misses_every_first_rule_node_is_refused():
     from diracssf import _quad
 
     def log_f(nodes, rows):
         out = -0.5 * nodes * nodes
-        if nodes.shape[1] == 64:
-            out[1] = -np.inf  # row 1 looks like a zero integrand on the first rule
+        out[1] = -np.inf  # row 1 is -inf at every node: no shift can hold it
         return out
 
     with pytest.raises(_quad.QuadratureError,
-                       match=r"row 1: every node of the 64-node rule is -inf.*128-node rule"):
+                       match=r"row 1: remainder .* is nan at 64 nodes \(shift -inf\)"):
         _quad.log_integral_batch(log_f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], tol=1e-10, n0=64)
 
 

@@ -23,7 +23,6 @@ from diracssf.ssf import (
     levinson_energies,
     omega1_trace,
     TruncatedTailError,
-    trace_arctan,
 )
 from diracssf.toeplitz import (TruncationError, disc_profile, gaussian_profile, power_profile,
                                toeplitz_radial_spectrum)
@@ -339,11 +338,11 @@ class TestOmega1:
 class TestTraceArctan:
     def test_single_eigenvalue(self):
         spec = LogSpectrum.from_eigenvalues([1.5])
-        assert trace_arctan(spec, 1.0) == pytest.approx(math.atan(1.5), rel=1e-14)
+        assert spec.trace_arctan(1.0) == pytest.approx(math.atan(1.5), rel=1e-14)
 
     def test_large_scale_limit(self):
         spec = LogSpectrum.from_eigenvalues([1.0, 2.0])
-        assert trace_arctan(spec, 1e12) < 1e-11
+        assert spec.trace_arctan(1e12) < 1e-11
 
     def test_far_branches_and_sign_mask(self):
         # log-ratios beyond +-30 take the expansion branches; zero and
@@ -352,8 +351,8 @@ class TestTraceArctan:
         spec = LogSpectrum(np.append(lv, [0.0, math.log(3.0)]),
                            np.append(np.ones(lv.size), [0, -1]))
         want = math.fsum(math.atan(math.exp(v) / 2.0) for v in lv)
-        assert trace_arctan(spec, 2.0) == pytest.approx(want, rel=1e-14)
-        assert trace_arctan(LogSpectrum.from_eigenvalues([0.0, -1.0]), 1.0) == 0.0
+        assert spec.trace_arctan(2.0) == pytest.approx(want, rel=1e-14)
+        assert LogSpectrum.from_eigenvalues([0.0, -1.0]).trace_arctan(1.0) == 0.0
 
 
 class TestOmegaFull:
@@ -378,7 +377,7 @@ class TestOmegaFull:
         diffs = []
         for j in (2, 6, 10):
             lam = 1.0 + 2.0**-j
-            full = trace_arctan(build_omega_full(est, lam).spectrum, 1.0)
+            full = build_omega_full(est, lam).spectrum.trace_arctan(1.0)
             diag = omega1_trace(lam, est.wplus_model.spectrum,
                                 est.wminus_model.spectrum, 1.0, est.m)
             diffs.append(abs(full - diag))
@@ -408,7 +407,7 @@ class TestOutsideBracket:
         lam = 1.0 + 1e-4
         a = est_exp.outside_bracket(lam, 0.1, "H-")
         full = build_omega_full(est_exp, lam).spectrum
-        full_mid = -0.5 * (trace_arctan(full, 1.1) + trace_arctan(full, 0.9)) / math.pi
+        full_mid = -0.5 * (full.trace_arctan(1.1) + full.trace_arctan(0.9)) / math.pi
         assert abs(a.midpoint - full_mid) < 0.05 * abs(a.midpoint)
 
 

@@ -269,22 +269,13 @@ class TestCountCertificate:
 
 
 def test_scaled_tails():
-    # a constant factor c scales u and the lower bound; the exponential
-    # class has no amplitude parameter
+    # a constant factor c scales u; the exponential and compact classes
+    # have no amplitude parameter
     assert PowerLawTail(3.0, 2.0).scaled(4.0) == PowerLawTail(3.0, 8.0)
     assert ExponentialTail(0.5, 2.0).scaled(4.0) == ExponentialTail(0.5, 2.0)
-    assert CompactSupportTail(1.5, 2.0).scaled(0.0) == CompactSupportTail(1.5, 0.0)
+    assert CompactSupportTail(1.5).scaled(0.0) == CompactSupportTail(1.5)
     assert ExponentialTail(1.0).outside_prefactor() == 0.5
     assert CompactSupportTail(1.0).outside_prefactor() == 0.5
-
-
-def test_tail_consistency_checks():
-    assert gaussian_profile(1.0).tail_consistent(radii=(4.0, 6.0, 8.0))
-    assert power_profile(3.0).tail_consistent()
-    assert disc_profile(1.0).tail_consistent()
-    lying = RadialProfile(lambda r: -1.5 * np.log1p(np.asarray(r) ** 2),
-                          ExponentialTail(eta=1.0))
-    assert not lying.tail_consistent(radii=(4.0, 6.0, 8.0))
 
 
 def test_stretched_exponential_branch(field_b2):
