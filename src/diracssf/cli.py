@@ -5,8 +5,9 @@
     diracssf list-scenarios
 
 ``run`` exits 0 only when every pass/fail row passes; validation errors
-(one stderr line each), a basis too small for the run, a threshold on an
-eigenvalue and an unwritable --out exit 1, failed rows exit 2.
+(one stderr line each), a basis too small for the run or above its size
+cap, a threshold on an eigenvalue and an unwritable --out exit 1, failed
+rows exit 2.
 """
 
 import argparse

@@ -34,8 +34,17 @@ from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, Ra
 from .landau import FieldSpec, build_lll_basis
 from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
                   levinson_energies)
-from .toeplitz import (LOG_DOMAIN_EDGE, count_truncation, disc_profile, gaussian_profile,
-                       power_profile, suggest_truncation, toeplitz_radial_spectrum)
+from .toeplitz import (LOG_DOMAIN_EDGE, TruncationError, count_truncation, disc_profile,
+                       gaussian_profile, power_profile, suggest_truncation,
+                       toeplitz_radial_spectrum)
+
+# Size caps, each sized from memory.  A radial basis with its compressions
+# holds about 90 bytes per mode: 55 MiB peak RSS at MAX_BASIS_K, where the
+# radial rule still stabilises (at 2**19 it does not).  The dirac-check box
+# holds one dense float64 matrix of dimension 4 * ladder_l * grid_n and
+# eigvalsh's copy of it: 294 MiB peak RSS at MAX_DENSE_DIM.
+MAX_BASIS_K = 2**18
+MAX_DENSE_DIM = 4096
 
 # law -> (transverse profile of a config, declared count/law ratio bracket,
 #         declared Levinson ratio bracket, the config keys the profile reads)
@@ -180,6 +189,13 @@ def _guard_violations(cfg: ScenarioConfig):
         out.append("potential guard: compact law needs a positive radius")
     if cfg.k < 0:
         out.append("truncation guard: k must be nonnegative (0 = auto)")
+    if cfg.k > MAX_BASIS_K:
+        out.append(f"truncation guard: k must be at most MAX_BASIS_K = {MAX_BASIS_K} "
+                   "(basis memory and the radial rule's verified range)")
+    if 4 * cfg.ladder_l * cfg.grid_n > MAX_DENSE_DIM:
+        out.append(f"truncation guard: the dense dimension 4*ladder_l*grid_n = "
+                   f"{4 * cfg.ladder_l * cfg.grid_n} must be at most MAX_DENSE_DIM = "
+                   f"{MAX_DENSE_DIM} (one dense float64 matrix and its eigvalsh copy)")
     if cfg.ladder_l < 1:
         out.append("truncation guard: ladder_l must be at least 1 (LadderModel)")
     if cfg.grid_n < 4 or cfg.grid_n % 2:
@@ -295,11 +311,20 @@ def _potential(cfg: ScenarioConfig):
                          gaussian_longitudinal(cfg.long_width), cfg.nu)
 
 
+def _basis(field, k: int):
+    """The LLL basis of size k, refusing a k above ``MAX_BASIS_K`` before
+    anything is allocated."""
+    if k > MAX_BASIS_K:
+        raise TruncationError(f"basis K={k} exceeds MAX_BASIS_K = {MAX_BASIS_K}; use a "
+                              "larger smallest threshold, or lambda farther from the edge")
+    return build_lll_basis(field, k)
+
+
 def _estimator(cfg: ScenarioConfig, s_min: float):
     pot = _potential(cfg)
-    k = cfg.k if cfg.k > 0 else max(suggest_truncation(pot.w_plus.law, s_min, cfg.b0),
-                                    suggest_truncation(pot.w_minus.law, s_min, cfg.b0), 8)
-    return SsfEstimator(pot, build_lll_basis(_field(cfg), k), m=cfg.mass)
+    k = cfg.k or max(suggest_truncation(pot.w_plus.law, s_min, cfg.b0),
+                     suggest_truncation(pot.w_minus.law, s_min, cfg.b0))
+    return SsfEstimator(pot, _basis(_field(cfg), k), m=cfg.mass)
 
 
 def _edge_floor(cfg: ScenarioConfig, lams) -> float:
@@ -320,14 +345,14 @@ def _toeplitz_model(cfg: ScenarioConfig, profile, s_values):
     """
     field, s_min = _field(cfg), min(s_values)
     if cfg.k:
-        return toeplitz_radial_spectrum(profile, build_lll_basis(field, cfg.k))
+        return toeplitz_radial_spectrum(profile, _basis(field, cfg.k))
     model = toeplitz_radial_spectrum(
-        profile, build_lll_basis(field, count_truncation(profile.law, s_min, cfg.b0)))
+        profile, _basis(field, count_truncation(profile.law, s_min, cfg.b0)))
     if (all(model.count_certified(s) for s in s_values)
             or any(flag_near_threshold(model.spectrum, s) for s in s_values)):
         return model
     return toeplitz_radial_spectrum(
-        profile, build_lll_basis(field, suggest_truncation(profile.law, s_min, cfg.b0)))
+        profile, _basis(field, suggest_truncation(profile.law, s_min, cfg.b0)))
 
 
 def _scenario_toeplitz(cfg: ScenarioConfig):

@@ -548,6 +548,39 @@ class TestCli:
                       "threshold 0.0009765625 collides with an eigenvalue")
         assert len(sizes) == 1
 
+    @staticmethod
+    def _allocate_nothing(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oversized config reached its basis or box")
+        monkeypatch.setattr(harness, "build_lll_basis", refuse)
+        monkeypatch.setattr(harness, "build_h0", refuse)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text, message", [
+        # 1e9 modes: 8 GB for the log-norms alone
+        ("[scenario]\nname = toeplitz-asymptotics\n[truncation]\nk = 1000000000\n",
+         "k must be at most MAX_BASIS_K = 262144"),
+        # 4 * 64 * 100000 = 25600000: 52 GB for the fibers alone
+        ("[scenario]\nname = dirac-check\n[truncation]\nladder_l = 64\ngrid_n = 100000\n",
+         "4*ladder_l*grid_n = 25600000 must be at most MAX_DENSE_DIM = 4096"),
+    ])
+    def test_an_oversized_user_size_is_refused_at_validation(self, tmp_path, capsys,
+                                                             monkeypatch, command, text, message):
+        self._allocate_nothing(monkeypatch)
+        out = ["--out", str(tmp_path / "r.csv")] if command == "run" else []
+        self._refused(capsys, [command, "--config", self._write(tmp_path, text), *out], message)
+
+    def test_an_oversized_derived_basis_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        # nu = 4, b0 = 1: the power law's count at s = 1e-14 sizes
+        # K = 1,723,547,761, which validation cannot see
+        self._allocate_nothing(monkeypatch)
+        cfg = self._write(tmp_path, "[scenario]\nname = toeplitz-asymptotics\n[field]\nb0 = 1\n"
+                                    "[potential]\nlaw = power\nnu = 4\n[sweep]\ns_values = 1e-14\n")
+        assert main(["validate", "--config", cfg]) == 0
+        capsys.readouterr()
+        self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
+                      "basis K=1723547761 exceeds MAX_BASIS_K = 262144")
+
 
 def test_dirac_check_on_a_tiny_box_passes_its_rows(tmp_path, capsys):
     # at grid_x = 1e-5, ||H0|| is about 5e6 and the eigensolver errs by

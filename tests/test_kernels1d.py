@@ -6,6 +6,8 @@ from diracssf.kernels1d import (
     Grid1D,
     GridResolutionError,
     RankTwoImS,
+    _weight_cos_halfline,
+    _weight_halfline_integral,
     im_s_dense_matrix,
     im_s_grid_singular_values,
     im_s_norm_rows,
@@ -128,6 +130,26 @@ def test_full_line_norms_match_mpmath(nu3):
         bound = 10.0 * eps * float(whole)
         assert abs(ops.norm_u() ** 2 - float(whole - cos)) <= bound
         assert abs(ops.norm_v() ** 2 - float((whole + cos) / 4)) <= bound
+
+
+@pytest.mark.parametrize("nu3", [2.5, 5.0])
+def test_full_line_norms_add_nothing_to_the_errors_of_i_and_c(nu3):
+    # at a fractional order a = (nu3 - 1)/2 kv is not within 3 eps (at
+    # a = 0.75 it errs by about 25 eps I), so 10 eps I does not hold; the
+    # code's own I and C are measured against mpmath here, and each norm^2
+    # may miss by their errors plus the roundings the code adds: I -+ C
+    # (eps/2) and the square root, squared (eps), relative to I -+ C
+    eps = np.finfo(float).eps
+    for gap in np.geomspace(1e-6, 49.0, 12):
+        ops = RankTwoImS(1.0 + gap, nu3)
+        omega = 2.0 * ops.kappa
+        whole, cos = _mp_weight_integrals(nu3, omega)
+        with mp.workdps(40):
+            err = (abs(_weight_halfline_integral(nu3) - whole)
+                   + abs(_weight_cos_halfline(nu3, omega) - cos))
+            u2, v2 = whole - cos + err, (whole + cos + err) / 4
+            assert abs(mp.mpf(ops.norm_u()) ** 2 - (whole - cos)) <= err + 2 * eps * u2
+            assert abs(mp.mpf(ops.norm_v()) ** 2 - (whole + cos) / 4) <= err / 4 + 2 * eps * v2
 
 
 class TestSchattenNorms:
