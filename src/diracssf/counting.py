@@ -346,8 +346,6 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
     if spec.negative_logs.size:
         raise ValueError("identity requires a positive operator")
     lv = spec.positive_logs
-    if lv.size == 0:
-        return 0.0, 0.0
     # mu((s/lambda, inf)) = 1/2 - arctan(s/lambda)/pi
     tails = 0.5 - _arctan_of_log_ratio(np.full_like(lv, math.log(s)), lv) / np.pi
     lhs = float(np.sum(tails))

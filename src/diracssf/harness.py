@@ -192,10 +192,11 @@ def _guard_violations(cfg: ScenarioConfig):
     if cfg.k > MAX_BASIS_K:
         out.append(f"truncation guard: k must be at most MAX_BASIS_K = {MAX_BASIS_K} "
                    "(basis memory and the radial rule's verified range)")
-    if 4 * cfg.ladder_l * cfg.grid_n > MAX_DENSE_DIM:
-        out.append(f"truncation guard: the dense dimension 4*ladder_l*grid_n = "
-                   f"{4 * cfg.ladder_l * cfg.grid_n} must be at most MAX_DENSE_DIM = "
-                   f"{MAX_DENSE_DIM} (one dense float64 matrix and its eigvalsh copy)")
+    dense_dim = 4 * cfg.ladder_l * cfg.grid_n
+    if dense_dim > MAX_DENSE_DIM:
+        out.append(f"truncation guard: the dense dimension 4*ladder_l*grid_n = {dense_dim} "
+                   f"must be at most MAX_DENSE_DIM = {MAX_DENSE_DIM} (one dense float64 "
+                   "matrix and its eigvalsh copy)")
     if cfg.ladder_l < 1:
         out.append("truncation guard: ladder_l must be at least 1 (LadderModel)")
     if cfg.grid_n < 4 or cfg.grid_n % 2:

@@ -563,7 +563,7 @@ class TestCli:
         # 4 * 64 * 100000 = 25600000: 52 GB for the fibers alone
         ("[scenario]\nname = dirac-check\n[truncation]\nladder_l = 64\ngrid_n = 100000\n",
          "4*ladder_l*grid_n = 25600000 must be at most MAX_DENSE_DIM = 4096"),
-    ])
+    ], ids=["k", "dense-box"])
     def test_an_oversized_user_size_is_refused_at_validation(self, tmp_path, capsys,
                                                              monkeypatch, command, text, message):
         self._allocate_nothing(monkeypatch)
