@@ -6,13 +6,15 @@
 
 ``run`` exits 0 only when every pass/fail row passes; validation errors
 (one stderr line each), a basis too small for the run or above its size
-cap, a threshold on an eigenvalue and an unwritable --out exit 1, failed
-rows exit 2.
+cap, a threshold on an eigenvalue, a truncated arctan tail, a radial
+quadrature that fails (such as a field perturbation too strong for the
+basis norms) and an unwritable --out exit 1, failed rows exit 2.
 """
 
 import argparse
 import sys
 
+from ._quad import QuadratureError
 from .harness import (SCENARIOS, ConfigError, all_rows_pass, emit_csv,
                       parse_config, run_scenario)
 from .ssf import TruncatedTailError
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
 
     try:
         rows = run_scenario(cfg)
-    except (TruncationError, TruncatedTailError) as exc:
+    except (TruncationError, TruncatedTailError, QuadratureError) as exc:
         print(f"run stopped: {exc}", file=sys.stderr)
         return 1
     out = args.out or f"{cfg.scenario}.csv"

@@ -5,11 +5,10 @@ counting queries at thresholds far below double-precision underflow stay
 exact.  Thresholds are open intervals: n_+(s) counts eigenvalues strictly
 greater than s.  The stored order is an invariant the queries read: the
 positives with falling log values, then the zeros, then the negatives with
-rising log values, each sign group a known contiguous range.  Only the
-public constructor sorts (O(n log n)).  A constant rescaling keeps the
-order (one O(n) shift); counts and the threshold margin are binary
-searches (O(log n)); the smallest positive entry is the last of its group
-(O(1)).
+rising log values, each sign group a known contiguous range.  The
+constructor sorts (O(n log n)); counts and the threshold margin are
+binary searches (O(log n)); the smallest positive entry is the last of
+its group (O(1)).
 The module also hosts the Cauchy-measure average of counting
 functions over a matrix pencil A + tB with B >= 0, evaluated in closed
 form from the pencil roots.
@@ -42,11 +41,10 @@ class LogSpectrum:
     the positives with log values falling, ``[_pos_end, _neg_start)`` the
     zeros, ``[_neg_start, n)`` the negatives with log values rising.
     Ties keep their input order, as a stable sort leaves them.  Both
-    arrays are read-only, so derived spectra may share them.  Costs:
-    construction sorts, O(n log n); ``scaled`` is one O(n) shift and
-    checks only the ends of each group; ``n_plus``, ``n_minus`` and
-    ``threshold_margin`` are O(log n) binary searches; ``positive_logs``
-    and ``negative_logs`` are O(1) views.
+    arrays are read-only.  Costs: construction checks and sorts,
+    O(n log n); ``n_plus``, ``n_minus`` and ``threshold_margin`` are
+    O(log n) binary searches; ``positive_logs`` and ``negative_logs`` are
+    O(1) views.
     """
 
     log_values: np.ndarray
@@ -63,22 +61,12 @@ class LogSpectrum:
             raise ValueError("log spectrum entries must be finite")
         order = np.lexsort((-lv * sg, -sg))
         lv, sg = lv[order], sg[order]
-        self._store(lv, sg, int(np.count_nonzero(sg == 1)), int(np.count_nonzero(sg >= 0)))
-
-    def _store(self, log_values, signs, pos_end, neg_start):
-        log_values.flags.writeable = False
-        signs.flags.writeable = False
-        object.__setattr__(self, "log_values", log_values)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "_pos_end", pos_end)
-        object.__setattr__(self, "_neg_start", neg_start)
-
-    @classmethod
-    def _from_sorted(cls, log_values, signs, pos_end, neg_start):
-        """Wrap arrays already in stored order: no check, no sort."""
-        spec = object.__new__(cls)
-        spec._store(log_values, signs, pos_end, neg_start)
-        return spec
+        lv.flags.writeable = False
+        sg.flags.writeable = False
+        object.__setattr__(self, "log_values", lv)
+        object.__setattr__(self, "signs", sg)
+        object.__setattr__(self, "_pos_end", int(np.count_nonzero(sg == 1)))
+        object.__setattr__(self, "_neg_start", int(np.count_nonzero(sg >= 0)))
 
     @classmethod
     def from_eigenvalues(cls, values, zero_floor: float = 0.0):
@@ -118,20 +106,6 @@ class LogSpectrum:
             raise ValueError("counting threshold s must be positive")
         neg = self.negative_logs
         return neg.size - int(np.searchsorted(neg, np.log(s), side="right"))
-
-    def scaled(self, log_factor: float):
-        """Spectrum of c*T for c = exp(log_factor) > 0.
-
-        A constant shift keeps every group in order, so nothing is sorted;
-        the extremes of a shifted group are its ends, so only those are
-        checked for finiteness.
-        """
-        lv = self.log_values + log_factor
-        lv[self._pos_end:self._neg_start] = 0.0
-        for group in (lv[:self._pos_end], lv[self._neg_start:]):
-            if group.size and not (math.isfinite(group[0]) and math.isfinite(group[-1])):
-                raise ValueError("log spectrum entries must be finite")
-        return LogSpectrum._from_sorted(lv, self.signs, self._pos_end, self._neg_start)
 
     def log_schatten_pth_power(self, p: int) -> float:
         """log of sum |lambda_i|^p over the nonzero eigenvalues.

@@ -105,12 +105,9 @@ class PotentialSpec:
 
     def _column_profile(self, diag_index: int) -> RadialProfile:
         scale = self.column_scale(diag_index)
+        log_scale = -math.inf if scale == 0.0 else math.log(scale)
         trans = self.transverse
         # a nonnegative multiple of a nonincreasing T is nonincreasing
-        if scale == 0.0:
-            return RadialProfile(lambda r: np.full(np.shape(r), -np.inf), trans.law.scaled(0.0),
-                                 trans.nonincreasing)
-        log_scale = math.log(scale)
         return RadialProfile(lambda r: log_scale + trans.log_value(r), trans.law.scaled(scale),
                              trans.nonincreasing)
 
@@ -238,7 +235,8 @@ class SsfEstimator:
 
     Holds the Toeplitz compression of the transverse profile in one
     basis, whose truncation must be adequate for the requested threshold
-    range, and the two column-symbol compressions as scaled views of it.
+    range, and the two column-symbol compressions, whose logs are its logs
+    shifted by log(M_ii integral L).
     """
 
     def __init__(self, pot: PotentialSpec, basis: LLLBasis, m: float = 1.0):
@@ -252,14 +250,12 @@ class SsfEstimator:
         return toeplitz_radial_spectrum(self.pot.transverse, self.basis)
 
     def _column_model(self, profile: RadialProfile, diag_index: int) -> ToeplitzModel:
-        """pWp for W = M_ii (integral L) T: pTp times that scale, no quadrature."""
+        """pWp for W = M_ii (integral L) T: pTp's logs shifted by the log of
+        that scale, no quadrature."""
         tau, scale = self.transverse_model, self.pot.column_scale(diag_index)
         if scale == 0.0 or tau.log_eigen_by_k is None:  # the zero operator
-            return ToeplitzModel(self.basis, profile,
-                                 LogSpectrum.from_eigenvalues(np.zeros(self.basis.K)))
-        log_scale = math.log(scale)
-        return ToeplitzModel(self.basis, profile, tau.spectrum.scaled(log_scale),
-                             log_eigen_by_k=tau.log_eigen_by_k + log_scale)
+            return ToeplitzModel(self.basis, profile, None)
+        return ToeplitzModel(self.basis, profile, tau.log_eigen_by_k + math.log(scale))
 
     @cached_property
     def wplus_model(self) -> ToeplitzModel:

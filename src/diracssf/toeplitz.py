@@ -27,7 +27,7 @@ ratio), and n_+(s) is exact once lambda_(K-1) < s.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -224,12 +224,18 @@ def disc_profile(radius: float = 1.0, height: float = 1.0) -> RadialProfile:
 
 @dataclass(frozen=True)
 class ToeplitzModel:
-    """Spectrum of pUp at truncation K, stored in the log domain."""
+    """pUp at truncation K: its log-eigenvalues in k order, None for the
+    zero operator, and the sorted ``spectrum`` derived from them once."""
 
     basis: LLLBasis
-    profile: RadialProfile | None
-    spectrum: LogSpectrum
-    log_eigen_by_k: np.ndarray | None = None
+    profile: RadialProfile
+    log_eigen_by_k: np.ndarray | None
+    spectrum: LogSpectrum = field(init=False)
+
+    def __post_init__(self):
+        lv = self.log_eigen_by_k
+        object.__setattr__(self, "spectrum", LogSpectrum.from_eigenvalues(np.zeros(self.K))
+                           if lv is None else LogSpectrum.from_log(lv))
 
     @property
     def K(self):
@@ -251,7 +257,7 @@ class ToeplitzModel:
 
     def _certificate_failure(self, s: float) -> str | None:
         """The first failing condition of the count certificate at s, or None."""
-        if self.profile is None or not self.profile.nonincreasing:
+        if not self.profile.nonincreasing:
             return "the symbol is not flagged radially nonincreasing"
         lv = self.log_eigen_by_k
         if lv is None:
@@ -307,13 +313,10 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     ks = np.arange(basis.K)
     r_probe = max(20.0, 2.5 * np.sqrt((2.0 * basis.K + 1.0) / basis.field.b0))
     if np.all(np.isneginf(profile.log_value(np.linspace(0.0, r_probe, 1025)))):
-        spectrum = LogSpectrum(np.zeros(basis.K), np.zeros(basis.K, dtype=np.int8))
-        return ToeplitzModel(basis, profile, spectrum, log_eigen_by_k=None)
+        return ToeplitzModel(basis, profile, None)
     log_num = log_radial_moments(basis.field, ks, log_symbol=profile.log_value,
                                  support=profile.support_radius())
-    log_eigs = log_num - basis.log_moment_integrals
-    spectrum = LogSpectrum.from_log(log_eigs.copy())
-    return ToeplitzModel(basis, profile, spectrum, log_eigen_by_k=log_eigs)
+    return ToeplitzModel(basis, profile, log_num - basis.log_moment_integrals)
 
 
 def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: int):
@@ -322,7 +325,7 @@ def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: in
     Entries <psi_j, U psi_k> couple angular momenta through the (j-k)-th
     Fourier coefficient of U; coefficients beyond ``angular_modes`` must be
     below ``FOURIER_TAIL_TOL`` times the leading one or the truncation is
-    refused.  Returns (model, matrix).
+    refused.  Returns (spectrum, matrix).
     """
     K = basis.K
     fs = basis.field
@@ -377,9 +380,7 @@ def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: in
     if scale > 0.0 and np.min(eigs) < -1e-10 * scale:
         raise ValueError(f"compression not positive semidefinite: min eigenvalue {np.min(eigs):.3e}")
     eigs = np.clip(eigs, 0.0, None)
-    spectrum = LogSpectrum.from_eigenvalues(eigs, zero_floor=1e-300)
-    model = ToeplitzModel(basis, None, spectrum)
-    return model, mat
+    return LogSpectrum.from_eigenvalues(eigs, zero_floor=1e-300), mat
 
 
 @dataclass(frozen=True)
@@ -449,8 +450,6 @@ def check_raikov_bound(model: ToeplitzModel, q: int) -> RaikovCheck:
     """
     if q < 1:
         raise ValueError("Schatten index q must be >= 1")
-    if model.profile is None:
-        raise ValueError("Raikov check needs the radial profile metadata")
     fs = model.basis.field
     log_lhs = model.spectrum.log_schatten_pth_power(q)
     if np.isneginf(log_lhs):

@@ -69,10 +69,6 @@ class MaskedSpectrum:
     def smallest_log(self):
         return float(np.min(self.log_values[self.signs == 1], initial=np.inf))
 
-    def scaled(self, log_factor):
-        lv = np.where(self.signs != 0, self.log_values + log_factor, 0.0)
-        return MaskedSpectrum(lv, self.signs.copy())
-
     def trace_arctan(self, s):
         lv = self.log_values[self.signs == 1]
         if lv.size == 0:
@@ -82,13 +78,14 @@ class MaskedSpectrum:
 
 def levinson_row(est, eps, pair="H-", eps_bracket=0.1):
     """One ``SsfEstimator.levinson_rows`` row, with every spectrum and query
-    taken from ``MaskedSpectrum``: the column spectra are the transverse
-    one scaled, and Omega1's trace at s sums W+- traced at s t(lam, +-1)."""
+    taken from ``MaskedSpectrum``: the column spectra are the sorted
+    transverse logs shifted by log M_ii (integral L) and sorted again, and
+    Omega1's trace at s sums W+- traced at s t(lam, +-1)."""
     e, _, _ = est._edge(pair)
     m = est.m
-    tau = MaskedSpectrum.of(est.transverse_model.spectrum)
-    wplus = tau.scaled(math.log(est.pot.column_scale(0)))
-    wminus = tau.scaled(math.log(est.pot.column_scale(2)))
+    tau = est.transverse_model.spectrum
+    wplus, wminus = (MaskedSpectrum(tau.log_values + math.log(est.pot.column_scale(i)), tau.signs)
+                     for i in (0, 2))
     lam_in, lam_out = e * m * (1.0 - eps), e * m / (1.0 - eps)
 
     t = edge_threshold(lam_in, e, m)

@@ -581,6 +581,21 @@ class TestCli:
         self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
                       "basis K=1723547761 exceeds MAX_BASIS_K = 262144")
 
+    @pytest.mark.parametrize("amp", ["1e5", "1e12"])
+    def test_a_failed_radial_quadrature_stops_the_run(self, tmp_path, capsys, amp):
+        # validation accepts any finite amplitude, but at 1e5 and above the
+        # tanh perturbation keeps the basis-norm integrand from dropping
+        cfg = self._write(tmp_path, "[scenario]\nname = toeplitz-asymptotics\n"
+                                    f"[field]\nb0 = 2\nphi_tilde = tanh\nphi_amp = {amp}\n"
+                                    "[potential]\nlaw = power\nnu = 4\n"
+                                    "[sweep]\ns_values = 1e-4,3e-4,1e-3\n")
+        assert main(["validate", "--config", cfg]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        self._refused(capsys, ["run", "--config", cfg, "--out", str(out)],
+                      "run stopped: bracket_drop: left bracket still above the target")
+        assert not out.exists()
+
 
 def test_dirac_check_on_a_tiny_box_passes_its_rows(tmp_path, capsys):
     # at grid_x = 1e-5, ||H0|| is about 5e6 and the eigensolver errs by

@@ -47,3 +47,43 @@ def test_the_private_import_scan_sees_both_forms():
             "c.LogSpectrum\n")
     assert private_imports(ast.parse(text)) == [
         (1, "from .counting import _arctan_of_log_ratio"), (4, "c._counts")]
+
+
+def constructor_bypasses(tree):
+    """(line, text) of every ``object.__new__``, and of every
+    ``object.__setattr__`` outside a ``__post_init__``: the two ways to make
+    or change a frozen dataclass without going through its constructor."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+                and (node.attr == "__new__"
+                     or node.attr == "__setattr__" and func != "__post_init__")):
+            found.append((node.lineno, f"object.{node.attr} in {func or '<module>'}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_frozen_object_goes_through_its_constructor():
+    found = {path.name: constructor_bypasses(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_constructor_scan_sees_new_and_late_setattr():
+    text = ("class A:\n"
+            "    def __post_init__(self):\n"
+            "        object.__setattr__(self, 'x', 1)\n"
+            "    def _store(self, x):\n"
+            "        object.__setattr__(self, 'x', x)\n"
+            "    @classmethod\n"
+            "    def wrap(cls):\n"
+            "        return object.__new__(cls)\n")
+    assert constructor_bypasses(ast.parse(text)) == [
+        (5, "object.__setattr__ in _store"), (8, "object.__new__ in wrap")]

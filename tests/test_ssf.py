@@ -159,6 +159,37 @@ class TestScaledEdgeCompressions:
         tdiv_vs_omega_count(est, 0.9, Grid1D(16.0, 64), 1.0)
         assert calls == [pot.transverse]
 
+    @settings(deadline=None, max_examples=150)
+    @given(profile=st.sampled_from([gaussian_profile(1.0), gaussian_profile(0.3, amplitude=5.0),
+                                    power_profile(4.0, amplitude=8.0), power_profile(3.0),
+                                    disc_profile(1.0), disc_profile(2.5, height=0.5)]),
+           K=st.integers(1, 200), b0=st.floats(0.25, 4.0), width=st.floats(0.1, 5.0),
+           m11=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+           m33=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+           thresholds=st.lists(st.floats(1e-300, 1e3), max_size=4),
+           picks=st.lists(st.integers(0, 199), max_size=4))
+    def test_edge_spectra_are_bitwise_the_shifted_transverse_logs(
+            self, profile, K, b0, width, m11, m33, thresholds, picks):
+        # W+- = M_ii (integral L) T: each edge spectrum is pTp's k-ordered
+        # logs plus log c, sorted, and a zero column is K exact zeros
+        pot = PotentialSpec(diag_matrix(m11, m33), profile, gaussian_longitudinal(width), nu=5.0)
+        est = SsfEstimator(pot, build_lll_basis(FieldSpec(b0), K), m=1.0)
+        tau = est.transverse_model.log_eigen_by_k
+        for model, diag_index in ((est.wplus_model, 0), (est.wminus_model, 2)):
+            spec, scale = model.spectrum, pot.column_scale(diag_index)
+            if scale == 0.0:
+                assert model.log_eigen_by_k is None
+                assert spec.log_values.tobytes() == np.zeros(K).tobytes()
+                assert not np.any(spec.signs)
+                assert all(spec.n_plus(s) == 0 for s in thresholds)
+                continue
+            shifted = tau + math.log(scale)
+            assert spec.log_values.tobytes() == np.sort(shifted)[::-1].tobytes()
+            assert np.all(spec.signs == 1)
+            on_eigenvalues = [float(np.exp(shifted[j % K])) for j in picks]
+            for s in thresholds + [s for s in on_eigenvalues if 0.0 < s < math.inf]:
+                assert spec.n_plus(s) == int(np.count_nonzero(shifted > np.log(s)))
+
 
 class TestThresholdMap:
     def test_symmetric_point(self):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from diracssf.counting import LogSpectrum
 from diracssf.landau import build_lll_basis
 from diracssf.toeplitz import (
     CompactSupportTail,
@@ -87,7 +86,7 @@ def test_general_path_matches_radial(basis_b2_64):
         lambda r, th: np.exp(-r**2) * np.ones_like(th), basis_b2_64,
         angular_modes=4)
     er = np.sort(np.exp(radial.log_eigen_by_k))[::-1]
-    eg = np.sort(np.exp(general.spectrum.log_values[general.spectrum.signs == 1]))[::-1]
+    eg = np.sort(np.exp(general.log_values[general.signs == 1]))[::-1]
     # dense eigensolves only resolve down to machine noise of the top value
     good = er > 1e-5
     assert np.max(np.abs(eg[: good.sum()] / er[good] - 1.0)) < 1e-9
@@ -102,11 +101,11 @@ def test_general_path_single_fourier_mode_is_tridiagonal(basis_b2_64):
 
 
 def test_general_path_zero_symbol(basis_b2_64):
-    model, mat = toeplitz_general_matrix(
+    spectrum, mat = toeplitz_general_matrix(
         lambda r, th: np.zeros(np.broadcast(r, th).shape), basis_b2_64,
         angular_modes=2)
     assert np.max(np.abs(mat)) == 0.0
-    assert model.spectrum.n_plus(1e-300) == 0
+    assert spectrum.n_plus(1e-300) == 0
 
 
 def test_general_path_rejects_insufficient_modes(basis_b2_64):
@@ -257,14 +256,12 @@ class TestCountCertificate:
             gaussian_model.require_adequate(s)
 
     def test_error_reports_the_smallest_positive_eigenvalue(self, basis_b2_64):
-        # the margin is tested on the positive eigenvalues only, so a tiny
-        # negative eigenvalue must not stand in for lambda_(K-1) = 2^-64
+        # the margin reads the sorted spectrum, so logs held in rising k
+        # order still report lambda_min = 2^-64, not the last entry 2^-1
         model = toeplitz_radial_spectrum(gaussian_profile(1.0), basis_b2_64)
-        spec = LogSpectrum(np.append(model.spectrum.log_values, np.log(1e-300)),
-                           np.append(model.spectrum.signs, -1))
-        mixed = ToeplitzModel(model.basis, None, spec)
-        with pytest.raises(TruncationError) as err:
-            mixed.require_adequate(1e-18)
+        rising = ToeplitzModel(model.basis, model.profile, model.log_eigen_by_k[::-1])
+        with pytest.raises(TruncationError, match="not nonincreasing in k") as err:
+            rising.require_adequate(1e-18)
         assert f"smallest positive log-eigenvalue {-64 * np.log(2.0):.2f}" in str(err.value)
 
 
