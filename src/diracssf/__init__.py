@@ -12,12 +12,13 @@ Modules
 dirac_algebra   4x4 Dirac matrix algebra and potential structure checks
 landau          magnetic field data, gap constant, LLL basis, ladder model
 counting        log-domain spectra, counting functions, trace identities
-toeplitz        Berezin-Toeplitz spectra of radial and general symbols,
-                decay classes and their counting laws
+toeplitz        Berezin-Toeplitz spectra of radial symbols, decay classes
+                and their counting laws
 kernels1d       longitudinal resolvent and scattering-type kernels
 asymptotics     law-vs-spectrum ratio tables
 ssf             spectral-shift bracket estimators and Levinson ratios
 discrete_model  truncated matrix model of the free Dirac operator
+errors          the one base class of the library's typed errors
 harness         config parsing, scenario runners, CSV emission
 """
 
@@ -26,6 +27,7 @@ from . import (
     counting,
     dirac_algebra,
     discrete_model,
+    errors,
     harness,
     kernels1d,
     landau,
@@ -38,6 +40,7 @@ __all__ = [
     "counting",
     "dirac_algebra",
     "discrete_model",
+    "errors",
     "harness",
     "kernels1d",
     "landau",

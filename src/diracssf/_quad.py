@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DiracSsfError
+
 # find_peak and bracket_drop: smallest radius either search moves to
 R_FLOOR = 1e-300
 # bracket_drop: nats below the peak where an interval ends
@@ -62,7 +64,7 @@ PANEL_MAX_ORDER = 256
 PANEL_TOL = 1e-12
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(DiracSsfError, RuntimeError):
     """Raised when node-count refinement fails to stabilise."""
 
 

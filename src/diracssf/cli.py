@@ -5,20 +5,20 @@
     diracssf list-scenarios
 
 ``run`` exits 0 only when every pass/fail row passes; validation errors
-(one stderr line each), a basis too small for the run or above its size
-cap, a threshold on an eigenvalue, a truncated arctan tail, a radial
-quadrature that fails (such as a field perturbation too strong for the
-basis norms) and an unwritable --out exit 1, failed rows exit 2.
+(one stderr line each), a run that the library stops with one of its
+typed errors (``diracssf.errors.DiracSsfError``: a basis too small for
+the run or above its size cap, a threshold on an eigenvalue, a truncated
+arctan tail, a radial quadrature that fails, such as a field perturbation
+too strong for the basis norms, and the rest) and an unwritable --out
+exit 1, each with one stderr line; failed rows exit 2.
 """
 
 import argparse
 import sys
 
-from ._quad import QuadratureError
+from .errors import DiracSsfError
 from .harness import (SCENARIOS, ConfigError, all_rows_pass, emit_csv,
                       parse_config, run_scenario)
-from .ssf import TruncatedTailError
-from .toeplitz import TruncationError
 
 
 def _load(path: str):
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
 
     try:
         rows = run_scenario(cfg)
-    except (TruncationError, TruncatedTailError, QuadratureError) as exc:
+    except DiracSsfError as exc:
         print(f"run stopped: {exc}", file=sys.stderr)
         return 1
     out = args.out or f"{cfg.scenario}.csv"

@@ -19,13 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DiracSsfError
+
 THRESHOLD_FLAG_TOL = 1e-13
 FLIP_RTOL = 1e-12      # check_flip: shared eigenvalues agree to this times the top one
 PSD_TOL = 1e-12        # eigenvalues of B below -PSD_TOL * ||B|| make it indefinite
 RECENTRE_GAIN = 1e3    # pencil-root error gain: eps * gain bounds each Cauchy tail
 
 
-class JumpLocalizationError(RuntimeError):
+class JumpLocalizationError(DiracSsfError, RuntimeError):
     """The pencil roots could not be located or do not explain the counts."""
 
 

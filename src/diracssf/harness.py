@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._quad import QuadratureError
 from .asymptotics import compare_law, law_for_profile
 from .counting import (LogSpectrum, arctan_trace_identity, check_flip, check_pbound,
                        check_pushnitski_bound, check_weyl, flag_near_threshold,
@@ -312,20 +313,26 @@ def _potential(cfg: ScenarioConfig):
                          gaussian_longitudinal(cfg.long_width), cfg.nu)
 
 
-def _basis(field, k: int):
-    """The LLL basis of size k, refusing a k above ``MAX_BASIS_K`` before
-    anything is allocated."""
+def _basis(cfg: ScenarioConfig, k: int):
+    """The LLL basis of the config's field at size k, refusing a k above
+    ``MAX_BASIS_K`` before anything is allocated.  Only a perturbed field
+    runs a quadrature for its norms, so a ``QuadratureError`` here is
+    re-raised with the key that set the perturbation and its value."""
     if k > MAX_BASIS_K:
         raise TruncationError(f"basis K={k} exceeds MAX_BASIS_K = {MAX_BASIS_K}; use a "
                               "larger smallest threshold, or lambda farther from the edge")
-    return build_lll_basis(field, k)
+    try:
+        return build_lll_basis(_field(cfg), k)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc}; the basis norms of the field phi_tilde = tanh with "
+                              f"phi_amp = {cfg.phi_amp!r} did not converge") from exc
 
 
 def _estimator(cfg: ScenarioConfig, s_min: float):
     pot = _potential(cfg)
     k = cfg.k or max(suggest_truncation(pot.w_plus.law, s_min, cfg.b0),
                      suggest_truncation(pot.w_minus.law, s_min, cfg.b0))
-    return SsfEstimator(pot, _basis(_field(cfg), k), m=cfg.mass)
+    return SsfEstimator(pot, _basis(cfg, k), m=cfg.mass)
 
 
 def _edge_floor(cfg: ScenarioConfig, lams) -> float:
@@ -344,16 +351,16 @@ def _toeplitz_model(cfg: ScenarioConfig, profile, s_values):
     no basis size mends and ``compare_law`` refuses; if not, the basis is
     built once more at the depth-margin size of ``suggest_truncation``.
     """
-    field, s_min = _field(cfg), min(s_values)
+    s_min = min(s_values)
     if cfg.k:
-        return toeplitz_radial_spectrum(profile, _basis(field, cfg.k))
+        return toeplitz_radial_spectrum(profile, _basis(cfg, cfg.k))
     model = toeplitz_radial_spectrum(
-        profile, _basis(field, count_truncation(profile.law, s_min, cfg.b0)))
+        profile, _basis(cfg, count_truncation(profile.law, s_min, cfg.b0)))
     if (all(model.count_certified(s) for s in s_values)
             or any(flag_near_threshold(model.spectrum, s) for s in s_values)):
         return model
     return toeplitz_radial_spectrum(
-        profile, _basis(field, suggest_truncation(profile.law, s_min, cfg.b0)))
+        profile, _basis(cfg, suggest_truncation(profile.law, s_min, cfg.b0)))
 
 
 def _scenario_toeplitz(cfg: ScenarioConfig):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import panel_integral
+from .errors import DiracSsfError
 
 GRID_DEFAULT_HALF_WIDTH = 200.0
 GRID_DEFAULT_POINTS = 2**14
@@ -18,7 +19,7 @@ GRID_DEFAULT_POINTS = 2**14
 RICHARDSON_TOL = 1e-6
 
 
-class GridResolutionError(RuntimeError):
+class GridResolutionError(DiracSsfError, RuntimeError):
     """Richardson check between grid refinements failed."""
 
 

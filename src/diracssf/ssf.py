@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .counting import LogSpectrum
+from .errors import DiracSsfError
 from .kernels1d import Grid1D
 from .landau import LLLBasis
 from .toeplitz import RadialProfile, ToeplitzModel, toeplitz_radial_spectrum
@@ -393,7 +394,7 @@ class SsfEstimator:
         return rows
 
 
-class TruncatedTailError(RuntimeError):
+class TruncatedTailError(DiracSsfError, RuntimeError):
     """The truncated spectrum misses non-negligible arctan tail mass."""
 
 

@@ -1,10 +1,37 @@
 """Berezin-Toeplitz compressions pUp in the truncated zero-mode basis.
 
-Radial symbols have a fast path: the compression is diagonal in angular
-momentum and each eigenvalue is a ratio of weighted radial moments,
-evaluated as a difference of log-integrals.  General bounded symbols go
-through a dense hermitian matrix whose (j, k) entry picks out the
-(j-k)-th angular Fourier coefficient of the symbol.
+A radial symbol's compression is diagonal in angular momentum, and each
+eigenvalue is a ratio of weighted radial moments, evaluated as a
+difference of log-integrals.  The power profile on the flat field has an
+exact three-term recurrence instead: with U = A (1 + r^2)^(-a), a half
+the exponent, c = b0/2 and t = r^2, lambda_k = A c^(k+1)/k! times the
+integral of t^k e^(-ct) (1+t)^(-a) dt, and two integrations by parts give
+
+    (k+2) lambda_(k+2) = (k+2-a-c) lambda_(k+1) + c lambda_k.
+
+Rows 0 ... k0+1 are quadrature and every later row is the forward
+recurrence from rows k0 and k0+1, with k0 = ceil(max(c, a+c)) + 1.  From
+k0 on both coefficients are nonnegative, so each new row is a positive
+combination of the two before it: nothing cancels, its relative error is
+at most the larger of theirs plus the rounding of one step, and the other
+solution, which decays like (-c)^k/k!, dies out.  A seed at ceil(c) + 1
+alone lets k+2-a-c turn negative once the exponent passes 6 or so, and
+the recurrence then cancels: at b0 = 1, K = 400 some rows came out
+nonpositive from exponent 36 on, and the last row was 2.2e-5 off at
+exponent 50.  Against the exact lambda_k, row k >= k0+2 is off in the
+log by at most
+
+    e_seed + 4u (k - k0) + u (a + c) ln(1 + (k - k0)/2)
+           + 8u (1 + |log lambda_k| + |log lambda_k0|)
+
+to first order in the unit roundoff u = 2^-53: e_seed is the seed rows'
+error, 4u one step's roundings (two products, a sum and a division), the
+third term the rounding of a + c, an absolute u (a + c) in a first
+coefficient that is at least k - k0 + 3, and the last the exp and the
+logs taken at the two ends.  The pair is carried scaled by exact powers
+of two, so a row far below 1e-308 keeps its log.  Perturbed fields,
+every other profile and a basis with K <= k0 + 2 take the quadrature for
+every row.
 
 A radial symbol's decay class is one of three tail laws, and each tail
 owns everything that depends on its class: the small-threshold counting
@@ -32,13 +59,12 @@ from typing import Callable
 
 import numpy as np
 
-from ._quad import gauss_legendre, log_integral_batch
+from ._quad import log_integral_batch
 from .counting import THRESHOLD_FLAG_TOL, LogSpectrum, flag_near_threshold
+from .errors import DiracSsfError
 from .landau import LLLBasis, log_radial_moments
 
 ADEQUACY_MARGIN = 1e-3
-# general compression: angular Fourier tail allowed beyond the kept modes
-FOURIER_TAIL_TOL = 1e-10
 # both truncation rules: K = ceil(TRUNCATION_MARGIN * law estimate) + TRUNCATION_SPARE
 TRUNCATION_MARGIN = 1.6
 TRUNCATION_SPARE = 8
@@ -48,12 +74,12 @@ PLANE_TOL = 1e-11
 PLANE_N0 = 128
 
 
-class TruncationError(RuntimeError):
+class TruncationError(DiracSsfError, RuntimeError):
     """The compression cannot count exactly at the requested threshold:
     the basis is too small, or an eigenvalue sits on the threshold."""
 
 
-class NonIntegrableError(ValueError):
+class NonIntegrableError(DiracSsfError, ValueError):
     """Symbol power is not integrable over the plane."""
 
 
@@ -170,12 +196,15 @@ class RadialProfile:
     falls to e^-400 and below keeps its value where a linear form would
     underflow, and the form cannot be negative.  ``nonincreasing``
     declares U nonincreasing in r, which the count certificate of
-    ``ToeplitzModel`` requires.
+    ``ToeplitzModel`` requires.  ``power_form`` is (exponent, amplitude)
+    when U is exactly amplitude * (1 + r^2)^(-exponent/2), which lets
+    ``toeplitz_radial_spectrum`` run the flat-field recurrence.
     """
 
     log_value: Callable[[np.ndarray], np.ndarray]
     law: PowerLawTail | ExponentialTail | CompactSupportTail
     nonincreasing: bool = False
+    power_form: tuple[float, float] | None = None
 
     def support_radius(self):
         return self.law.radius if isinstance(self.law, CompactSupportTail) else None
@@ -209,7 +238,7 @@ def power_profile(exponent: float, amplitude: float = 1.0) -> RadialProfile:
         return np.subtract(log_amp, out, out=out)[()]
 
     return RadialProfile(log_value, PowerLawTail(alpha=exponent, u_value=amplitude),
-                         nonincreasing=exponent >= 0.0)
+                         nonincreasing=exponent >= 0.0, power_form=(exponent, amplitude))
 
 
 def disc_profile(radius: float = 1.0, height: float = 1.0) -> RadialProfile:
@@ -306,81 +335,53 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     e^(-2 phi)), computed as a log-moment difference that reads the
     symbol's log directly, so that values like e^-400 survive untouched.
     The moments use the radial rule of the basis norms (``NORM_TOL``).
-    A symbol whose log is -inf on the whole probe [0, r_probe] compresses
-    to the zero operator.  No sign check is needed: a log form cannot be
-    negative, and a NaN log is refused by the quadrature.
+    A profile with a ``power_form`` on the flat field takes that rule for
+    rows 0 ... k0+1 only, k0 = ceil(max(c, a+c)) + 1 with a half the
+    exponent and c = b0/2, and the three-term recurrence of the module
+    docstring for every later row, within the error bound stated there;
+    when K <= k0 + 2 every row is quadrature.  A symbol whose log is -inf
+    on the whole probe [0, r_probe] compresses to the zero operator.  No
+    sign check is needed: a log form cannot be negative, and a NaN log is
+    refused by the quadrature.
     """
-    ks = np.arange(basis.K)
-    r_probe = max(20.0, 2.5 * np.sqrt((2.0 * basis.K + 1.0) / basis.field.b0))
+    fs = basis.field
+    r_probe = max(20.0, 2.5 * np.sqrt((2.0 * basis.K + 1.0) / fs.b0))
     if np.all(np.isneginf(profile.log_value(np.linspace(0.0, r_probe, 1025)))):
         return ToeplitzModel(basis, profile, None)
-    log_num = log_radial_moments(basis.field, ks, log_symbol=profile.log_value,
+    n_quad = basis.K
+    if profile.power_form is not None and fs.phi_tilde is None:
+        a, c = 0.5 * profile.power_form[0], 0.5 * fs.b0
+        k0 = math.ceil(max(c, a + c)) + 1
+        n_quad = min(basis.K, k0 + 2)
+    log_num = log_radial_moments(fs, np.arange(n_quad), log_symbol=profile.log_value,
                                  support=profile.support_radius())
-    return ToeplitzModel(basis, profile, log_num - basis.log_moment_integrals)
+    log_eig = log_num - basis.log_moment_integrals[:n_quad]
+    if n_quad < basis.K:
+        rest = _power_recurrence(log_eig[k0], log_eig[k0 + 1], k0, basis.K, a, c)
+        log_eig = np.concatenate([log_eig, rest])
+    return ToeplitzModel(basis, profile, log_eig)
 
 
-def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: int):
-    """Dense hermitian compression of a bounded symbol U(r, theta).
-
-    Entries <psi_j, U psi_k> couple angular momenta through the (j-k)-th
-    Fourier coefficient of U; coefficients beyond ``angular_modes`` must be
-    below ``FOURIER_TAIL_TOL`` times the leading one or the truncation is
-    refused.  Returns (spectrum, matrix).
-    """
-    K = basis.K
-    fs = basis.field
-    n_theta = 1
-    while n_theta < max(4 * angular_modes + 8, 2 * K + 2, 64):
-        n_theta *= 2
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-
-    # radial window covering every basis function's mass
-    ks = np.arange(K)
-    r_peaks = np.sqrt((2.0 * ks + 1.0) / fs.b0)
-    r_hi = float(np.max(r_peaks)) + 12.0 / np.sqrt(fs.b0) + 4.0
-    n_r = 256
-    prev = None
-    while n_r <= 16384:
-        x, w = gauss_legendre(n_r)
-        r = 0.5 * r_hi * (x + 1.0)
-        wr = 0.5 * r_hi * w
-        vals = np.asarray(symbol(r[:, None], theta[None, :]), dtype=float)
-        if np.any(vals < -1e-12):
-            raise ValueError("symbol must be nonnegative")
-        coeffs = np.fft.fft(vals, axis=1) / n_theta  # c_m(r_i) for m >= 0 mod n
-        lead = np.max(np.abs(coeffs[:, 0]), initial=0.0)
-        if lead > 0.0:
-            tail_idx = np.arange(angular_modes + 1, min(2 * angular_modes + 1, n_theta // 2))
-            if tail_idx.size:
-                tail = float(np.max(np.abs(coeffs[:, tail_idx])))
-                if tail > FOURIER_TAIL_TOL * lead:
-                    raise ValueError(
-                        f"angular mode cutoff {angular_modes} too small: "
-                        f"Fourier tail {tail:.3e} vs leading {lead:.3e}"
-                    )
-        # normalised radial factors w_k(r) = exp((k+1/2) ln r - phi - log_norm)
-        with np.errstate(divide="ignore"):
-            logs = (ks[:, None] + 0.5) * np.log(r)[None, :] - fs.phi(r)[None, :] \
-                - basis.log_norms[:, None]
-        wk = np.exp(logs)
-        mat = np.zeros((K, K), dtype=complex)
-        for m in range(0, min(angular_modes, K - 1) + 1):
-            cm = coeffs[:, m]
-            for j in range(m, K):
-                k = j - m
-                entry = np.sum(wr * wk[j] * wk[k] * cm)
-                mat[j, k] = entry
-                mat[k, j] = np.conj(entry)
-        if prev is not None and np.max(np.abs(mat - prev)) <= 1e-12 + 1e-10 * np.max(np.abs(mat)):
-            break
-        prev = mat
-        n_r *= 2
-    eigs = np.linalg.eigvalsh(mat)
-    scale = np.max(np.abs(eigs), initial=0.0)
-    if scale > 0.0 and np.min(eigs) < -1e-10 * scale:
-        raise ValueError(f"compression not positive semidefinite: min eigenvalue {np.min(eigs):.3e}")
-    eigs = np.clip(eigs, 0.0, None)
-    return LogSpectrum.from_eigenvalues(eigs, zero_floor=1e-300), mat
+def _power_recurrence(log_seed0: float, log_seed1: float, k0: int, K: int,
+                      a: float, c: float) -> np.ndarray:
+    """log lambda_k for k0+2 <= k < K from the logs of rows k0 and k0+1, by
+    the forward recurrence of the module docstring.  The pair is carried
+    relative to lambda_(k0); whenever it falls below 2^-512 both entries
+    are rescaled by the same exact power of two, whose exponent the log of
+    each later row adds back."""
+    s, tiny = a + c, 2.0 ** -512
+    x0, x1 = 1.0, math.exp(log_seed1 - log_seed0)
+    xs, exps = [0.0] * (K - k0 - 2), [0] * (K - k0 - 2)
+    e = 0
+    for j, k2 in enumerate(range(k0 + 2, K)):
+        x0, x1 = x1, ((k2 - s) * x1 + c * x0) / k2
+        if x1 < tiny:
+            x1, shift = math.frexp(x1)
+            x0 = math.ldexp(x0, -shift)
+            e += shift
+        xs[j] = x1
+        exps[j] = e
+    return log_seed0 + (np.log(xs) + np.multiply(exps, math.log(2.0)))
 
 
 @dataclass(frozen=True)

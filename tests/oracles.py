@@ -17,14 +17,24 @@ per-row shift, remainder and ``einsum`` weighting, so the blocked kernel
 must match it bit for bit.  ``gaussian_log_value`` and ``power_log_value``
 are the profile logs as the plain expressions they were before they were
 built in place.
+
+``toeplitz_general_matrix`` is the dense compression of a bounded symbol
+U(r, theta), moved here unchanged with its ``FOURIER_TAIL_TOL``: no run
+reads it, and the tests hold the radial (diagonal) path to it.
+
+``mp_power_log_eig`` is the flat-field power-law eigenvalue by mpmath, at
+a stated precision, so that a test can check the oracle's own convergence
+by asking at two precisions.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from diracssf._quad import gauss_legendre
-from diracssf.landau import build_ladder
+from diracssf.counting import LogSpectrum
+from diracssf.landau import LLLBasis, build_ladder
 from diracssf.ssf import edge_threshold
 
 
@@ -169,3 +179,96 @@ def power_log_value(exponent, amplitude):
     """log of amplitude * (1 + r^2)^(-exponent/2) as one expression."""
     log_amp = math.log(amplitude)
     return lambda r: log_amp - 0.5 * exponent * np.log1p(np.asarray(r, dtype=float) ** 2)
+
+
+# general compression: angular Fourier tail allowed beyond the kept modes
+FOURIER_TAIL_TOL = 1e-10
+
+
+def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: int):
+    """Dense hermitian compression of a bounded symbol U(r, theta).
+
+    Entries <psi_j, U psi_k> couple angular momenta through the (j-k)-th
+    Fourier coefficient of U; coefficients beyond ``angular_modes`` must be
+    below ``FOURIER_TAIL_TOL`` times the leading one or the truncation is
+    refused.  Returns (spectrum, matrix).
+    """
+    K = basis.K
+    fs = basis.field
+    n_theta = 1
+    while n_theta < max(4 * angular_modes + 8, 2 * K + 2, 64):
+        n_theta *= 2
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+
+    # radial window covering every basis function's mass
+    ks = np.arange(K)
+    r_peaks = np.sqrt((2.0 * ks + 1.0) / fs.b0)
+    r_hi = float(np.max(r_peaks)) + 12.0 / np.sqrt(fs.b0) + 4.0
+    n_r = 256
+    prev = None
+    while n_r <= 16384:
+        x, w = gauss_legendre(n_r)
+        r = 0.5 * r_hi * (x + 1.0)
+        wr = 0.5 * r_hi * w
+        vals = np.asarray(symbol(r[:, None], theta[None, :]), dtype=float)
+        if np.any(vals < -1e-12):
+            raise ValueError("symbol must be nonnegative")
+        coeffs = np.fft.fft(vals, axis=1) / n_theta  # c_m(r_i) for m >= 0 mod n
+        lead = np.max(np.abs(coeffs[:, 0]), initial=0.0)
+        if lead > 0.0:
+            tail_idx = np.arange(angular_modes + 1, min(2 * angular_modes + 1, n_theta // 2))
+            if tail_idx.size:
+                tail = float(np.max(np.abs(coeffs[:, tail_idx])))
+                if tail > FOURIER_TAIL_TOL * lead:
+                    raise ValueError(
+                        f"angular mode cutoff {angular_modes} too small: "
+                        f"Fourier tail {tail:.3e} vs leading {lead:.3e}"
+                    )
+        # normalised radial factors w_k(r) = exp((k+1/2) ln r - phi - log_norm)
+        with np.errstate(divide="ignore"):
+            logs = (ks[:, None] + 0.5) * np.log(r)[None, :] - fs.phi(r)[None, :] \
+                - basis.log_norms[:, None]
+        wk = np.exp(logs)
+        mat = np.zeros((K, K), dtype=complex)
+        for m in range(0, min(angular_modes, K - 1) + 1):
+            cm = coeffs[:, m]
+            for j in range(m, K):
+                k = j - m
+                entry = np.sum(wr * wk[j] * wk[k] * cm)
+                mat[j, k] = entry
+                mat[k, j] = np.conj(entry)
+        if prev is not None and np.max(np.abs(mat - prev)) <= 1e-12 + 1e-10 * np.max(np.abs(mat)):
+            break
+        prev = mat
+        n_r *= 2
+    eigs = np.linalg.eigvalsh(mat)
+    scale = np.max(np.abs(eigs), initial=0.0)
+    if scale > 0.0 and np.min(eigs) < -1e-10 * scale:
+        raise ValueError(f"compression not positive semidefinite: min eigenvalue {np.min(eigs):.3e}")
+    eigs = np.clip(eigs, 0.0, None)
+    return LogSpectrum.from_eigenvalues(eigs, zero_floor=1e-300), mat
+
+
+def mp_power_log_eig(k, exponent, b0, dps):
+    """log lambda_k / A (k >= 1) for U = A (1 + r^2)^(-exponent/2) on the
+    flat field, by mpmath at ``dps`` digits: the Gamma(k+1) average of (1 + u/c)^(-a)
+    with a = exponent/2 and c = b0/2, integrated from the exact peak u* of
+    k log u - u - a log(1 + u/c) with cuts at u* + j w, w the curvature
+    width there, so that a steep exponent does not move the peak off the
+    cuts."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, c = mp.mpf(exponent) / 2, mp.mpf(b0) / 2
+
+        def g(u):
+            return k * mp.log(u) - u - a * mp.log(1 + u / c)
+
+        d = k - a - c
+        peak = (d + mp.sqrt(d * d + 4 * k * c)) / 2
+        width = 1 / mp.sqrt(k / peak ** 2 - a / (c + peak) ** 2)
+        top = g(peak)
+        cuts = [peak + j * width for j in (-40, -12, -4, 0, 4, 12, 40)]
+        points = [mp.mpf(0)] + [x for x in cuts if x > 0] + [mp.inf]
+        val = mp.log(mp.quad(lambda u: mp.exp(g(u) - top), points)) + top - mp.loggamma(k + 1)
+        return +val

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracssf import harness
+from diracssf import cli, harness
+from diracssf._quad import QuadratureError
 from diracssf.cli import main
+from diracssf.counting import JumpLocalizationError
 from diracssf.harness import (
     _KINDS,
     _SECTIONS,
@@ -35,9 +37,12 @@ from diracssf.harness import (
     serialize_config,
 )
 from diracssf.discrete_model import build_h0, roundoff_bounds
-from diracssf.ssf import edge_threshold, gaussian_longitudinal
-from diracssf.toeplitz import (RadialProfile, count_truncation, gaussian_profile,
-                               suggest_truncation, toeplitz_radial_spectrum)
+from diracssf.errors import DiracSsfError
+from diracssf.kernels1d import GridResolutionError
+from diracssf.ssf import TruncatedTailError, edge_threshold, gaussian_longitudinal
+from diracssf.toeplitz import (NonIntegrableError, RadialProfile, TruncationError,
+                               count_truncation, gaussian_profile, suggest_truncation,
+                               toeplitz_radial_spectrum)
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIGS_DIR.glob("*.cfg"))
@@ -461,6 +466,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("name, extra, keys", [
         # no Landau basis is built, so the whole [field] perturbation is unread
@@ -581,10 +587,11 @@ class TestCli:
         self._refused(capsys, ["run", "--config", cfg, "--out", str(tmp_path / "r.csv")],
                       "basis K=1723547761 exceeds MAX_BASIS_K = 262144")
 
-    @pytest.mark.parametrize("amp", ["1e5", "1e12"])
+    @pytest.mark.parametrize("amp", ["3e4", "1e5", "1e12"])
     def test_a_failed_radial_quadrature_stops_the_run(self, tmp_path, capsys, amp):
-        # validation accepts any finite amplitude, but at 1e5 and above the
-        # tanh perturbation keeps the basis-norm integrand from dropping
+        # validation accepts any finite amplitude, but from 3e4 on the tanh
+        # perturbation keeps the basis-norm integrand from dropping; the
+        # line names the key to change and its value
         cfg = self._write(tmp_path, "[scenario]\nname = toeplitz-asymptotics\n"
                                     f"[field]\nb0 = 2\nphi_tilde = tanh\nphi_amp = {amp}\n"
                                     "[potential]\nlaw = power\nnu = 4\n"
@@ -592,9 +599,33 @@ class TestCli:
         assert main(["validate", "--config", cfg]) == 0
         capsys.readouterr()
         out = tmp_path / "r.csv"
-        self._refused(capsys, ["run", "--config", cfg, "--out", str(out)],
-                      "run stopped: bracket_drop: left bracket still above the target")
+        err = self._refused(capsys, ["run", "--config", cfg, "--out", str(out)],
+                            "run stopped: bracket_drop: left bracket still above the target")
         assert not out.exists()
+        assert f"phi_tilde = tanh with phi_amp = {float(amp)!r}" in err
+
+    @pytest.mark.parametrize("error", [GridResolutionError, NonIntegrableError,
+                                       JumpLocalizationError])
+    def test_a_typed_error_from_any_runner_stops_the_run(self, tmp_path, capsys, monkeypatch,
+                                                         error):
+        # the three typed errors that no shipped run reaches are caught by
+        # their common base, as the other three are
+        def runner(cfg):
+            raise error(f"{error.__name__} from the runner")
+
+        monkeypatch.setattr(cli, "run_scenario", runner)
+        out = tmp_path / "r.csv"
+        self._refused(capsys, ["run", "--config", self._write(tmp_path, MINIMAL),
+                               "--out", str(out)], f"run stopped: {error.__name__} from the runner")
+        assert not out.exists()
+
+
+def test_typed_errors_share_one_base_and_keep_their_builtin_bases():
+    runtime = [TruncationError, TruncatedTailError, QuadratureError, GridResolutionError,
+               JumpLocalizationError]
+    assert all(issubclass(err, DiracSsfError) and issubclass(err, RuntimeError) for err in runtime)
+    assert issubclass(NonIntegrableError, DiracSsfError) and issubclass(NonIntegrableError, ValueError)
+    assert not issubclass(ConfigError, DiracSsfError)  # its violations print one line each
 
 
 def test_dirac_check_on_a_tiny_box_passes_its_rows(tmp_path, capsys):

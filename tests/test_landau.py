@@ -441,9 +441,11 @@ def test_blocked_radial_moments_are_bitwise_one_block_per_chunk(monkeypatch, cas
 def test_radial_build_never_holds_a_chunk_by_nodes_matrix():
     from diracssf.toeplitz import power_profile, toeplitz_radial_spectrum
 
+    # on a perturbed field both the norms and every moment row take the
+    # radial rule; a flat power compression integrates its seed rows only
     tracemalloc.start()
     try:
-        basis = build_lll_basis(FieldSpec(1.0), 4096)
+        basis = build_lll_basis(FieldSpec(1.0, phi_tilde=lambda r: 0.5 * np.tanh(r)), 4096)
         toeplitz_radial_spectrum(power_profile(3.0), basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

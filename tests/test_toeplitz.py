@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from diracssf.landau import build_lll_basis
+from diracssf import toeplitz
+from diracssf.landau import NORM_TOL, FieldSpec, build_lll_basis, log_radial_moments
 from diracssf.toeplitz import (
     CompactSupportTail,
     RadialProfile,
@@ -23,10 +27,10 @@ from diracssf.toeplitz import (
     gaussian_profile,
     power_profile,
     suggest_truncation,
-    toeplitz_general_matrix,
     toeplitz_radial_spectrum,
 )
-from oracles import gaussian_log_value, power_log_value
+from oracles import (gaussian_log_value, mp_power_log_eig, power_log_value,
+                     toeplitz_general_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -332,15 +336,19 @@ def test_profile_logs_are_bitwise_the_plain_expressions(make, oracle, shape_para
 
 _DETERMINISM_SCRIPT = """
 import sys
+import numpy as np
 from diracssf.landau import FieldSpec, build_lll_basis
 from diracssf.toeplitz import power_profile, toeplitz_radial_spectrum
-model = toeplitz_radial_spectrum(power_profile(4.0, 8.0), build_lll_basis(FieldSpec(1.0), 4000))
-sys.stdout.write(model.log_eigen_by_k.tobytes().hex())
+# the flat field recurs past its seed rows; the tanh field integrates every row
+for field in (FieldSpec(1.0), FieldSpec(1.0, lambda r: 0.5 * np.tanh(r))):
+    model = toeplitz_radial_spectrum(power_profile(4.0, 8.0), build_lll_basis(field, 4000))
+    sys.stdout.write(model.log_eigen_by_k.tobytes().hex())
 """
 
 
 def test_radial_spectrum_bits_do_not_depend_on_the_blas_thread_count():
-    # the radial rule weights its nodes with einsum, never a BLAS product
+    # the radial rule weights its nodes with einsum, never a BLAS product,
+    # and the recurrence is plain float arithmetic
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for threads in ("1", "2"):
@@ -350,5 +358,169 @@ def test_radial_spectrum_bits_do_not_depend_on_the_blas_thread_count():
         done = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
                               check=True, capture_output=True, text=True, timeout=120)
         runs.append(done.stdout)
-    assert len(runs[0]) == 2 * 8 * 4000
+    assert len(runs[0]) == 2 * 2 * 8 * 4000
     assert runs[0] == runs[1]
+
+
+# -- the flat-field power-law recurrence ---------------------------------------
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def _seed_index(exponent, b0):
+    a, c = 0.5 * exponent, 0.5 * b0
+    return math.ceil(max(c, a + c)) + 1
+
+
+def _recurrence_bound(k, k0, exponent, b0, log_k, log_k0, seed_err):
+    """The toeplitz module docstring's bound on |log lambda_k| error for a
+    recurrence row k >= k0 + 2, from the seed rows' error ``seed_err``."""
+    a, c = 0.5 * exponent, 0.5 * b0
+    return (seed_err + 4 * U * (k - k0) + U * abs(a + c) * math.log1p((k - k0) / 2)
+            + 8 * U * (1 + abs(log_k) + abs(log_k0)))
+
+
+def _quadrature_slack(log_num, log_den):
+    """What a flat-field quadrature row may be off by in the log: the rule
+    stops once its remainder is stable to NORM_TOL, which for the
+    Gauss-Legendre rule on these analytic integrands bounds its error, and
+    the numerator and the denominator log-integrals are each rounded at
+    their own magnitude."""
+    return NORM_TOL + 4 * U * (np.abs(log_num) + np.abs(log_den))
+
+
+def _quadrature_logs(profile, basis):
+    """Every row of the compression by the radial rule, as before the recurrence."""
+    log_num = log_radial_moments(basis.field, np.arange(basis.K), log_symbol=profile.log_value)
+    return log_num, basis.log_moment_integrals
+
+
+class TestPowerRecurrence:
+    """Rows k >= k0 + 2 of a flat-field power profile come from the
+    three-term recurrence; every other row and case is quadrature."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(b0=st.floats(0.2, 100.0),
+           exponent=st.one_of(st.floats(0.5, 10.0), st.floats(10.0, 60.0)),
+           extra=st.integers(1, 400), pick=st.floats(0.0, 1.0))
+    def test_rows_match_mpmath_within_the_derived_bound(self, b0, exponent, extra, pick):
+        k0 = _seed_index(exponent, b0)
+        K = k0 + 2 + extra
+        model = toeplitz_radial_spectrum(power_profile(exponent), build_lll_basis(FieldSpec(b0), K))
+        lv = model.log_eigen_by_k
+
+        def error(k):
+            # the oracle must have converged: 20 and 30 digits agree
+            ref, ref_hi = mp_power_log_eig(k, exponent, b0, 20), mp_power_log_eig(k, exponent, b0, 30)
+            assert abs(float(ref - ref_hi)) < 1e-17 * max(1.0, abs(float(ref_hi)))
+            return abs(float(lv[k] - ref_hi))
+
+        seed_err = max(error(k0), error(k0 + 1))
+        for k in {k0 + 2 + int(pick * (extra - 1)), K - 1}:
+            bound = _recurrence_bound(k, k0, exponent, b0, lv[k], lv[k0], seed_err)
+            assert error(k) <= bound, (k, bound)
+        # the certificate still holds between the last two rows
+        s = math.exp(0.5 * (lv[-1] + lv[-2]))
+        assert model.count_certified(s)
+        assert model.spectrum.n_plus(s) == K - 1
+
+    @pytest.mark.parametrize("exponent, b0, amplitude", [
+        (4.0, 1.0, 1.0), (6.0, 2.0, 3.0), (10.0, 1.0, 8.0)])
+    def test_trace_identity_by_a_direct_sum_to_4k(self, exponent, b0, amplitude):
+        # sum_k lambda_k = (b0 / 2 pi) integral U = A b0 / (2 (a - 1)) on the
+        # flat field; the oracle goes through no quadrature.  For t ~
+        # Gamma(k+1, rate c), Jensen gives lambda_k / A >= (1 + (k+1)/c)^-a,
+        # and splitting at t = theta (k+1)/c with the Chernoff bound
+        # P(t <= theta (k+1)/c) <= exp(-beta (k+1)), beta = theta - 1 - ln theta,
+        # gives lambda_k / A <= g(k) = (1 + theta (k+1)/c)^-a + exp(-beta (k+1));
+        # both are decreasing in k, so the remainder past N = 4K lies in
+        # [A c/(a-1) (1 + (N+1)/c)^(1-a), A (g(N) + (c/theta)/(a-1) (1 + theta (N+1)/c)^(1-a)
+        #  + exp(-beta (N+1))/beta)]
+        K = 1000
+        N = 4 * K
+        a, c, theta = 0.5 * exponent, 0.5 * b0, 0.5
+        beta = theta - 1.0 - math.log(theta)
+        model = toeplitz_radial_spectrum(power_profile(exponent, amplitude),
+                                         build_lll_basis(FieldSpec(b0), N))
+        assert model.profile.power_form == (exponent, amplitude)
+        partial = math.fsum(np.exp(model.log_eigen_by_k))
+        total = amplitude * b0 / (2.0 * (a - 1.0))
+        rem_lo = amplitude * c / (a - 1.0) * (1.0 + (N + 1) / c) ** (1.0 - a)
+        g_n = (1.0 + theta * (N + 1) / c) ** -a + math.exp(-beta * (N + 1))
+        rem_hi = amplitude * (g_n + (c / theta) / (a - 1.0) * (1.0 + theta * (N + 1) / c) ** (1.0 - a)
+                              + math.exp(-beta * (N + 1)) / beta)
+        # every term is within 1e-10 relative (the seeds' rule and the
+        # recurrence bound), and the exp of each log and the sum add roundings
+        slack = 1e-10 * partial
+        assert rem_lo - slack <= total - partial <= rem_hi + slack
+
+    @pytest.mark.parametrize("exponent, K", [(4.0, 4000), (3.0, 8000), (30.0, 600)])
+    def test_quadrature_rows_agree_within_the_stated_bound(self, field_b1, exponent, K):
+        basis = build_lll_basis(field_b1, K)
+        profile = power_profile(exponent)
+        lv = toeplitz_radial_spectrum(profile, basis).log_eigen_by_k
+        log_num, log_den = _quadrature_logs(profile, basis)
+        quad = log_num - log_den
+        slack = _quadrature_slack(log_num, log_den)
+        k0 = _seed_index(exponent, 1.0)
+        # the seed rows are the same rule, possibly on other node counts
+        assert np.all(np.abs(lv[:k0 + 2] - quad[:k0 + 2]) <= 2 * slack[:k0 + 2])
+        ks = np.arange(k0 + 2, K)
+        bound = np.array([_recurrence_bound(k, k0, exponent, 1.0, lv[k], lv[k0],
+                                            max(slack[k0], slack[k0 + 1])) for k in ks])
+        assert np.all(np.abs(lv[ks] - quad[ks]) <= bound + slack[ks])
+
+    @pytest.mark.parametrize("exponent, K", [(200.0, 2000), (1000.0, 4000)])
+    def test_steep_exponent_keeps_its_logs_below_underflow(self, field_b1, exponent, K):
+        # exponent 200 (a = 100): lambda_(K-1) / A < 1e-300, which a linear
+        # recurrence would flush to zero; at exponent 1000 even the ratio
+        # lambda_(K-1) / lambda_(k0) that the pair carries is below 1e-308,
+        # so the pair must be rescaled on the way
+        basis = build_lll_basis(field_b1, K)
+        profile = power_profile(exponent)
+        lv = toeplitz_radial_spectrum(profile, basis).log_eigen_by_k
+        assert np.all(np.isfinite(lv)) and lv[-1] < math.log(1e-300)
+        if exponent == 1000.0:
+            assert lv[-1] - lv[_seed_index(exponent, 1.0)] < math.log(1e-308)
+        assert np.all(np.diff(lv) < 0.0)
+        log_num, log_den = _quadrature_logs(profile, basis)
+        slack = _quadrature_slack(log_num, log_den)
+        k0 = _seed_index(exponent, 1.0)
+        ks = np.arange(k0 + 2, K)
+        bound = np.array([_recurrence_bound(k, k0, exponent, 1.0, lv[k], lv[k0],
+                                            max(slack[k0], slack[k0 + 1])) for k in ks])
+        assert np.all(np.abs(lv[ks] - (log_num - log_den)[ks]) <= bound + slack[ks])
+
+    @staticmethod
+    def _record_rows(monkeypatch):
+        """The number of rows of each ``log_radial_moments`` call."""
+        calls = []
+        moments = toeplitz.log_radial_moments
+        monkeypatch.setattr(toeplitz, "log_radial_moments",
+                            lambda fs, ks, **kw: calls.append(len(ks)) or moments(fs, ks, **kw))
+        return calls
+
+    @pytest.mark.parametrize("profile, field, K", [
+        (power_profile(3.0), FieldSpec(1.0, lambda r: 0.5 * np.tanh(r)), 40),
+        (gaussian_profile(1.0), FieldSpec(2.0), 40),
+        (disc_profile(1.0), FieldSpec(2.0), 40),
+        (power_profile(1e9), FieldSpec(1.0), 40),  # k0 + 2 >= K
+        (power_profile(3.0), FieldSpec(1.0), 5),   # K = k0 + 2
+    ], ids=["tanh-field", "gaussian", "disc", "steep-small-basis", "k-equals-k0-plus-2"])
+    def test_every_other_case_is_quadrature(self, monkeypatch, profile, field, K):
+        basis = build_lll_basis(field, K)
+        calls = self._record_rows(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("the recurrence ran")
+
+        monkeypatch.setattr(toeplitz, "_power_recurrence", refuse)
+        model = toeplitz_radial_spectrum(profile, basis)
+        assert calls == [K] and np.all(np.isfinite(model.log_eigen_by_k))
+
+    def test_a_flat_power_basis_one_past_the_seeds_recurs(self, monkeypatch, field_b1):
+        # k0 = 3 at exponent 3, b0 = 1: K = 6 integrates rows 0..4 and recurs row 5
+        calls = self._record_rows(monkeypatch)
+        model = toeplitz_radial_spectrum(power_profile(3.0), build_lll_basis(field_b1, 6))
+        assert _seed_index(3.0, 1.0) == 3 and calls == [5]
+        assert model.log_eigen_by_k.shape == (6,)
