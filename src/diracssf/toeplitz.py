@@ -54,6 +54,7 @@ ratio), and n_+(s) is exact once lambda_(K-1) < s.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -371,7 +372,9 @@ def _power_recurrence(log_seed0: float, log_seed1: float, k0: int, K: int,
     each later row adds back."""
     s, tiny = a + c, 2.0 ** -512
     x0, x1 = 1.0, math.exp(log_seed1 - log_seed0)
-    xs, exps = [0.0] * (K - k0 - 2), [0] * (K - k0 - 2)
+    # flat arrays, not lists of float objects, which held 2 MiB more at K = 37135
+    n = K - k0 - 2
+    xs, exps = array("d", bytes(8 * n)), array("q", bytes(8 * n))
     e = 0
     for j, k2 in enumerate(range(k0 + 2, K)):
         x0, x1 = x1, ((k2 - s) * x1 + c * x0) / k2
