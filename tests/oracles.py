@@ -251,11 +251,11 @@ def toeplitz_general_matrix(symbol: Callable, basis: LLLBasis, angular_modes: in
 
 def mp_power_log_eig(k, exponent, b0, dps):
     """log lambda_k / A (k >= 1) for U = A (1 + r^2)^(-exponent/2) on the
-    flat field, by mpmath at ``dps`` digits: the Gamma(k+1) average of (1 + u/c)^(-a)
-    with a = exponent/2 and c = b0/2, integrated from the exact peak u* of
-    k log u - u - a log(1 + u/c) with cuts at u* + j w, w the curvature
-    width there, so that a steep exponent does not move the peak off the
-    cuts."""
+    flat field, by mpmath at ``dps`` digits: the Gamma(k+1) average of
+    (1 + u/c)^(-a) with a = exponent/2 and c = b0/2, integrated from the
+    exact peak u* of k log u - u - a log(1 + u/c) with cuts at u* + j w,
+    w the curvature width there, so that a steep exponent does not move
+    the peak off the cuts."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -270,5 +270,4 @@ def mp_power_log_eig(k, exponent, b0, dps):
         top = g(peak)
         cuts = [peak + j * width for j in (-40, -12, -4, 0, 4, 12, 40)]
         points = [mp.mpf(0)] + [x for x in cuts if x > 0] + [mp.inf]
-        val = mp.log(mp.quad(lambda u: mp.exp(g(u) - top), points)) + top - mp.loggamma(k + 1)
-        return +val
+        return mp.log(mp.quad(lambda u: mp.exp(g(u) - top), points)) + top - mp.loggamma(k + 1)
