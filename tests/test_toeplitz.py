@@ -389,10 +389,20 @@ def _quadrature_slack(log_num, log_den):
     return NORM_TOL + 4 * U * (np.abs(log_num) + np.abs(log_den))
 
 
-def _quadrature_logs(profile, basis):
-    """Every row of the compression by the radial rule, as before the recurrence."""
+def _assert_rows_match_the_rule(profile, basis, lv, exponent):
+    """Every row of a flat-field compression against ``log_radial_moments``
+    on all K rows: the seed rows are the same rule, possibly at other node
+    counts, and each recurrence row is within the stated bound (seeded by
+    the rule's slack) plus the rule's own slack."""
     log_num = log_radial_moments(basis.field, np.arange(basis.K), log_symbol=profile.log_value)
-    return log_num, basis.log_moment_integrals
+    log_den = basis.log_moment_integrals
+    quad, slack = log_num - log_den, _quadrature_slack(log_num, log_den)
+    k0 = _seed_index(exponent, basis.field.b0)
+    assert np.all(np.abs(lv[:k0 + 2] - quad[:k0 + 2]) <= 2 * slack[:k0 + 2])
+    ks = np.arange(k0 + 2, basis.K)
+    bound = np.array([_recurrence_bound(k, k0, exponent, basis.field.b0, lv[k], lv[k0],
+                                        max(slack[k0], slack[k0 + 1])) for k in ks])
+    assert np.all(np.abs(lv[ks] - quad[ks]) <= bound + slack[ks])
 
 
 class TestPowerRecurrence:
@@ -459,16 +469,7 @@ class TestPowerRecurrence:
         basis = build_lll_basis(field_b1, K)
         profile = power_profile(exponent)
         lv = toeplitz_radial_spectrum(profile, basis).log_eigen_by_k
-        log_num, log_den = _quadrature_logs(profile, basis)
-        quad = log_num - log_den
-        slack = _quadrature_slack(log_num, log_den)
-        k0 = _seed_index(exponent, 1.0)
-        # the seed rows are the same rule, possibly on other node counts
-        assert np.all(np.abs(lv[:k0 + 2] - quad[:k0 + 2]) <= 2 * slack[:k0 + 2])
-        ks = np.arange(k0 + 2, K)
-        bound = np.array([_recurrence_bound(k, k0, exponent, 1.0, lv[k], lv[k0],
-                                            max(slack[k0], slack[k0 + 1])) for k in ks])
-        assert np.all(np.abs(lv[ks] - quad[ks]) <= bound + slack[ks])
+        _assert_rows_match_the_rule(profile, basis, lv, exponent)
 
     @pytest.mark.parametrize("exponent, K", [(200.0, 2000), (1000.0, 4000)])
     def test_steep_exponent_keeps_its_logs_below_underflow(self, field_b1, exponent, K):
@@ -483,13 +484,7 @@ class TestPowerRecurrence:
         if exponent == 1000.0:
             assert lv[-1] - lv[_seed_index(exponent, 1.0)] < math.log(1e-308)
         assert np.all(np.diff(lv) < 0.0)
-        log_num, log_den = _quadrature_logs(profile, basis)
-        slack = _quadrature_slack(log_num, log_den)
-        k0 = _seed_index(exponent, 1.0)
-        ks = np.arange(k0 + 2, K)
-        bound = np.array([_recurrence_bound(k, k0, exponent, 1.0, lv[k], lv[k0],
-                                            max(slack[k0], slack[k0 + 1])) for k in ks])
-        assert np.all(np.abs(lv[ks] - (log_num - log_den)[ks]) <= bound + slack[ks])
+        _assert_rows_match_the_rule(profile, basis, lv, exponent)
 
     @staticmethod
     def _record_rows(monkeypatch):
