@@ -339,11 +339,15 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     A profile with a ``power_form`` on the flat field takes that rule for
     rows 0 ... k0+1 only, k0 = ceil(max(c, a+c)) + 1 with a half the
     exponent and c = b0/2, and the three-term recurrence of the module
-    docstring for every later row, within the error bound stated there;
-    when K <= k0 + 2 every row is quadrature.  A symbol whose log is -inf
-    on the whole probe [0, r_probe] compresses to the zero operator.  No
-    sign check is needed: a log form cannot be negative, and a NaN log is
-    refused by the quadrature.
+    docstring for every later row; when K <= k0 + 2 every row is
+    quadrature.  The guard k0 makes both coefficients k+2-a-c and c
+    nonnegative, so no step cancels, and row k is then off in the log by
+    at most e_seed + 4u (k - k0) + u (a + c) ln(1 + (k - k0)/2)
+    + 8u (1 + |log lambda_k| + |log lambda_k0|), u = 2^-53, with e_seed
+    the seed rows' error (derived in the module docstring).  A symbol
+    whose log is -inf on the whole probe [0, r_probe] compresses to the
+    zero operator.  No sign check is needed: a log form cannot be
+    negative, and a NaN log is refused by the quadrature.
     """
     fs = basis.field
     r_probe = max(20.0, 2.5 * np.sqrt((2.0 * basis.K + 1.0) / fs.b0))
