@@ -24,14 +24,29 @@ log by at most
     e_seed + 4u (k - k0) + u (a + c) ln(1 + (k - k0)/2)
            + 8u (1 + |log lambda_k| + |log lambda_k0|)
 
-to first order in the unit roundoff u = 2^-53: e_seed is the seed rows'
-error, 4u one step's roundings (two products, a sum and a division), the
-third term the rounding of a + c, an absolute u (a + c) in a first
-coefficient that is at least k - k0 + 3, and the last the exp and the
-logs taken at the two ends.  The pair is carried scaled by exact powers
-of two, so a row far below 1e-308 keeps its log.  Perturbed fields,
-every other profile and a basis with K <= k0 + 2 take the quadrature for
-every row.
+to first order in the unit roundoff u = 2^-53.  e_seed is the seed rows'
+error.  A step ((k+2-s) x1 + c x0)/(k+2), s = a + c, adds two nonnegative
+terms, so it costs the larger of its inputs' errors plus the roundings
+along one term: on the x1 term the subtraction k+2-s, the product, the
+sum and the division, 4u; on the x0 term 3u.  Row k takes k - k0 - 1
+steps, so the second term leaves 4u over.  The third term is the
+rounding of s, an absolute u (a + c) in a first coefficient that is at
+least k - k0 + 3, and the last the exp and the logs taken at the two
+ends.
+
+The rows are evaluated in blocks of about sqrt(n) rows, n = K - k0 - 2,
+fewer for steep exponents at large K, where a block must not underflow.
+Each block steps the two solutions that start from (1, 0) and (0, 1)
+with the same step, and its rows are X0 U + X1 V, with (X0, X1) the pair
+the block starts from.  The pair passed from one block to the next is
+summed in double-double, so a pass costs O(u^2) and the chain of pairs
+costs 4u per step, as a row-by-row loop does.  Rounding the pair to
+doubles and forming X0 U + X1 V then cost u and 2u once per row, not
+once per block, and the 4u left over covers them; a pair passed in plain
+floats would add 2u per block, about 2u sqrt(n) by the last row.  The
+pair is normalised by an exact power of two at every block, so a row far
+below 1e-308 keeps its log.  Perturbed fields, every other profile and a
+basis with K <= k0 + 2 take the quadrature for every row.
 
 A radial symbol's decay class is one of three tail laws, and each tail
 owns everything that depends on its class: the small-threshold counting
@@ -54,7 +69,6 @@ ratio), and n_+(s) is exact once lambda_(K-1) < s.
 """
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -339,14 +353,15 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     A profile with a ``power_form`` on the flat field takes that rule for
     rows 0 ... k0+1 only, k0 = ceil(max(c, a+c)) + 1 with a half the
     exponent and c = b0/2, and the three-term recurrence of the module
-    docstring for every later row; when K <= k0 + 2 every row is
-    quadrature.  The guard k0 makes both coefficients k+2-a-c and c
-    nonnegative, so no step cancels, and row k is then off in the log by
-    at most e_seed + 4u (k - k0) + u (a + c) ln(1 + (k - k0)/2)
-    + 8u (1 + |log lambda_k| + |log lambda_k0|), u = 2^-53, with e_seed
-    the seed rows' error (derived in the module docstring).  A symbol
-    whose log is -inf on the whole probe [0, r_probe] compresses to the
-    zero operator.  No sign check is needed: a log form cannot be
+    docstring for every later row, in blocks of about sqrt(K - k0) rows;
+    when K <= k0 + 2 every row is quadrature.  The guard k0 makes both
+    coefficients k+2-a-c and c nonnegative, so no step cancels, and row k
+    is then off in the log by at most e_seed + 4u (k - k0)
+    + u (a + c) ln(1 + (k - k0)/2) + 8u (1 + |log lambda_k| + |log lambda_k0|),
+    u = 2^-53, with e_seed the seed rows' error (derived in the module
+    docstring: 4u per step, and the blocks' u + 2u per row within the 4u
+    that the k - k0 - 1 steps of row k leave over).  A symbol whose log is
+    -inf on the whole probe [0, r_probe] compresses to the zero operator.  No sign check is needed: a log form cannot be
     negative, and a NaN log is refused by the quadrature.
     """
     fs = basis.field
@@ -360,35 +375,111 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
         n_quad = min(basis.K, k0 + 2)
     log_num = log_radial_moments(fs, np.arange(n_quad), log_symbol=profile.log_value,
                                  support=profile.support_radius())
-    log_eig = log_num - basis.log_moment_integrals[:n_quad]
+    log_eig = np.empty(basis.K)
+    np.subtract(log_num, basis.log_moment_integrals[:n_quad], out=log_eig[:n_quad])
     if n_quad < basis.K:
-        rest = _power_recurrence(log_eig[k0], log_eig[k0 + 1], k0, basis.K, a, c)
-        log_eig = np.concatenate([log_eig, rest])
+        _power_recurrence(log_eig, k0, a, c)
     return ToeplitzModel(basis, profile, log_eig)
 
 
-def _power_recurrence(log_seed0: float, log_seed1: float, k0: int, K: int,
-                      a: float, c: float) -> np.ndarray:
-    """log lambda_k for k0+2 <= k < K from the logs of rows k0 and k0+1, by
-    the forward recurrence of the module docstring.  The pair is carried
-    relative to lambda_(k0); whenever it falls below 2^-512 both entries
-    are rescaled by the same exact power of two, whose exponent the log of
-    each later row adds back."""
-    s, tiny = a + c, 2.0 ** -512
-    x0, x1 = 1.0, math.exp(log_seed1 - log_seed0)
-    # flat arrays, not lists of float objects, which held 2 MiB more at K = 37135
-    n = K - k0 - 2
-    xs, exps = array("d", bytes(8 * n)), array("q", bytes(8 * n))
-    e = 0
-    for j, k2 in enumerate(range(k0 + 2, K)):
-        x0, x1 = x1, ((k2 - s) * x1 + c * x0) / k2
-        if x1 < tiny:
-            x1, shift = math.frexp(x1)
-            x0 = math.ldexp(x0, -shift)
-            e += shift
-        xs[j] = x1
-        exps[j] = e
-    return log_seed0 + (np.log(xs) + np.multiply(exps, math.log(2.0)))
+def _power_recurrence(log_eig: np.ndarray, k0: int, a: float, c: float):
+    """Fill log_eig[k] = log lambda_k for k0+2 <= k < K = len(log_eig) from
+    rows k0 and k0+1, by the forward recurrence of the module docstring,
+    evaluated in blocks.
+
+    The n = K - k0 - 2 rows split into blocks of B = ceil(sqrt(n)) rows,
+    the last one cut at K.  Each block steps its two fundamental
+    solutions, from (1, 0) and (0, 1), with the step of the module
+    docstring, all blocks at once as numpy rows.  A loop over the blocks
+    then carries the pair relative to lambda_(k0), in double-double, from
+    each block's last two rows to the next block, and normalises it there
+    by an exact power of two, one exponent per block, which the log of
+    each of its rows adds back.  A row is X0 U + X1 V with (X0, X1) the
+    block's pair rounded to doubles.  A block whose rows fall below 2^-900
+    of its pair could lose them to underflow, so B halves until none does.
+    Only steep exponents at large K get there: at K = 2^18 exponent 1000
+    halves B once and exponent 10^4 twice.  B = 1 always passes, since one
+    step from a pair normalised to [1/2, 1) falls by at most a factor 2K/3.  No BLAS product is used, so the bits do not depend on the
+    thread count.
+    """
+    n = len(log_eig) - k0 - 2
+    size = math.isqrt(n - 1) + 1
+    while True:
+        rows, exps = _recurrence_blocks(log_eig[k0 + 1] - log_eig[k0], k0, n, size, a + c, c)
+        if size == 1 or rows.min() >= -900.0 * math.log(2.0):
+            break
+        size = (size + 1) // 2
+    rows += np.multiply(exps, math.log(2.0))
+    rows += log_eig[k0]
+    # block b's rows are log_eig[k0 + 2 + b size:][:size], the last block cut at K
+    rest, full = log_eig[k0 + 2:], n // size
+    rest[:full * size].reshape(full, size)[...] = rows[:, :full].T
+    if full < rows.shape[1]:
+        rest[full * size:] = rows[:n - full * size, full]
+
+
+def _recurrence_blocks(log_ratio: float, k0: int, n: int, size: int, s: float, c: float):
+    """The blocks of ``_power_recurrence`` at block size ``size``: the
+    (size, blocks) logs of X0 U + X1 V, row i of block b in [i, b], and
+    each block's exponent."""
+    blocks = -(-n // size)
+    # w[i + 2] is step i of both solutions of every block, w[0] and w[1] their
+    # starts; the last block steps on past K and its extra rows are dropped
+    w = np.empty((size + 2, 2, blocks))
+    w[0, 0], w[0, 1], w[1, 0], w[1, 1] = 1.0, 0.0, 0.0, 1.0
+    first = k0 + 2.0 + size * np.arange(blocks)
+    k2, coef, c_x0 = np.empty(blocks), np.empty(blocks), np.empty((2, blocks))
+    for i in range(size):
+        np.add(first, i, out=k2)
+        np.subtract(k2, s, out=coef)
+        np.multiply(w[i + 1], coef, out=w[i + 2])
+        np.multiply(w[i], c, out=c_x0)
+        w[i + 2] += c_x0
+        w[i + 2] /= k2
+    ends = w[size:size + 2].tolist()
+    x0, x1, exps = [], [], []
+    p, p_lo, q, q_lo, e = 1.0, 0.0, math.exp(log_ratio), 0.0, 0
+    for b in range(blocks):
+        shift = math.frexp(q)[1]
+        p, p_lo, q, q_lo = (math.ldexp(v, -shift) for v in (p, p_lo, q, q_lo))
+        e += shift
+        x0.append(p)
+        x1.append(q)
+        exps.append(e)
+        if b + 1 < blocks:
+            p, p_lo, q, q_lo = (*_dd_combination(p, p_lo, q, q_lo, ends[0][0][b], ends[0][1][b]),
+                                *_dd_combination(p, p_lo, q, q_lo, ends[1][0][b], ends[1][1][b]))
+    rows, other = w[2:, 0], w[2:, 1]
+    rows *= x0
+    other *= x1
+    rows += other
+    with np.errstate(divide="ignore"):
+        np.log(rows, out=rows)
+    return rows, exps
+
+
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    """x y as a float and its exact rounding error (Dekker's split)."""
+    p = x * y
+    t = 134217729.0 * x
+    xh = t - (t - x)
+    t = 134217729.0 * y
+    yh = t - (t - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _dd_combination(p: float, p_lo: float, q: float, q_lo: float,
+                    u: float, v: float) -> tuple[float, float]:
+    """(p + p_lo) u + (q + q_lo) v as a double-double (hi, lo), with an
+    error of order u^2 relative to the sum of the two nonnegative terms."""
+    x, ex = _two_product(p, u)
+    y, ey = _two_product(q, v)
+    hi = x + y
+    z = hi - x
+    lo = ((x - (hi - z)) + (y - z)) + (ex + ey + p_lo * u + q_lo * v)
+    top = hi + lo
+    return top, lo - (top - hi)
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,26 @@ reads it, and the tests hold the radial (diagonal) path to it.
 ``mp_power_log_eig`` is the flat-field power-law eigenvalue by mpmath, at
 a stated precision, so that a test can check the oracle's own convergence
 by asking at two precisions.
+
+``compute_zeta`` and ``h_perp_plus`` are the spectral-gap constant and the
+second transverse Pauli component, moved here unchanged from ``landau``,
+where no run read them.
+
+``sequential_power_recurrence`` is ``toeplitz._power_recurrence`` as the
+row-by-row loop it was before its blocks: one interpreted step per row,
+the pair rescaled by an exact power of two whenever it falls below
+2^-512.
 """
 
 import math
+from array import array
 from typing import Callable
 
 import numpy as np
 
 from diracssf._quad import gauss_legendre
 from diracssf.counting import LogSpectrum
-from diracssf.landau import LLLBasis, build_ladder
+from diracssf.landau import FieldSpec, LadderModel, LLLBasis, build_ladder
 from diracssf.ssf import edge_threshold
 
 
@@ -114,6 +124,16 @@ def levinson_row(est, eps, pair="H-", eps_bracket=0.1):
     mid_out = 0.5 * (lower + upper)
     return (float(eps), lam_in, lam_out, mid_in, mid_out, float(mid_out / mid_in),
             est.levinson_target(pair))
+
+
+def compute_zeta(fs: FieldSpec) -> float:
+    """Lower bound 2 b0 exp(-2 osc) for the first positive transverse level."""
+    return 2.0 * fs.b0 * float(np.exp(-2.0 * fs.osc))
+
+
+def h_perp_plus(ladder: LadderModel):
+    """The raising-then-lowering transverse component a_star @ a."""
+    return ladder.a_star @ ladder.a
 
 
 def dense_h0_matrix(b0, m, L, N, X):
@@ -271,3 +291,27 @@ def mp_power_log_eig(k, exponent, b0, dps):
         cuts = [peak + j * width for j in (-40, -12, -4, 0, 4, 12, 40)]
         points = [mp.mpf(0)] + [x for x in cuts if x > 0] + [mp.inf]
         return mp.log(mp.quad(lambda u: mp.exp(g(u) - top), points)) + top - mp.loggamma(k + 1)
+
+
+def sequential_power_recurrence(log_seed0: float, log_seed1: float, k0: int, K: int,
+                                a: float, c: float) -> np.ndarray:
+    """log lambda_k for k0+2 <= k < K from the logs of rows k0 and k0+1, by
+    the forward recurrence of the module docstring.  The pair is carried
+    relative to lambda_(k0); whenever it falls below 2^-512 both entries
+    are rescaled by the same exact power of two, whose exponent the log of
+    each later row adds back."""
+    s, tiny = a + c, 2.0 ** -512
+    x0, x1 = 1.0, math.exp(log_seed1 - log_seed0)
+    # flat arrays, not lists of float objects, which held 2 MiB more at K = 37135
+    n = K - k0 - 2
+    xs, exps = array("d", bytes(8 * n)), array("q", bytes(8 * n))
+    e = 0
+    for j, k2 in enumerate(range(k0 + 2, K)):
+        x0, x1 = x1, ((k2 - s) * x1 + c * x0) / k2
+        if x1 < tiny:
+            x1, shift = math.frexp(x1)
+            x0 = math.ldexp(x0, -shift)
+            e += shift
+        xs[j] = x1
+        exps[j] = e
+    return log_seed0 + (np.log(xs) + np.multiply(exps, math.log(2.0)))

@@ -210,7 +210,8 @@ _EXPECTED_EXIT = {"toeplitz_compact": 2}
     name[:-4] for name in os.listdir(_CONFIGS_DIR) if name.endswith(".cfg")))
 def test_cold_path_loads_no_scipy(config, tmp_path):
     # no shipped run may pull scipy in: scipy's gammaln is the tests' oracle
-    # for the flat-field norms, and production uses math.lgamma instead
+    # for the flat-field norms, and production uses the numpy table
+    # landau.log_factorials instead
     import diracssf
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracssf.__file__)))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import io
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -618,6 +620,45 @@ class TestCli:
         self._refused(capsys, ["run", "--config", self._write(tmp_path, MINIMAL),
                                "--out", str(out)], f"run stopped: {error.__name__} from the runner")
         assert not out.exists()
+
+
+@st.composite
+def flat_power_run_texts(draw):
+    """Accepted toeplitz-asymptotics and levinson configs with law = power on
+    the flat field, the path whose compressions are the blocked recurrence.
+    A derived K can reach MAX_BASIS_K, or pass it and be refused before
+    anything is built; a user k stays at or below 4000."""
+    scenario = draw(st.sampled_from(["toeplitz-asymptotics", "levinson"]))
+    k = draw(st.one_of(st.just(0), st.integers(1, 4000)))
+    if scenario == "levinson":
+        sweep = "eps_values", draw(st.lists(st.floats(-4.0, math.log10(0.5)), min_size=1,
+                                            max_size=3))
+    else:
+        sweep = "s_values", draw(st.lists(st.floats(-6.0, 1.0), min_size=1, max_size=3))
+    return (f"[scenario]\nname = {scenario}\n"
+            f"[field]\nb0 = {draw(st.floats(0.05, 20.0))!r}\n"
+            f"[potential]\nlaw = power\nnu = {draw(st.floats(3.0, 60.0, exclude_min=True))!r}\n"
+            f"amplitude = {10.0 ** draw(st.floats(-3.0, 3.0))!r}\n"
+            f"[truncation]\nk = {k}\n"
+            f"[sweep]\n{sweep[0]} = {','.join(repr(10.0 ** x) for x in sweep[1])}\n")
+
+
+@settings(deadline=None, max_examples=60)
+@given(flat_power_run_texts())
+def test_an_accepted_flat_power_run_ends_without_a_traceback(text):
+    # any exception that escapes cli.main fails this test; what it prints
+    # must be rows (exit 0 or 2) or one line (exit 1), never a traceback
+    parse_config(text)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        Path(cfg).write_text(text)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", cfg, "--out", os.path.join(tmp, "rows.csv")])
+    assert code in (0, 1, 2), code
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("run stopped: ") and err.getvalue().count("\n") == 1
 
 
 def test_typed_errors_share_one_base_and_keep_their_builtin_bases():

@@ -11,19 +11,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
+from diracssf.harness import MAX_BASIS_K
 from diracssf.landau import (
     NORM_TOL,
+    STIRLING_FROM,
     FieldSpec,
     build_ladder,
     build_lll_basis,
-    compute_zeta,
+    log_factorials,
     log_norms_closed_form,
     log_radial_moments,
 )
 from diracssf.toeplitz import (ADEQUACY_MARGIN, PowerLawTail, RadialProfile, TruncationError,
                                disc_profile, gaussian_profile, power_profile,
                                toeplitz_radial_spectrum)
-from oracles import one_shot_log_integral
+from oracles import compute_zeta, h_perp_plus, one_shot_log_integral
 
 
 def test_zeta_constant_field():
@@ -98,6 +100,32 @@ def test_flat_basis_is_the_gamma_closed_form_to_rounding(b0, K):
     got = build_lll_basis(FieldSpec(b0), K).log_norms
     want = log_norms_closed_form(b0, ks)
     assert np.all(np.abs(got - want) <= 4.0 * np.spacing(closed_form_ulp_scale(b0, ks)))
+
+
+def test_log_factorial_table_meets_mpmath_to_rounding():
+    # The table is math.lgamma below STIRLING_FROM and the Stirling series
+    # through 1/(1188 x^9) from there on, whose first omitted term is below
+    # 1.1e-16 against log 16! = 30.7: what is left is rounding, a few
+    # operations at or below the scale of log k!.  Gate: 3 ulp of log k!,
+    # which math.lgamma also meets at these k.  Measured: at most 2 ulp
+    # for both, here and over every k < 3000 and 3000 random k < 2^18.
+    table = log_factorials(MAX_BASIS_K)
+    rng = np.random.default_rng(28)
+    ks = sorted({0, 1, 2, STIRLING_FROM - 2, STIRLING_FROM - 1, STIRLING_FROM,
+                 STIRLING_FROM + 1, 100, 37134, MAX_BASIS_K - 1,
+                 *rng.integers(STIRLING_FROM, MAX_BASIS_K, 40).tolist()})
+    assert table[0] == 0.0 and table[1] == 0.0
+    with mp.workdps(40):
+        want = np.array([float(mp.loggamma(k + 1)) for k in ks])
+    gate = 3.0 * np.spacing(np.abs(want))
+    assert np.all(np.abs(table[ks] - want) <= gate)
+    assert np.all(np.abs([math.lgamma(k + 1.0) for k in ks] - want) <= gate)
+    assert np.array_equal(table[:STIRLING_FROM], [math.lgamma(k + 1.0) for k in range(STIRLING_FROM)])
+
+
+@pytest.mark.parametrize("K", [1, STIRLING_FROM - 1, STIRLING_FROM, STIRLING_FROM + 1])
+def test_log_factorial_table_of_every_size_is_a_prefix(K):
+    assert np.array_equal(log_factorials(K), log_factorials(64)[:K])
 
 
 def test_flat_basis_runs_no_quadrature():
@@ -288,12 +316,12 @@ def test_basis_requires_positive_size(field_b2):
 def test_ladder_level_spectra():
     lad = build_ladder(1.0, 5)
     hm = np.sort(np.linalg.eigvalsh(lad.h_perp_minus))
-    hp = np.sort(np.linalg.eigvalsh(lad.h_perp_plus))
+    hp = np.sort(np.linalg.eigvalsh(h_perp_plus(lad)))
     assert np.allclose(hm, [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-12)
     # raising-then-lowering side: interior values shifted up by one level,
     # plus one spurious zero from the cut top level
     assert np.allclose(hp, [0.0, 2.0, 4.0, 6.0, 8.0], atol=1e-12)
-    interior_hp = np.sort(np.diag(lad.h_perp_plus)[lad.interior])
+    interior_hp = np.sort(np.diag(h_perp_plus(lad))[lad.interior])
     assert np.allclose(interior_hp, [2.0, 4.0, 6.0, 8.0], atol=1e-12)
     assert interior_hp[0] == pytest.approx(2.0)
 
@@ -334,7 +362,7 @@ def test_combined_transverse_gap():
     # neither component puts an eigenvalue inside (0, 2 b0)
     lad = build_ladder(2.0, 7)
     both = np.concatenate([np.linalg.eigvalsh(lad.h_perp_minus),
-                           np.linalg.eigvalsh(lad.h_perp_plus)])
+                           np.linalg.eigvalsh(h_perp_plus(lad))])
     inside = both[(both > 1e-12) & (both < 4.0 - 1e-10)]
     assert inside.size == 0
 

@@ -1,7 +1,9 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from diracssf import toeplitz
+from diracssf.harness import MAX_BASIS_K
 from diracssf.landau import NORM_TOL, FieldSpec, build_lll_basis, log_radial_moments
 from diracssf.toeplitz import (
     CompactSupportTail,
@@ -30,7 +33,7 @@ from diracssf.toeplitz import (
     toeplitz_radial_spectrum,
 )
 from oracles import (gaussian_log_value, mp_power_log_eig, power_log_value,
-                     toeplitz_general_matrix)
+                     sequential_power_recurrence, toeplitz_general_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -519,3 +522,107 @@ class TestPowerRecurrence:
         model = toeplitz_radial_spectrum(power_profile(3.0), build_lll_basis(field_b1, 6))
         assert _seed_index(3.0, 1.0) == 3 and calls == [5]
         assert model.log_eigen_by_k.shape == (6,)
+
+
+# -- the blocked evaluation against the row-by-row loop -------------------------
+
+
+def _seeded_rows(exponent, b0, K):
+    """K log-eigenvalues with rows 0 ... k0+1 from the radial rule and NaN
+    after them, and k0."""
+    k0 = _seed_index(exponent, b0)
+    basis = build_lll_basis(FieldSpec(b0), k0 + 2)
+    lv = np.full(K, np.nan)
+    lv[:k0 + 2] = toeplitz_radial_spectrum(power_profile(exponent), basis).log_eigen_by_k
+    return lv, k0
+
+
+def _assert_blocked_rows_match_the_loop(exponent, b0, K):
+    """The blocked rows and ``oracles.sequential_power_recurrence`` from the
+    same two seed rows.  Each is within the stated bound, less e_seed, of
+    the exact recurrence from those seeds, so they differ by at most twice
+    that.  Returns the rows."""
+    lv, k0 = _seeded_rows(exponent, b0, K)
+    a, c = 0.5 * exponent, 0.5 * b0
+    toeplitz._power_recurrence(lv, k0, a, c)
+    loop = sequential_power_recurrence(lv[k0], lv[k0 + 1], k0, K, a, c)
+    assert np.all(np.isfinite(lv)) and np.all(np.diff(lv[k0:]) < 0.0)
+    ks = np.arange(k0 + 2, K)
+    bound = np.array([2 * _recurrence_bound(k, k0, exponent, b0, lv[k], lv[k0], 0.0) for k in ks])
+    assert np.all(np.abs(lv[ks] - loop) <= bound)
+    return lv
+
+
+class TestBlockedRecurrence:
+    """``toeplitz._power_recurrence`` steps blocks of ceil(sqrt(n)) rows,
+    n = K - k0 - 2, and passes the pair between them; the row-by-row loop
+    it replaced is the oracle."""
+
+    # exponent 3 at b0 = 1: k0 = 3, so K = 5 + n
+    @pytest.mark.parametrize("n, blocks", [(1, 1), (2, 1), (3, 2), (64, 8), (65, 8), (4000, 63)],
+                             ids=["one-row", "one-block", "two-blocks", "n-is-b-squared",
+                                  "n-is-b-squared-plus-one", "4000-rows"])
+    def test_block_edges_match_the_loop_and_the_rule(self, n, blocks):
+        size = math.isqrt(n - 1) + 1
+        assert -(-n // size) == blocks
+        K = _seed_index(3.0, 1.0) + 2 + n
+        lv = _assert_blocked_rows_match_the_loop(3.0, 1.0, K)
+        model = toeplitz_radial_spectrum(power_profile(3.0), build_lll_basis(FieldSpec(1.0), K))
+        assert np.array_equal(model.log_eigen_by_k, lv)
+        _assert_rows_match_the_rule(model.profile, model.basis, lv, 3.0)
+
+    def test_a_rescale_the_loop_takes_inside_a_block(self):
+        # at exponent 1000 the loop rescales its pair once lambda_k / lambda_k0
+        # falls below 2^-512, which first happens in the middle of a block
+        exponent, K = 1000.0, 4000
+        lv = _assert_blocked_rows_match_the_loop(exponent, 1.0, K)
+        k0 = _seed_index(exponent, 1.0)
+        n = K - k0 - 2
+        size = math.isqrt(n - 1) + 1
+        first = int(np.argmax(lv[k0 + 2:] - lv[k0] < -512 * math.log(2.0)))
+        assert first > size and first % size not in (0, size - 1)
+        assert lv[-1] - lv[k0] < math.log(1e-308)
+
+    @pytest.mark.parametrize("exponent, sizes", [(3.0, [512]), (1000.0, [512, 256]),
+                                                 (1e4, [508, 254, 127])])
+    def test_the_largest_basis_is_finite_and_strictly_decreasing(self, monkeypatch,
+                                                                  exponent, sizes):
+        # K = MAX_BASIS_K: blocks of 512 rows at exponent 3.  At exponent 1000
+        # the first block of 512 rows falls by 657 nats, past the 2^-900 floor
+        # (624 nats), and at 10^4 the first of 254 rows still does, so the
+        # block size halves; kept at 512 the rows would underflow to -inf
+        tried = []
+        blocks = toeplitz._recurrence_blocks
+        monkeypatch.setattr(toeplitz, "_recurrence_blocks",
+                            lambda *args: tried.append(args[3]) or blocks(*args))
+        _assert_blocked_rows_match_the_loop(exponent, 1.0, MAX_BASIS_K)
+        assert tried == sizes
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.5, 2.0 ** 18), q=st.floats(0.5, 1.0), u=st.floats(2.0 ** -900, 1.0),
+           v=st.floats(2.0 ** -900, 1.0), lows=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_the_pair_passes_between_blocks_in_double_double(self, p, q, u, v, lows):
+        # the pass (p + p_lo) u + (q + q_lo) v must cost O(u^2), not 2u: the
+        # result as hi + lo against exact rational arithmetic, with the lo
+        # parts at most half an ulp of their hi parts
+        p_lo, q_lo = lows[0] * 0.5 * math.ulp(p), lows[1] * 0.5 * math.ulp(q)
+        hi, lo = toeplitz._dd_combination(p, p_lo, q, q_lo, u, v)
+        exact = (Fraction(p) + Fraction(p_lo)) * Fraction(u) + (Fraction(q) + Fraction(q_lo)) * Fraction(v)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= Fraction(2) ** -100 * exact
+        assert abs(lo) <= 0.5 * math.ulp(hi)
+
+    def test_the_deep_compression_holds_less_than_the_loop(self):
+        # The traced peak of the alpha = 3, K = 37135 compression (the
+        # deep-basis power-3 case).  Measured the same way with the row-by-row
+        # loop: 1_301_688 bytes (Python 3.11, numpy 2.4); the blocked form,
+        # which fills the K-row output in place and keeps one exponent per
+        # block, reads 1_148_520.
+        basis, profile = build_lll_basis(FieldSpec(1.0), 37135), power_profile(3.0)
+        toeplitz_radial_spectrum(profile, basis)
+        tracemalloc.start()
+        try:
+            toeplitz_radial_spectrum(profile, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_301_688
