@@ -361,8 +361,9 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     u = 2^-53, with e_seed the seed rows' error (derived in the module
     docstring: 4u per step, and the blocks' u + 2u per row within the 4u
     that the k - k0 - 1 steps of row k leave over).  A symbol whose log is
-    -inf on the whole probe [0, r_probe] compresses to the zero operator.  No sign check is needed: a log form cannot be
-    negative, and a NaN log is refused by the quadrature.
+    -inf on the whole probe [0, r_probe] compresses to the zero operator.
+    No sign check is needed: a log form cannot be negative, and a NaN log
+    is refused by the quadrature.
     """
     fs = basis.field
     r_probe = max(20.0, 2.5 * np.sqrt((2.0 * basis.K + 1.0) / fs.b0))
@@ -399,7 +400,8 @@ def _power_recurrence(log_eig: np.ndarray, k0: int, a: float, c: float):
     of its pair could lose them to underflow, so B halves until none does.
     Only steep exponents at large K get there: at K = 2^18 exponent 1000
     halves B once and exponent 10^4 twice.  B = 1 always passes, since one
-    step from a pair normalised to [1/2, 1) falls by at most a factor 2K/3.  No BLAS product is used, so the bits do not depend on the
+    step from a pair normalised to [1/2, 1) falls by at most a factor
+    2K/3.  No BLAS product is used, so the bits do not depend on the
     thread count.
     """
     n = len(log_eig) - k0 - 2
