@@ -1,10 +1,10 @@
 import math
 import os
-from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -527,22 +527,15 @@ class TestPowerRecurrence:
 # -- the blocked evaluation against the row-by-row loop -------------------------
 
 
-def _seeded_rows(exponent, b0, K):
-    """K log-eigenvalues with rows 0 ... k0+1 from the radial rule and NaN
-    after them, and k0."""
-    k0 = _seed_index(exponent, b0)
-    basis = build_lll_basis(FieldSpec(b0), k0 + 2)
-    lv = np.full(K, np.nan)
-    lv[:k0 + 2] = toeplitz_radial_spectrum(power_profile(exponent), basis).log_eigen_by_k
-    return lv, k0
-
-
 def _assert_blocked_rows_match_the_loop(exponent, b0, K):
     """The blocked rows and ``oracles.sequential_power_recurrence`` from the
-    same two seed rows.  Each is within the stated bound, less e_seed, of
-    the exact recurrence from those seeds, so they differ by at most twice
-    that.  Returns the rows."""
-    lv, k0 = _seeded_rows(exponent, b0, K)
+    same two seed rows, k0 and k0+1 of the radial rule.  Each is within the
+    stated bound, less e_seed, of the exact recurrence from those seeds, so
+    they differ by at most twice that.  Returns the rows."""
+    k0 = _seed_index(exponent, b0)
+    lv = np.full(K, np.nan)
+    lv[:k0 + 2] = toeplitz_radial_spectrum(power_profile(exponent),
+                                           build_lll_basis(FieldSpec(b0), k0 + 2)).log_eigen_by_k
     a, c = 0.5 * exponent, 0.5 * b0
     toeplitz._power_recurrence(lv, k0, a, c)
     loop = sequential_power_recurrence(lv[k0], lv[k0 + 1], k0, K, a, c)
