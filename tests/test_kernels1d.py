@@ -152,6 +152,63 @@ def test_full_line_norms_add_nothing_to_the_errors_of_i_and_c(nu3):
             assert abs(mp.mpf(ops.norm_v()) ** 2 - (whole + cos) / 4) <= err / 4 + 2 * eps * v2
 
 
+def _mp_box_integrals(nu3, kappa, half_width, *, quadrature=None):
+    """30-digit (||u||^2, ||v||^2) on the box [-X, X].
+
+    With I = int <x>^(-nu3) and C = int <x>^(-nu3) cos(2 kappa x), both over
+    the box, sin^2 = (1 - cos)/2 gives ||u||^2 = (I - C)/2 and ||v||^2 =
+    (I + C)/8.  At nu3 = 2, I = 2 arctan X, and C = pi e^(-w) - 2 Re T with
+    w = 2 kappa and T the tail beyond X: partial fractions of 1/(1 + x^2)
+    give T = (e^(-w) E1(-w - i w X) - e^w E1(w - i w X)) / (2i), whose E1
+    arguments stay off the branch cut.  Otherwise, or with ``quadrature``,
+    mp.quad (Gauss-Legendre) integrates between consecutive zeros of
+    cos(2 kappa x)."""
+    with mp.workdps(30):
+        w, x_max = 2 * mp.mpf(kappa), mp.mpf(half_width)
+        if quadrature is None and nu3 == 2.0:
+            tail = (mp.exp(-w) * mp.e1(-w - 1j * w * x_max)
+                    - mp.exp(w) * mp.e1(w - 1j * w * x_max)) / 2j
+            whole, cos = 2 * mp.atan(x_max), mp.pi * mp.exp(-w) - 2 * mp.re(tail)
+        else:
+            half = -mp.mpf(nu3) / 2
+            zeros = [(j + mp.mpf(1) / 2) * mp.pi / w
+                     for j in range(int((x_max * w / mp.pi) + 1))]
+            cuts = [mp.mpf(0)] + [z for z in zeros if z < x_max] + [x_max]
+            cos = 2 * mp.quad(lambda x: (1 + x * x) ** half * mp.cos(w * x), cuts,
+                              method="gauss-legendre")
+            whole = 2 * mp.quad(lambda x: (1 + x * x) ** half, [0, 1, 4, 16, 64, x_max],
+                                method="gauss-legendre")
+        return (whole - cos) / 2, (whole + cos) / 8
+
+
+def test_the_two_box_oracles_agree_at_nu3_two():
+    for kappa in (0.05, 0.3):
+        closed = _mp_box_integrals(2.0, kappa, 200.0)
+        quad = _mp_box_integrals(2.0, kappa, 200.0, quadrature=True)
+        with mp.workdps(30):
+            assert all(abs(a / b - 1) < mp.mpf(10) ** -28 for a, b in zip(closed, quad))
+
+
+# What the box integrals may be off by, relative to ||u||^2 and ||v||^2 and,
+# for <v, u> (exactly 0: its integrand is odd), to ||u|| ||v||.  The rule
+# stops on a 1e-12 change of a rapidly converging Gauss-Legendre sum, so
+# its truncation lies far below this; what is left is rounding, summed
+# over up to 1250 panels.
+BOX_BOUND = 4e-15
+
+
+@pytest.mark.parametrize("nu3", [2.0, 8.0])
+def test_box_integrals_match_mpmath(nu3):
+    for lam in (1.0 + 2.0**-10, 1.01, 2.0, 5.0):
+        ops = RankTwoImS(lam, nu3, 1.0, half_width=200.0)
+        u2, v2 = _mp_box_integrals(nu3, ops.kappa, 200.0)
+        norm_u, norm_v = ops.norm_u(), ops.norm_v()
+        with mp.workdps(30):
+            assert abs(mp.mpf(norm_u) ** 2 / u2 - 1) <= BOX_BOUND, lam
+            assert abs(mp.mpf(norm_v) ** 2 / v2 - 1) <= BOX_BOUND, lam
+        assert abs(ops.inner_vu()) <= BOX_BOUND * norm_u * norm_v, lam
+
+
 class TestSchattenNorms:
     @pytest.mark.parametrize("lam", [1.01, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("p", [1, 2, 4])
