@@ -1,10 +1,11 @@
 """Shared quadrature machinery.
 
 Everything here works on plain numpy arrays.  The log-domain batch
-integrator is the workhorse behind the Landau-basis norms and the
-Toeplitz moments: integrands of the form  exp(g_k(r))  with g_k peaking
-at wildly different magnitudes are integrated per-k on per-k intervals,
-entirely in the log domain.  Each row is shifted once by its largest
+integrator is the package's one adaptive rule: it gives the Landau-basis
+norms, the Toeplitz moments, the Raikov plane integral and the panels of
+the longitudinal box integrals.  Integrands of the form  exp(g_k(r))  with
+g_k peaking at wildly different magnitudes are integrated per row on
+per-row intervals, entirely in the log domain.  Each row is shifted once by its largest
 log-integrand on the first Gauss-Legendre rule; every rule then takes one
 exp per node of the shifted values, weighted by ``np.einsum`` (not ``@``,
 whose bits depend on the block height and the BLAS threads), and the node
@@ -57,11 +58,6 @@ BESSEL_J0_FIRST_ZERO = 2.404825557695773
 # count doubles up to LOG_NODE_CAP
 BLOCK_ELEMENTS = 1 << 15
 LOG_NODE_CAP = 8192
-# panel_integral: per-panel order doubles from PANEL_ORDER to
-# PANEL_MAX_ORDER until the total changes by at most PANEL_TOL (relative)
-PANEL_ORDER = 16
-PANEL_MAX_ORDER = 256
-PANEL_TOL = 1e-12
 
 
 class QuadratureError(DiracSsfError, RuntimeError):
@@ -256,44 +252,6 @@ def log_integral_batch(log_f, lo, hi, *, tol, n0):
     raise QuadratureError(
         f"log-integral did not stabilise to {tol:g} below {LOG_NODE_CAP} nodes; "
         f"last change {np.max(delta):.3e}"
-    )
-
-
-def panel_integral(f, a, b, panel_width):
-    """Composite Gauss-Legendre integral with fixed-width panels.
-
-    Meant for oscillatory integrands: the caller passes a panel width
-    tied to the oscillation half-period so every panel sees at most half
-    a period.  The per-panel order doubles from ``PANEL_ORDER`` until the
-    total changes by at most ``PANEL_TOL`` (relative); failure to
-    stabilise by ``PANEL_MAX_ORDER`` raises QuadratureError naming how
-    many rules were compared.
-    """
-    if b <= a:
-        return 0.0
-    width = min(panel_width, b - a)
-    n_panels = int(np.ceil((b - a) / width))
-    edges = np.linspace(a, b, n_panels + 1)
-    prev = None
-    rules = 0
-    n = PANEL_ORDER
-    while n <= PANEL_MAX_ORDER:
-        x, w = gauss_legendre(n)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = half[:, None] * x[None, :] + mid[:, None]
-        weights = half[:, None] * w[None, :]
-        cur = float(np.sum(f(nodes) * weights))
-        rules += 1
-        if prev is not None:
-            change = abs(cur - prev)
-            if change <= PANEL_TOL * (1.0 + abs(cur)):
-                return cur
-        prev = cur
-        n *= 2
-    raise QuadratureError(
-        f"panel integral did not stabilise to {PANEL_TOL:g}: {rules} rules compared "
-        f"(orders {PANEL_ORDER}..{n // 2}), last change {change:.3e}"
     )
 
 

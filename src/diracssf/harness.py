@@ -437,7 +437,8 @@ def _scenario_kernels(cfg: ScenarioConfig):
     rows = []
     for lam, p, closed, gridv in im_s_norm_rows(lams, 2.0, (1, 2, 4), cfg.mass, grid):
         params = f"lambda={format_value(lam)};p={p}"
-        rel = abs(closed - gridv) / gridv
+        # a grid norm that underflows (sv^p at a tiny mass) leaves no relative difference
+        rel = abs(closed - gridv) / gridv if gridv > 0 else math.nan
         rows += [
             ResultRow(cfg.scenario, params, "norm_closed_form", closed),
             ResultRow(cfg.scenario, params, "norm_grid", gridv),
@@ -526,7 +527,8 @@ def _scenario_identities(cfg: ScenarioConfig):
     ]
 
 
-# The kernels' waves have momentum mass*sqrt(lambda^2 - 1), which their fixed
+# The kernels' waves have momentum sqrt((mass*lambda)^2 - mass^2) as RankTwoImS
+# computes it (0 once a tiny mass underflows the squares), which their fixed
 # grid resolves only below its Nyquist frequency pi/h.
 _KERNEL_NYQUIST = math.pi / Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS).h
 # the keys every scenario on the gap-edge estimator reads
@@ -549,10 +551,10 @@ _SCENARIOS = {
                      "diverges above the +m edge)", lambda lam, mass: lam > 1.0)),
     "levinson": (_scenario_levinson, _EDGE_KEYS + ("m33", "eps_values"), None),
     "kernels": (_scenario_kernels, ("mass", "lambdas"),
-                (f"|lambda| > 1 and mass*sqrt(lambda^2 - 1) < pi/h = {_KERNEL_NYQUIST:.5g} "
-                 "(longitudinal kernels: outside the gap, at a momentum their fixed grid "
-                 "resolves)", lambda lam, mass: abs(lam) > 1.0
-                 and mass * math.sqrt(lam * lam - 1.0) < _KERNEL_NYQUIST)),
+                (f"|lambda| > 1 and 0 < sqrt((mass*lambda)^2 - mass^2) < pi/h = "
+                 f"{_KERNEL_NYQUIST:.5g} (longitudinal kernels: outside the gap, at a "
+                 "nonzero momentum their fixed grid resolves)", lambda lam, mass: abs(lam) > 1.0
+                 and 0.0 < math.sqrt((lam * mass) ** 2 - mass**2) < _KERNEL_NYQUIST)),
     "dirac-check": (_scenario_dirac, ("b0", "mass", "ladder_l", "grid_n", "grid_x"), None),
     "identities": (_scenario_identities, ("n_random", "seed"), None),
 }

@@ -3,20 +3,28 @@
 Boundary values of the free 1-D resolvent, the weighted momentum-resolvent
 kernel S_z, the rank-two imaginary part of its boundary value above the
 gap (with exact Schatten norms), and the Hilbert-Schmidt comparison of the
-gap-side kernel against its limit at the gap edge.
+gap-side kernel against its limit at the gap edge.  On the line the norms
+of Im S are closed forms; on a box [-X, X] they and <v, u> are panel sums
+of ``_quad.log_integral_batch``, the package's one adaptive rule.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import panel_integral
+from ._quad import log_integral_batch
 from .errors import DiracSsfError
 
 GRID_DEFAULT_HALF_WIDTH = 200.0
 GRID_DEFAULT_POINTS = 2**14
 # j_kernel_hs_distance: relative change allowed between N and 2N - 1 nodes
 RICHARDSON_TOL = 1e-6
+# _box_integral: the node count on every panel doubles from BOX_N0 until each
+# panel's log-integral is stable to BOX_TOL.  Rounding the phase 2kx alone moves
+# one by up to about 2kX eps (6e-12 at the kernels' Nyquist momentum, X = 200)
+BOX_TOL = 1e-10
+BOX_N0 = 8
 
 
 class GridResolutionError(DiracSsfError, RuntimeError):
@@ -130,21 +138,56 @@ def _weighted_trig_sq(nu3: float, k: float, trig: str, half_width: float | None)
 
     On the line, trig^2 = (1 -+ cos 2kx) / 2 gives I -+ C(2k), with I the
     weight's half-line integral and C its cosine transform (the sine takes
-    the minus sign).  On the box, oscillation-aware panels (width capped by
-    both the half period and the unit weight scale) integrate it directly.
+    the minus sign).  On the box it is ``_box_integral``.
     """
     if half_width is None:
         sign = -1.0 if trig == "sin" else 1.0
         return _weight_halfline_integral(nu3) + sign * _weight_cos_halfline(nu3, 2.0 * k)
+    return _box_integral(nu3, k, trig, half_width)
 
-    def f(x):
-        w = (1.0 + x * x) ** (-nu3 / 2.0)
-        t = np.sin(k * x) if trig == "sin" else np.cos(k * x)
-        return w * t * t
 
-    # panels must resolve both the oscillation and the unit weight scale
-    panel = min(np.pi / (2.0 * max(k, 1e-12)), 8.0)
-    return 2.0 * panel_integral(f, 0.0, half_width, min(panel, half_width / 8.0))
+def _box_integral(nu3: float, k: float, trig: str, half_width: float) -> float:
+    """integral of <x>^(-nu3) t(kx) over [-X, X], t = sin^2, cos^2 or sin cos.
+
+    The panels of [0, X] cut each gap between the zeros j pi/(2k) of sin 2kx
+    into equal pieces no wider than min(8, X/8), for the weight's unit scale; t
+    keeps one sign on each: (-1)^j for sin cos.  sin^2 and cos^2 are even,
+    so [0, X] counts twice; sin cos is odd, so [-X, 0] has the mirrored
+    panels with the opposite sign.  ``log_integral_batch`` integrates
+    log |<x>^(-nu3) t(kx)| on every panel, one sine or cosine per node; the
+    panels are then summed with their signs, scaled by the largest.
+    """
+    quarter = np.pi / (2.0 * k)
+    width = quarter / math.ceil(quarter / min(8.0, half_width / 8.0))
+    lo = width * np.arange(math.ceil(half_width / width))
+    lo = lo[lo < half_width]
+    hi = np.append(lo[1:], half_width)
+    if trig == "sincos":
+        sign = np.where(np.floor(0.5 * (lo + hi) / quarter) % 2, -1.0, 1.0)
+        lo, hi = np.concatenate([-hi[::-1], lo]), np.concatenate([-lo[::-1], hi])
+        sign = np.concatenate([-sign[::-1], sign])
+        freq, power, wave, offset = 2.0 * k, 1.0, np.sin, -math.log(2.0)
+    else:
+        sign = 2.0
+        freq, power, wave, offset = k, 2.0, np.sin if trig == "sin" else np.cos, 0.0
+
+    def log_f(x, rows):
+        t = np.multiply(x, freq)
+        wave(t, out=t)
+        np.abs(t, out=t)
+        with np.errstate(divide="ignore"):
+            np.log(t, out=t)
+        t *= power
+        t += offset
+        w = np.multiply(x, x)
+        np.log1p(w, out=w)
+        w *= -0.5 * nu3
+        t += w
+        return t
+
+    log_i, _ = log_integral_batch(log_f, lo, hi, tol=BOX_TOL, n0=BOX_N0)
+    top = np.max(log_i)
+    return float(math.exp(top) * np.sum(sign * np.exp(log_i - top)))
 
 
 @dataclass(frozen=True)
@@ -189,12 +232,7 @@ class RankTwoImS:
         """<v, u>; vanishes because the integrand is odd."""
         k = self.kappa
         x_cut = self.half_width if self.half_width is not None else max(64.0, 16.0 / max(k, 1e-3))
-
-        def f(x):
-            return (1.0 + x * x) ** (-self.nu3 / 2.0) * np.sin(k * x) * np.cos(k * x)
-
-        val = panel_integral(f, -x_cut, x_cut, min(np.pi / (2.0 * max(k, 1e-12)), 8.0))
-        return 0.5j * val
+        return 0.5j * _box_integral(self.nu3, k, "sincos", x_cut)
 
 
 def im_s_schatten(lam: float, nu3: float, p: int, m: float = 1.0,
@@ -208,7 +246,11 @@ def im_s_schatten(lam: float, nu3: float, p: int, m: float = 1.0,
     if p < 1:
         raise ValueError("Schatten index p must be >= 1")
     ops = RankTwoImS(lam, nu3, m, half_width)
-    sigma = ops.norm_u() * ops.norm_v()
+    return _rank_two_schatten(ops.norm_u() * ops.norm_v(), p)
+
+
+def _rank_two_schatten(sigma: float, p: int) -> float:
+    """2^(1/p) sigma: the Schatten p-norm of the singular values (sigma, sigma)."""
     return float(2.0 ** (1.0 / p) * sigma)
 
 
@@ -283,8 +325,9 @@ def im_s_norm_rows(lams, nu3: float, p_values, m: float = 1.0,
 
     Only the power p differs between a lambda's rows, so the rank-two
     norms ||u|| ||v|| and the grid singular values are computed once per
-    lambda: the closed form is 2^(1/p) ||u|| ||v|| (as in ``im_s_schatten``)
-    and the grid value the p-norm of the grid singular values.
+    lambda: the closed form is 2^(1/p) ||u|| ||v||, the formula of
+    ``im_s_schatten``, and the grid value the p-norm of the grid singular
+    values.
     """
     if grid is None:
         grid = Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS)
@@ -295,6 +338,6 @@ def im_s_norm_rows(lams, nu3: float, p_values, m: float = 1.0,
         ops = RankTwoImS(lam, nu3, m, half_width=grid.half_width)
         sigma = ops.norm_u() * ops.norm_v()
         sv = im_s_grid_singular_values(lam, nu3, m, grid)
-        rows += [(float(lam), int(p), float(2.0 ** (1.0 / p) * sigma),
+        rows += [(float(lam), int(p), _rank_two_schatten(sigma, p),
                   float(np.sum(sv**p) ** (1.0 / p))) for p in p_values]
     return rows

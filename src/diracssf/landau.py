@@ -158,11 +158,6 @@ class LLLBasis:
     quad_nodes: int = 0
     quad_r_max: float = 0.0
 
-    @property
-    def log_moment_integrals(self):
-        """log of integral r^(2k+1) exp(-2 phi) dr (= 2 * log_norms)."""
-        return 2.0 * self.log_norms
-
 
 def log_factorials(K: int) -> np.ndarray:
     """log k! for k = 0 ... K-1.

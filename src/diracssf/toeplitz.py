@@ -377,7 +377,7 @@ def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> Toeplit
     log_num = log_radial_moments(fs, np.arange(n_quad), log_symbol=profile.log_value,
                                  support=profile.support_radius())
     log_eig = np.empty(basis.K)
-    np.subtract(log_num, basis.log_moment_integrals[:n_quad], out=log_eig[:n_quad])
+    np.subtract(log_num, 2.0 * basis.log_norms[:n_quad], out=log_eig[:n_quad])
     if n_quad < basis.K:
         _power_recurrence(log_eig, k0, a, c)
     return ToeplitzModel(basis, profile, log_eig)

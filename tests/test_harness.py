@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracssf import cli, harness
@@ -115,6 +115,8 @@ class TestConfigParsing:
         # beyond the grid's Nyquist momentum pi/h = 128.67: at 1e6 the run
         # asked numpy for a 15 GiB array; never run, only parsed
         ("kernels", 1.0, 1e6), ("kernels", 2.0, 65.0),
+        # at mass 1e-162 the squares in the momentum underflow and it is 0
+        ("kernels", 1e-162, 1.1),
     ])
     def test_lambda_outside_the_estimator_window_is_refused(self, scenario, mass, lam):
         with pytest.raises(ConfigError) as err:
@@ -646,9 +648,35 @@ def flat_power_run_texts(draw):
 @settings(deadline=None, max_examples=60)
 @given(flat_power_run_texts())
 def test_an_accepted_flat_power_run_ends_without_a_traceback(text):
-    # any exception that escapes cli.main fails this test; what it prints
-    # must be rows (exit 0 or 2) or one line (exit 1), never a traceback
     parse_config(text)
+    _run_without_a_traceback(text)
+
+
+@st.composite
+def kernels_run_texts(draw):
+    """Accepted kernels configs: a mass near 1 or anywhere from 1e-200 (where
+    the squares in the momentum underflow) to 1e9, and one to four energies
+    of either sign, each near the edge |lambda| = 1, anywhere in the window,
+    or with a momentum near the grid's Nyquist frequency."""
+    mass = 10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-200.0, 9.0)))
+    fraction = st.one_of(st.floats(1e-9, 0.99), st.floats(0.99, 1.0, exclude_max=True))
+    energy = st.one_of(
+        st.floats(-15.0, -1.0).map(lambda e: 1.0 + 10.0 ** e),
+        fraction.map(lambda q: math.hypot(1.0, q * harness._KERNEL_NYQUIST / mass)))
+    lams = draw(st.lists(st.tuples(energy, st.sampled_from([1.0, -1.0])),
+                         min_size=1, max_size=4))
+    text = (f"[scenario]\nname = kernels\n[potential]\nmass = {mass!r}\n"
+            f"[sweep]\nlambdas = {','.join(repr(sign * lam) for lam, sign in lams)}\n")
+    try:
+        parse_config(text)
+    except ConfigError:
+        assume(False)
+    return text
+
+
+def _run_without_a_traceback(text):
+    """Run ``text`` through cli.main: rows (exit 0 or 2) or one "run
+    stopped" line (exit 1), never an exception that escapes it."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
@@ -659,6 +687,12 @@ def test_an_accepted_flat_power_run_ends_without_a_traceback(text):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("run stopped: ") and err.getvalue().count("\n") == 1
+
+
+@settings(deadline=None, max_examples=30)
+@given(kernels_run_texts())
+def test_an_accepted_kernels_run_ends_without_a_traceback(text):
+    _run_without_a_traceback(text)
 
 
 def test_typed_errors_share_one_base_and_keep_their_builtin_bases():
@@ -742,6 +776,17 @@ def test_kernels_just_below_the_nyquist_momentum_runs():
     cfg = parse_config("[scenario]\nname = kernels\n[sweep]\nlambdas = 128\n")
     failed = {r.metric for r in run_scenario(cfg) if r.passed is False}
     assert failed == {"relative_difference"}
+
+
+def test_kernels_grid_norm_that_underflows_fails_its_row():
+    # at mass 1e-82 the grid's p = 4 norm, sum(sv^4)^(1/4), underflows to 0:
+    # that row has no relative difference and fails, where it raised
+    # ZeroDivisionError
+    cfg = parse_config("[scenario]\nname = kernels\n[potential]\nmass = 1e-82\n"
+                       "[sweep]\nlambdas = 1.1\n")
+    failed = [r for r in run_scenario(cfg) if r.passed is False]
+    assert [(r.metric, r.params.split(";")[1]) for r in failed] == [("relative_difference", "p=4")]
+    assert math.isnan(failed[0].value)
 
 
 def test_cli_failing_rows_exit_two(tmp_path, capsys):

@@ -87,3 +87,41 @@ def test_the_constructor_scan_sees_new_and_late_setattr():
             "        return object.__new__(cls)\n")
     assert constructor_bypasses(ast.parse(text)) == [
         (5, "object.__setattr__ in _store"), (8, "object.__new__ in wrap")]
+
+
+def gauss_legendre_uses(tree):
+    """(line, where) of every use of ``gauss_legendre``: a name or attribute
+    that reads it, with the function it sits in, or an import of it."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Name) and node.id == "gauss_legendre"
+                or isinstance(node, ast.Attribute) and node.attr == "gauss_legendre"):
+            found.append((node.lineno, func or "<module>"))
+        elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "gauss_legendre" for alias in node.names):
+            found.append((node.lineno, "import"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_log_integral_batch_takes_gauss_legendre_rules():
+    # one adaptive rule: every Gauss-Legendre rule in the package is drawn
+    # by _quad.log_integral_batch
+    found = {(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for _, where in gauss_legendre_uses(ast.parse(path.read_text()))}
+    assert found == {("_quad.py", "log_integral_batch")}
+
+
+def test_the_gauss_legendre_scan_sees_calls_aliases_and_imports():
+    text = ("from ._quad import gauss_legendre\n"
+            "def rule(n):\n"
+            "    return _quad.gauss_legendre(n)\n"
+            "alias = gauss_legendre\n")
+    assert gauss_legendre_uses(ast.parse(text)) == [
+        (1, "import"), (3, "rule"), (4, "<module>")]

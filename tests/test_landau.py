@@ -390,16 +390,6 @@ def test_log_integral_batch_rejects_an_empty_node_ladder(monkeypatch):
         _quad.log_integral_batch(lambda nodes, rows: nodes, [0.0], [1.0], tol=1e-10, n0=256)
 
 
-def test_panel_integral_failure_counts_the_rules_it_compared(monkeypatch):
-    from diracssf import _quad
-
-    # three rules (16, 32, 64) on an unresolved oscillation: a real, nonzero change
-    monkeypatch.setattr(_quad, "PANEL_MAX_ORDER", 64)
-    with pytest.raises(_quad.QuadratureError,
-                       match=r"3 rules compared \(orders 16\.\.64\), last change [1-9]"):
-        _quad.panel_integral(lambda x: np.sin(1e4 * x), 0.0, 1.0, 1.0)
-
-
 # -- cache-blocked node evaluation ---------------------------------------------
 
 

@@ -398,7 +398,7 @@ def _assert_rows_match_the_rule(profile, basis, lv, exponent):
     counts, and each recurrence row is within the stated bound (seeded by
     the rule's slack) plus the rule's own slack."""
     log_num = log_radial_moments(basis.field, np.arange(basis.K), log_symbol=profile.log_value)
-    log_den = basis.log_moment_integrals
+    log_den = 2.0 * basis.log_norms
     quad, slack = log_num - log_den, _quadrature_slack(log_num, log_den)
     k0 = _seed_index(exponent, basis.field.b0)
     assert np.all(np.abs(lv[:k0 + 2] - quad[:k0 + 2]) <= 2 * slack[:k0 + 2])
