@@ -3,24 +3,24 @@
 Everything here works on plain numpy arrays.  The log-domain batch
 integrator is the package's one adaptive rule: it gives the Landau-basis
 norms, the Toeplitz moments, the Raikov plane integral and the panels of
-the longitudinal box integrals.  Integrands of the form  exp(g_k(r))  with
+the longitudinal box integrals.  Integrands of the form exp(g_k(r)) with
 g_k peaking at wildly different magnitudes are integrated per row on
-per-row intervals, entirely in the log domain.  Each row is shifted once by its largest
-log-integrand on the first Gauss-Legendre rule; every rule then takes one
-exp per node of the shifted values, weighted by ``np.einsum`` (not ``@``,
-whose bits depend on the block height and the BLAS threads), and the node
-count doubles on the O(1) remainder, so the convergence test never sees
-the rounding of a log-integral near 2^18.  Each rule is evaluated in row
-blocks of about ``BLOCK_ELEMENTS`` nodes: a 2048-row chunk at 128 nodes
-would otherwise make every temporary of the integrand a 2 MiB array,
-larger than a per-core L2 cache, and the evaluation would run at memory
-speed.  Blocking changes only the evaluation order, never the arithmetic
-of an element, so the results do not depend on the block size.  The per-k
-intervals come from two searches in
-u = log r: a safeguarded Newton search for the peak of g_k, and Illinois
-regula falsi for the radii where g_k has fallen a fixed number of nats
-below its peak.  The Gauss-Legendre rules themselves are computed here
-too, in numpy, so the quadrature needs no scipy.
+per-row intervals, entirely in the log domain.  Each row is shifted once
+by its largest log-integrand on the first Gauss-Legendre rule; every rule
+then takes one exp per node of the shifted values, weighted by
+``np.einsum`` (not ``@``, whose bits depend on the block height and the
+BLAS threads), and the node count doubles on the O(1) remainder, so the
+convergence test never sees the rounding of a log-integral near 2^18.
+Each rule is evaluated in row blocks of about ``BLOCK_ELEMENTS`` nodes: a
+2048-row chunk at 128 nodes would otherwise make every temporary of the
+integrand a 2 MiB array, larger than a per-core L2 cache, and the
+evaluation would run at memory speed.  Blocking changes only the
+evaluation order, never the arithmetic of an element, so the results do
+not depend on the block size.  The per-k intervals come from two searches
+in u = log r: a safeguarded Newton search for the peak of g_k, and
+Illinois regula falsi for the radii where g_k has fallen a fixed number
+of nats below its peak.  The Gauss-Legendre rules themselves are computed
+here too, in numpy, so the quadrature needs no scipy.
 """
 
 from functools import lru_cache
