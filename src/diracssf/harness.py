@@ -31,7 +31,7 @@ from .dirac_algebra import anticommutation_residual, dirac_matrices
 from .discrete_model import (build_h0, check_square_identity, fiber_eigenvalues,
                              roundoff_bounds, square_identity_within_roundoff)
 from .kernels1d import (GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS, Grid1D, RankTwoImS,
-                        im_s_norm_rows)
+                        im_s_momentum, im_s_norm_rows)
 from .landau import FieldSpec, build_lll_basis
 from .ssf import (PotentialSpec, SsfEstimator, edge_threshold, gaussian_longitudinal,
                   levinson_energies)
@@ -214,8 +214,10 @@ def _guard_violations(cfg: ScenarioConfig):
                 f"keep its default {f.default!r}, got {getattr(cfg, f.name)!r}"
                 for f in fields(cfg)[1:] if f.name not in reads
                 and getattr(cfg, f.name) != f.default]
+        lams = cfg.lambdas or _DEFAULT_LAMBDAS.get(cfg.scenario, ())
         out += [f"sweep guard: {cfg.scenario} needs {window[0]} in units of mass, got lambda "
-                f"{lam!r}" for lam in cfg.lambdas if window and not window[1](lam, cfg.mass)]
+                f"{lam!r}{'' if cfg.lambdas else ' (the default lambdas)'}"
+                for lam in lams if window and not window[1](lam, cfg.mass)]
     for s in cfg.s_values:
         if not s > 0:
             out.append("sweep guard: counting thresholds must be positive")
@@ -382,8 +384,7 @@ def _scenario_toeplitz(cfg: ScenarioConfig):
 
 
 def _scenario_ssf(cfg: ScenarioConfig, side: str):
-    lams = cfg.lambdas or ((0.9, 0.99) if side == "inside" else (1.1, 1.01))
-    lams = [lam * cfg.mass for lam in lams]
+    lams = [lam * cfg.mass for lam in cfg.lambdas or _DEFAULT_LAMBDAS[cfg.scenario]]
     est = _estimator(cfg, _edge_floor(cfg, lams))
     bracket = est.inside_bracket if side == "inside" else est.outside_bracket
     rows = []
@@ -431,8 +432,7 @@ def _scenario_levinson(cfg: ScenarioConfig):
 
 
 def _scenario_kernels(cfg: ScenarioConfig):
-    lams = cfg.lambdas or (1.01, 1.5, 2.0, 5.0)
-    lams = [lam * cfg.mass for lam in lams]
+    lams = [lam * cfg.mass for lam in cfg.lambdas or _DEFAULT_LAMBDAS[cfg.scenario]]
     grid = Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS)
     rows = []
     for lam, p, closed, gridv in im_s_norm_rows(lams, 2.0, (1, 2, 4), cfg.mass, grid):
@@ -527,10 +527,13 @@ def _scenario_identities(cfg: ScenarioConfig):
     ]
 
 
-# The kernels' waves have momentum sqrt((mass*lambda)^2 - mass^2) as RankTwoImS
-# computes it (0 once a tiny mass underflows the squares), which their fixed
-# grid resolves only below its Nyquist frequency pi/h.
+# The kernels' waves have momentum im_s_momentum(mass*lambda, mass) (0 once a
+# tiny mass underflows the squares, nan once a huge one overflows them), which
+# their fixed grid resolves only below its Nyquist frequency pi/h.
 _KERNEL_NYQUIST = math.pi / Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS).h
+# the sweep lambdas of a config that sets none
+_DEFAULT_LAMBDAS = {"ssf-inside": (0.9, 0.99), "ssf-outside": (1.1, 1.01),
+                    "kernels": (1.01, 1.5, 2.0, 5.0)}
 # the keys every scenario on the gap-edge estimator reads
 _EDGE_KEYS = ("b0", "phi_tilde", "law", "k", "m11", "mass", "long_width", "eps_bracket")
 
@@ -554,7 +557,7 @@ _SCENARIOS = {
                 (f"|lambda| > 1 and 0 < sqrt((mass*lambda)^2 - mass^2) < pi/h = "
                  f"{_KERNEL_NYQUIST:.5g} (longitudinal kernels: outside the gap, at a "
                  "nonzero momentum their fixed grid resolves)", lambda lam, mass: abs(lam) > 1.0
-                 and 0.0 < math.sqrt((lam * mass) ** 2 - mass**2) < _KERNEL_NYQUIST)),
+                 and 0.0 < im_s_momentum(lam * mass, mass) < _KERNEL_NYQUIST)),
     "dirac-check": (_scenario_dirac, ("b0", "mass", "ladder_l", "grid_n", "grid_x"), None),
     "identities": (_scenario_identities, ("n_random", "seed"), None),
 }

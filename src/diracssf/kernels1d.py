@@ -146,16 +146,26 @@ def _weighted_trig_sq(nu3: float, k: float, trig: str, half_width: float | None)
     return _box_integral(nu3, k, trig, half_width)
 
 
+def im_s_momentum(lam: float, m: float) -> float:
+    """kappa = sqrt(lam^2 - m^2), the momentum of Im S's waves, for |lam| > m.
+
+    Products, not powers: a square beyond the float range is inf (and
+    inf - inf nan), where a Python float's ``**`` raises OverflowError.
+    """
+    return math.sqrt(lam * lam - m * m)
+
+
 def _box_integral(nu3: float, k: float, trig: str, half_width: float) -> float:
     """integral of <x>^(-nu3) t(kx) over [-X, X], t = sin^2, cos^2 or sin cos.
 
     The panels of [0, X] cut each gap between the zeros j pi/(2k) of sin 2kx
-    into equal pieces no wider than min(8, X/8), for the weight's unit scale; t
-    keeps one sign on each: (-1)^j for sin cos.  sin^2 and cos^2 are even,
-    so [0, X] counts twice; sin cos is odd, so [-X, 0] has the mirrored
-    panels with the opposite sign.  ``log_integral_batch`` integrates
-    log |<x>^(-nu3) t(kx)| on every panel, one sine or cosine per node; the
-    panels are then summed with their signs, scaled by the largest.
+    into equal pieces no wider than min(8, X/8), for the weight's unit scale,
+    so t keeps one sign on each.  ``log_integral_batch`` integrates
+    log |<x>^(-nu3) t(kx)| on every panel, one sine or cosine per node, and
+    the panels are summed with their signs, scaled by the largest.  sin^2 and
+    cos^2 are even, so [0, X] counts twice.  sin cos is odd: each panel of
+    [0, X] meets its mirror in [-X, 0] with the opposite sign, so the sum is
+    0 up to the rounding of the two.
     """
     quarter = np.pi / (2.0 * k)
     width = quarter / math.ceil(quarter / min(8.0, half_width / 8.0))
@@ -163,9 +173,8 @@ def _box_integral(nu3: float, k: float, trig: str, half_width: float) -> float:
     lo = lo[lo < half_width]
     hi = np.append(lo[1:], half_width)
     if trig == "sincos":
-        sign = np.where(np.floor(0.5 * (lo + hi) / quarter) % 2, -1.0, 1.0)
         lo, hi = np.concatenate([-hi[::-1], lo]), np.concatenate([-lo[::-1], hi])
-        sign = np.concatenate([-sign[::-1], sign])
+        sign = np.where(lo < 0.0, -1.0, 1.0)
         freq, power, wave, offset = 2.0 * k, 1.0, np.sin, -math.log(2.0)
     else:
         sign = 2.0
@@ -212,7 +221,7 @@ class RankTwoImS:
 
     @property
     def kappa(self):
-        return float(np.sqrt(self.lam**2 - self.m**2))
+        return im_s_momentum(self.lam, self.m)
 
     def u(self, x):
         x = np.asarray(x, dtype=float)

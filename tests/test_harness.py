@@ -115,8 +115,9 @@ class TestConfigParsing:
         # beyond the grid's Nyquist momentum pi/h = 128.67: at 1e6 the run
         # asked numpy for a 15 GiB array; never run, only parsed
         ("kernels", 1.0, 1e6), ("kernels", 2.0, 65.0),
-        # at mass 1e-162 the squares in the momentum underflow and it is 0
-        ("kernels", 1e-162, 1.1),
+        # at mass 1e-162 the squares in the momentum underflow and it is 0;
+        # beyond 1e154 they overflow, where a ** 2 raised OverflowError
+        ("kernels", 1e-162, 1.1), ("kernels", 1e200, 2.0), ("kernels", 1.0, 1e160),
     ])
     def test_lambda_outside_the_estimator_window_is_refused(self, scenario, mass, lam):
         with pytest.raises(ConfigError) as err:
@@ -124,6 +125,14 @@ class TestConfigParsing:
                          f"[sweep]\nlambdas = {lam}\n")
         assert any(f"{scenario} needs" in v and "in units of mass" in v
                    for v in err.value.violations)
+
+    def test_default_lambdas_go_through_the_window(self):
+        # with no lambdas the run takes (1.01, 1.5, 2, 5); at mass 1e-170
+        # their momenta are 0, where the run raised ZeroDivisionError
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nname = kernels\n[potential]\nmass = 1e-170\n")
+        assert len(err.value.violations) == 4
+        assert all(v.endswith("(the default lambdas)") for v in err.value.violations)
 
     @pytest.mark.parametrize("law", ["exponential", "compact"])
     def test_log_scale_law_threshold_must_be_below_one_over_e(self, law):
@@ -655,18 +664,20 @@ def test_an_accepted_flat_power_run_ends_without_a_traceback(text):
 @st.composite
 def kernels_run_texts(draw):
     """Accepted kernels configs: a mass near 1 or anywhere from 1e-200 (where
-    the squares in the momentum underflow) to 1e9, and one to four energies
-    of either sign, each near the edge |lambda| = 1, anywhere in the window,
-    or with a momentum near the grid's Nyquist frequency."""
-    mass = 10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-200.0, 9.0)))
+    the squares in the momentum underflow) to 1e300 (where they overflow),
+    and none (the defaults) to four energies of either sign, each near the
+    edge |lambda| = 1, anywhere in the window, or with a momentum near the
+    grid's Nyquist frequency."""
+    mass = 10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-200.0, 9.0),
+                                  st.floats(150.0, 300.0)))
     fraction = st.one_of(st.floats(1e-9, 0.99), st.floats(0.99, 1.0, exclude_max=True))
     energy = st.one_of(
         st.floats(-15.0, -1.0).map(lambda e: 1.0 + 10.0 ** e),
         fraction.map(lambda q: math.hypot(1.0, q * harness._KERNEL_NYQUIST / mass)))
-    lams = draw(st.lists(st.tuples(energy, st.sampled_from([1.0, -1.0])),
-                         min_size=1, max_size=4))
-    text = (f"[scenario]\nname = kernels\n[potential]\nmass = {mass!r}\n"
-            f"[sweep]\nlambdas = {','.join(repr(sign * lam) for lam, sign in lams)}\n")
+    lams = draw(st.lists(st.tuples(energy, st.sampled_from([1.0, -1.0])), max_size=4))
+    text = f"[scenario]\nname = kernels\n[potential]\nmass = {mass!r}\n"
+    if lams:
+        text += f"[sweep]\nlambdas = {','.join(repr(sign * lam) for lam, sign in lams)}\n"
     try:
         parse_config(text)
     except ConfigError:

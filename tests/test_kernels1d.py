@@ -191,9 +191,10 @@ def test_the_two_box_oracles_agree_at_nu3_two():
 
 # What the box integrals may be off by, relative to ||u||^2 and ||v||^2 and,
 # for <v, u> (exactly 0: its integrand is odd), to ||u|| ||v||.  The rule
-# stops on a 1e-12 change of a rapidly converging Gauss-Legendre sum, so
-# its truncation lies far below this; what is left is rounding, summed
-# over up to 1250 panels.
+# stops once every panel's Gauss-Legendre sum changes by at most BOX_TOL =
+# 1e-10 relative on doubling, and it returns the doubled sum, whose
+# truncation lies far below this; what is left is rounding, summed over up
+# to 1250 panels.
 BOX_BOUND = 4e-15
 
 
