@@ -527,8 +527,7 @@ def _scenario_identities(cfg: ScenarioConfig):
     ]
 
 
-# The kernels' waves have momentum im_s_momentum(mass*lambda, mass) (0 once a
-# tiny mass underflows the squares, nan once a huge one overflows them), which
+# The kernels' waves have momentum im_s_momentum(mass*lambda, mass), which
 # their fixed grid resolves only below its Nyquist frequency pi/h.
 _KERNEL_NYQUIST = math.pi / Grid1D(GRID_DEFAULT_HALF_WIDTH, GRID_DEFAULT_POINTS).h
 # the sweep lambdas of a config that sets none

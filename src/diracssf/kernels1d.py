@@ -147,11 +147,7 @@ def _weighted_trig_sq(nu3: float, k: float, trig: str, half_width: float | None)
 
 
 def im_s_momentum(lam: float, m: float) -> float:
-    """kappa = sqrt(lam^2 - m^2), the momentum of Im S's waves, for |lam| > m.
-
-    Products, not powers: a square beyond the float range is inf (and
-    inf - inf nan), where a Python float's ``**`` raises OverflowError.
-    """
+    """sqrt(lam^2 - m^2) by products: inf or nan past the float range, not OverflowError."""
     return math.sqrt(lam * lam - m * m)
 
 
@@ -162,10 +158,9 @@ def _box_integral(nu3: float, k: float, trig: str, half_width: float) -> float:
     into equal pieces no wider than min(8, X/8), for the weight's unit scale,
     so t keeps one sign on each.  ``log_integral_batch`` integrates
     log |<x>^(-nu3) t(kx)| on every panel, one sine or cosine per node, and
-    the panels are summed with their signs, scaled by the largest.  sin^2 and
-    cos^2 are even, so [0, X] counts twice.  sin cos is odd: each panel of
-    [0, X] meets its mirror in [-X, 0] with the opposite sign, so the sum is
-    0 up to the rounding of the two.
+    the panels are summed with their signs, scaled by the largest.  sin^2
+    and cos^2 are even, so [0, X] counts twice; sin cos is odd, so each
+    panel of [0, X] cancels its mirror in [-X, 0] up to rounding.
     """
     quarter = np.pi / (2.0 * k)
     width = quarter / math.ceil(quarter / min(8.0, half_width / 8.0))
@@ -280,17 +275,6 @@ def im_s_grid_singular_values(lam: float, nu3: float, m: float, grid: Grid1D) ->
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     core = 0.5 * r @ j @ r.T
     return np.linalg.svd(core, compute_uv=False)
-
-
-def im_s_dense_matrix(lam: float, nu3: float, m: float, grid: Grid1D) -> np.ndarray:
-    """Dense Nystrom matrix of the Im S kernel (test oracle for small N)."""
-    ops = RankTwoImS(lam, nu3, m, half_width=grid.half_width)
-    x = grid.nodes
-    sw = np.sqrt(grid.trapezoid_weights)
-    w = (1.0 + x * x) ** (-nu3 / 4.0)
-    diff = np.subtract.outer(x, x)
-    kern = 0.5j * np.outer(w, w) * np.sin(ops.kappa * diff)
-    return kern * np.outer(sw, sw)
 
 
 def j_kernel_hs_distance(lam: float, nu_prime: float, grid: Grid1D,

@@ -34,6 +34,10 @@ where no run read them.
 row-by-row loop it was before its blocks: one interpreted step per row,
 the pair rescaled by an exact power of two whenever it falls below
 2^-512.
+
+``im_s_dense_matrix`` is the dense Nystrom matrix of the Im S kernel,
+moved here unchanged from ``kernels1d``, where no run read it; a test
+holds the rank-two SVD of the grid kernel to it.
 """
 
 import math
@@ -44,6 +48,7 @@ import numpy as np
 
 from diracssf._quad import gauss_legendre
 from diracssf.counting import LogSpectrum
+from diracssf.kernels1d import Grid1D, RankTwoImS
 from diracssf.landau import FieldSpec, LadderModel, LLLBasis, build_ladder
 from diracssf.ssf import edge_threshold
 
@@ -315,3 +320,14 @@ def sequential_power_recurrence(log_seed0: float, log_seed1: float, k0: int, K: 
         xs[j] = x1
         exps[j] = e
     return log_seed0 + (np.log(xs) + np.multiply(exps, math.log(2.0)))
+
+
+def im_s_dense_matrix(lam: float, nu3: float, m: float, grid: Grid1D) -> np.ndarray:
+    """Dense Nystrom matrix of the Im S kernel (test oracle for small N)."""
+    ops = RankTwoImS(lam, nu3, m, half_width=grid.half_width)
+    x = grid.nodes
+    sw = np.sqrt(grid.trapezoid_weights)
+    w = (1.0 + x * x) ** (-nu3 / 4.0)
+    diff = np.subtract.outer(x, x)
+    kern = 0.5j * np.outer(w, w) * np.sin(ops.kappa * diff)
+    return kern * np.outer(sw, sw)

@@ -8,7 +8,6 @@ from diracssf.kernels1d import (
     RankTwoImS,
     _weight_cos_halfline,
     _weight_halfline_integral,
-    im_s_dense_matrix,
     im_s_grid_singular_values,
     im_s_norm_rows,
     im_s_schatten,
@@ -17,6 +16,7 @@ from diracssf.kernels1d import (
     s_kernel,
     s_matrix,
 )
+from oracles import im_s_dense_matrix
 
 
 class TestResolventKernel:
