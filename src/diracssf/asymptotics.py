@@ -29,12 +29,19 @@ def compare_law(model: ToeplitzModel, law: Callable[[float], float],
     """Ratio table n_+(s) / law(s) over a threshold sequence.
 
     Counting functions are integer staircases while the laws are smooth,
-    so each row carries a half-width 1/law(s) error bar.
+    so each row carries a half-width 1/law(s) error bar.  The thresholds,
+    falling, are checked and counted in one pass each; errors come in
+    threshold order, a threshold's adequacy before its law.
     """
-    rows = []
-    for s in sorted(s_sequence, reverse=True):
-        model.require_adequate(s)
-        n = model.spectrum.n_plus(s)
-        lv = law(s)
-        rows.append((float(s), int(n), float(lv), float(n / lv), float(1.0 / lv)))
-    return LawComparison(rows)
+    s_falling = sorted(s_sequence, reverse=True)
+    laws = []
+    for s in s_falling:
+        try:
+            laws.append(law(s))
+        except Exception:
+            model.require_adequate(s_falling[:len(laws) + 1])
+            raise
+    model.require_adequate(s_falling)
+    counts = model.spectrum.n_plus(s_falling).tolist()
+    return LawComparison([(float(s), n, float(lv), float(n / lv), float(1.0 / lv))
+                          for s, n, lv in zip(s_falling, counts, laws)])

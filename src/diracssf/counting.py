@@ -8,7 +8,9 @@ positives with falling log values, then the zeros, then the negatives with
 rising log values, each sign group a known contiguous range.  The
 constructor sorts (O(n log n)); counts and the threshold margin are
 binary searches (O(log n)); the smallest positive entry is the last of
-its group (O(1)).
+its group (O(1)).  Every threshold query also takes a 1-D array of
+thresholds and answers them all in one pass, each entry bitwise the
+answer of the one-threshold call.
 The module also hosts the Cauchy-measure average of counting
 functions over a matrix pencil A + tB with B >= 0, evaluated in closed
 form from the pencil roots.
@@ -31,6 +33,10 @@ class JumpLocalizationError(DiracSsfError, RuntimeError):
     """The pencil roots could not be located or do not explain the counts."""
 
 
+class IdentityViolationError(DiracSsfError, AssertionError):
+    """The two sides of the arctan-trace identity disagree."""
+
+
 @dataclass(frozen=True)
 class LogSpectrum:
     """Eigenvalues of a compact self-adjoint operator in log storage.
@@ -47,6 +53,14 @@ class LogSpectrum:
     O(n log n); ``n_plus``, ``n_minus`` and ``threshold_margin`` are
     O(log n) binary searches; ``positive_logs`` and ``negative_logs`` are
     O(1) views.
+
+    The four threshold queries (the three above and ``trace_arctan``)
+    take one threshold, answered as a Python number, or a 1-D array of m
+    thresholds, answered as an array in one pass: one vectorised binary
+    search for the counts and the margin, O(m log n), and one (m, n_+)
+    block of arctan values summed row by row for the trace.  Each entry
+    is bitwise the one-threshold answer, so a bracket that reads a
+    spectrum at both slack thresholds pays the per-call overhead once.
     """
 
     log_values: np.ndarray
@@ -97,17 +111,15 @@ class LogSpectrum:
         """Log magnitudes of the negative eigenvalues, rising (a view)."""
         return self.log_values[self._neg_start:]
 
-    def n_plus(self, s: float) -> int:
-        if not s > 0:
-            raise ValueError("counting threshold s must be positive")
+    def n_plus(self, s):
+        flat, one = _thresholds(s, "counting threshold s must be positive")
         pos = self.positive_logs
-        return pos.size - int(np.searchsorted(pos[::-1], np.log(s), side="right"))
+        return _answer(pos.size - np.searchsorted(pos[::-1], np.log(flat), side="right"), one)
 
-    def n_minus(self, s: float) -> int:
-        if not s > 0:
-            raise ValueError("counting threshold s must be positive")
+    def n_minus(self, s):
+        flat, one = _thresholds(s, "counting threshold s must be positive")
         neg = self.negative_logs
-        return neg.size - int(np.searchsorted(neg, np.log(s), side="right"))
+        return _answer(neg.size - np.searchsorted(neg, np.log(flat), side="right"), one)
 
     def log_schatten_pth_power(self, p: int) -> float:
         """log of sum |lambda_i|^p over the nonzero eigenvalues.
@@ -126,42 +138,63 @@ class LogSpectrum:
         count = np.count_nonzero(at_top)
         return float(np.log1p(np.sum(shifted) / count) + np.log(count) + top)
 
-    def trace_arctan(self, s: float) -> float:
+    def trace_arctan(self, s):
         """Tr arctan(T / s) over the positive eigenvalues.
 
-        Reads the sorted positive group, split at log(T/s) = +-30 into
-        contiguous slices by binary search.
+        Reads the sorted positive group against every log s at once: one
+        (m, n_+) block of log ratios, each row split at log(T/s) = +-30
+        into contiguous slices by binary search, then summed row by row.
         """
-        if not s > 0:
-            raise ValueError("scale s must be positive")
-        lv = self.positive_logs
-        if lv.size == 0:
-            return 0.0
-        return float(np.sum(_arctan_of_log_ratio(lv, math.log(s))))
+        flat, one = _thresholds(s, "scale s must be positive")
+        # libm's log entry by entry; numpy's vectorised log need not match its bits
+        log_s = np.array([math.log(v) for v in flat.tolist()])
+        block = _arctan_of_log_ratio(self.positive_logs, log_s[:, None])
+        return _answer(np.add.reduce(block, axis=1), one)
 
-    def threshold_margin(self, s: float) -> float:
+    def threshold_margin(self, s):
         """Min log-distance of any nonzero eigenvalue to the threshold.
 
         In each sorted group the nearest entries are the two around the
         insertion point of log s.
         """
-        if not s > 0:
-            raise ValueError("counting threshold s must be positive")
-        log_s = np.log(s)
-        margin = np.inf
-        for group in (self.positive_logs[::-1], self.negative_logs):
+        flat, one = _thresholds(s, "counting threshold s must be positive")
+        log_s = np.log(flat)
+        margin = np.full(flat.shape, np.inf)
+        for group, falling in ((self.positive_logs, True), (self.negative_logs, False)):
             if group.size:
-                i = int(np.searchsorted(group, log_s))
-                margin = min(margin, np.abs(group[max(i - 1, 0):i + 1] - log_s).min())
-        return float(margin)
+                i = np.searchsorted(group[::-1] if falling else group, log_s)
+                if falling:
+                    i = group.size - i  # the same two neighbours, counted from the front
+                margin = np.minimum(margin, np.minimum(
+                    np.abs(group.take(i - 1, mode="clip") - log_s),
+                    np.abs(group.take(i, mode="clip") - log_s)))
+        return _answer(margin, one)
 
     def values(self) -> np.ndarray:
         """Eigenvalues in linear scale (may underflow; for small cases)."""
         return self.signs * np.exp(self.log_values) * (self.signs != 0)
 
 
-def flag_near_threshold(spec: LogSpectrum, s: float) -> bool:
-    """True when an eigenvalue sits within ``THRESHOLD_FLAG_TOL`` (log scale) of s."""
+def _thresholds(s, message: str) -> tuple[np.ndarray, bool]:
+    """A query's thresholds as a 1-D float array, and whether s was one
+    number; ValueError(message) unless every entry is positive."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise ValueError("thresholds must be one number or a 1-D array")
+    flat = s.reshape(-1)
+    if not all(v > 0 for v in flat.tolist()):  # NaN fails too
+        raise ValueError(message)
+    return flat, s.ndim == 0
+
+
+def _answer(values: np.ndarray, one: bool):
+    """The Python number for a one-threshold query, else the array."""
+    return values.item() if one else values
+
+
+def flag_near_threshold(spec: LogSpectrum, s):
+    """True when an eigenvalue sits within ``THRESHOLD_FLAG_TOL`` (log scale)
+    of s; elementwise for an array of thresholds."""
     return spec.threshold_margin(s) < THRESHOLD_FLAG_TOL
 
 
@@ -283,27 +316,38 @@ def mu_average_counting(s: float, a, b, sign: int = 1) -> float:
         "eigenvalue of A on the kernel of B")
 
 
+# x < -30 and x <= 30 as one left-sided binary search
+_BRANCH_EDGES = np.array([-30.0, math.nextafter(30.0, math.inf)])
+
+
 def _arctan_of_log_ratio(log_num, log_den) -> np.ndarray:
     """arctan(exp(x)) for x = log_num - log_den, without overflow.
 
-    x must be monotone in either direction, as a sorted ``LogSpectrum``
-    group against one threshold is, so the branches x < -30, |x| <= 30 and
-    x > 30 are contiguous slices found by binary search.
+    x is one row or, broadcast, a block of rows.  Each row must be
+    monotone in either direction, as a sorted ``LogSpectrum`` group
+    against one threshold is, so the branches x < -30, |x| <= 30 and
+    x > 30 are contiguous slices of it found by one binary search.  When
+    the ends of every row lie within +-30, each row is one middle slice
+    and the whole block is evaluated by one exp and one arctan call.
     """
     x = log_num - log_den
     out = np.empty_like(x)
-    n = x.size
-    falling = n > 1 and x[0] > x[-1]
-    rising = x[::-1] if falling else x
-    lo = int(np.searchsorted(rising, -30.0, side="left"))
-    hi = int(np.searchsorted(rising, 30.0, side="right"))
-    if falling:
-        big, mid, small = slice(0, n - hi), slice(n - hi, n - lo), slice(n - lo, n)
-    else:
-        small, mid, big = slice(0, lo), slice(lo, hi), slice(hi, n)
-    out[mid] = np.arctan(np.exp(x[mid]))
-    out[big] = np.pi / 2.0 - np.exp(-x[big])
-    out[small] = np.exp(x[small])
+    if x.size == 0:
+        return out
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    if np.abs(rows[:, [0, -1]]).max() <= 30.0:
+        return np.arctan(np.exp(x, out=out), out=out)
+    for row, res in zip(rows, out.reshape(-1, n)):
+        falling = n > 1 and row[0] > row[-1]
+        lo, hi = np.searchsorted(row[::-1] if falling else row, _BRANCH_EDGES)
+        if falling:
+            big, mid, small = slice(0, n - hi), slice(n - hi, n - lo), slice(n - lo, n)
+        else:
+            small, mid, big = slice(0, lo), slice(lo, hi), slice(hi, n)
+        res[mid] = np.arctan(np.exp(row[mid]))
+        res[big] = np.pi / 2.0 - np.exp(-row[big])
+        res[small] = np.exp(row[small])
     return out
 
 
@@ -313,9 +357,9 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
     For a positive trace-class T the mu-average of n_+(s; tT) equals
     (1/pi) Tr arctan(T/s).  The left side is assembled from per-eigenvalue
     Cauchy tails mu((s/lambda_j, inf)), the right side is
-    ``LogSpectrum.trace_arctan``; they are asserted equal to 1e-12 and
-    returned as a pair so callers can cross-check the matrix quadrature
-    path against either.
+    ``LogSpectrum.trace_arctan``; they must agree to 1e-12
+    (``IdentityViolationError`` otherwise) and are returned as a pair so
+    callers can cross-check the matrix quadrature path against either.
     """
     if not s > 0:
         raise ValueError("threshold s must be positive")
@@ -327,7 +371,7 @@ def arctan_trace_identity(s: float, spec: LogSpectrum):
     lhs = float(np.sum(tails))
     rhs = spec.trace_arctan(s) / np.pi
     if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
-        raise AssertionError(f"arctan-trace identity violated: {lhs} vs {rhs}")
+        raise IdentityViolationError(f"arctan-trace identity violated: {lhs} vs {rhs}")
     return lhs, rhs
 
 

@@ -359,7 +359,7 @@ def _toeplitz_model(cfg: ScenarioConfig, profile, s_values):
     model = toeplitz_radial_spectrum(
         profile, _basis(cfg, count_truncation(profile.law, s_min, cfg.b0)))
     if (all(model.count_certified(s) for s in s_values)
-            or any(flag_near_threshold(model.spectrum, s) for s in s_values)):
+            or flag_near_threshold(model.spectrum, s_values).any()):
         return model
     return toeplitz_radial_spectrum(
         profile, _basis(cfg, suggest_truncation(profile.law, s_min, cfg.b0)))

@@ -156,11 +156,13 @@ class BracketEstimate:
 
 
 def omega1_trace(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
-                 s: float, m: float = 1.0) -> float:
+                 s, m: float = 1.0):
     """Tr arctan(Omega1 / s) for Omega1 = diag(W+ / t(lam, +1), W- / t(lam, -1)).
 
     Tr arctan((W / t) / s) = Tr arctan(W / (s t)), so each family is traced
-    at its own threshold and no spectrum is scaled or merged.
+    at its own threshold and no spectrum is scaled or merged.  s may be a
+    1-D array: each family is then traced once for all of it, and the
+    traces come back as an array.
     """
     if not abs(lam) > m:
         raise ValueError("outside-gap operator requires |lambda| > m")
@@ -282,7 +284,9 @@ class SsfEstimator:
 
         The pair whose eigenvalues do not accumulate at the probed edge
         gets the degenerate bracket [0, 0] flagged ``bounded``.  lambda = 0
-        is on both sides, so H+ at -0 mirrors H- at +0.
+        is on both sides, so H+ at -0 mirrors H- at +0.  Both slack
+        thresholds (1 -+ eps) t are checked in one guarded read and counted
+        in one call.
         """
         if not abs(lam) < self.m:
             raise ValueError("inside bracket requires |lambda| < m")
@@ -292,18 +296,19 @@ class SsfEstimator:
         if e * lam < 0.0:
             return BracketEstimate(0.0, 0.0, eps, None, bounded=True)
         t = edge_threshold(lam, e, self.m)
-        s_lo, s_hi = (1.0 - eps) * t, (1.0 + eps) * t
-        model.require_adequate(s_lo)
-        model.require_adequate(s_hi)
+        s = np.array([(1.0 - eps) * t, (1.0 + eps) * t])
+        model.require_adequate(s)
         # H- counts -n_+ at the +m edge, H+ counts +n_+ at the -m edge
-        lower, upper = sorted((-e * model.spectrum.n_plus(s_lo),
-                               -e * model.spectrum.n_plus(s_hi)))
+        lower, upper = sorted((-e * model.spectrum.n_plus(s)).tolist())
         return BracketEstimate(lower, upper, eps, t)
 
     # -- outside the gap -----------------------------------------------
 
     def outside_bracket(self, lam: float, eps: float, pair: str) -> BracketEstimate:
-        """arctan-trace bracket for the shift function outside the gap."""
+        """arctan-trace bracket for the shift function outside the gap.
+
+        W+ and W- are each traced once, for both s = 1 +- eps.
+        """
         if not 0.0 < eps < 1.0:
             raise ValueError("slack eps must lie in (0, 1)")
         if not abs(lam) > self.m:
@@ -315,8 +320,8 @@ class SsfEstimator:
                 "and H+ with the -m edge; other combinations are not estimated"
             )
         wp, wm = self.wplus_model.spectrum, self.wminus_model.spectrum
-        tr_lo = omega1_trace(lam, wp, wm, 1.0 + eps, self.m)
-        tr_hi = omega1_trace(lam, wp, wm, 1.0 - eps, self.m)
+        tr_lo, tr_hi = omega1_trace(lam, wp, wm, np.array([1.0 + eps, 1.0 - eps]),
+                                    self.m).tolist()
         self._check_arctan_tail(lam, 1.0 - eps, tr_hi)
         # H- (+m edge) carries the minus sign, H+ (-m edge) the plus sign
         lower, upper = sorted((-e * tr_lo / math.pi, -e * tr_hi / math.pi))

@@ -291,13 +291,13 @@ class ToeplitzModel:
         pos = self.spectrum.positive_logs
         return float(pos[-1]) if pos.size else math.inf
 
-    def adequate_for(self, s: float) -> bool:
+    def adequate_for(self, s):
         """Truncation rule: the smallest kept eigenvalue must sit well
-        below the counting threshold (factor 1e-3)."""
+        below the counting threshold (factor 1e-3); elementwise for an
+        array of thresholds."""
         smallest = self._smallest_log()
-        if np.isinf(smallest):
-            return True  # zero operator is adequate at every threshold
-        return smallest < np.log(s) + np.log(ADEQUACY_MARGIN)
+        # the zero operator (smallest = inf) is adequate at every threshold
+        return (smallest < np.log(s) + np.log(ADEQUACY_MARGIN)) | math.isinf(smallest)
 
     def _certificate_failure(self, s: float) -> str | None:
         """The first failing condition of the count certificate at s, or None."""
@@ -322,25 +322,37 @@ class ToeplitzModel:
         eigenvalue flagged near s."""
         return self._certificate_failure(s) is None
 
-    def require_adequate(self, s: float):
+    def require_adequate(self, s):
         """The one guarded read of a count at s: refuse a threshold that
         sits on an eigenvalue, then pass when the depth margin holds at s
-        or the count is certified."""
-        if flag_near_threshold(self.spectrum, s):
-            raise TruncationError(
-                f"threshold {float(s)!r} collides with an eigenvalue (within "
-                f"{THRESHOLD_FLAG_TOL:g} on the log scale); shift it"
-            )
-        if self.adequate_for(s):
-            return
-        failure = self._certificate_failure(s)
-        if failure is not None:
-            raise TruncationError(
-                f"basis K={self.K} inadequate for threshold {s:g}: "
-                f"smallest positive log-eigenvalue {self._smallest_log():.2f} "
-                f"vs required {np.log(s) + np.log(ADEQUACY_MARGIN):.2f}, "
-                f"and the count is not certified: {failure}"
-            )
+        or the count is certified.
+
+        s is one threshold or a 1-D array of them.  An array is screened
+        in one pass, and raises the error that the first failing
+        threshold raises on its own.
+        """
+        flat = np.asarray(s, dtype=float).reshape(-1)
+        values = flat.tolist()
+        # the thresholds before the first nonpositive one are screened at once
+        stop = next((j for j, v in enumerate(values) if not v > 0), len(values))
+        head = flat[:stop]
+        for value, collides, adequate in zip(values, flag_near_threshold(self.spectrum, head).tolist(),
+                                             self.adequate_for(head).tolist()):
+            if collides:
+                raise TruncationError(
+                    f"threshold {value!r} collides with an eigenvalue (within "
+                    f"{THRESHOLD_FLAG_TOL:g} on the log scale); shift it"
+                )
+            failure = None if adequate else self._certificate_failure(value)
+            if failure is not None:
+                raise TruncationError(
+                    f"basis K={self.K} inadequate for threshold {value:g}: "
+                    f"smallest positive log-eigenvalue {self._smallest_log():.2f} "
+                    f"vs required {np.log(value) + np.log(ADEQUACY_MARGIN):.2f}, "
+                    f"and the count is not certified: {failure}"
+                )
+        if stop < len(values):
+            self.spectrum.threshold_margin(values[stop])  # the float call's ValueError
 
 
 def toeplitz_radial_spectrum(profile: RadialProfile, basis: LLLBasis) -> ToeplitzModel:

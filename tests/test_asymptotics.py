@@ -153,6 +153,50 @@ class TestCompareLaw:
             assert 0.85 <= ratio <= 1.15
 
 
+def _compare_per_threshold(model, law, s_sequence):
+    """``compare_law`` as one guarded read, count and law per threshold."""
+    rows = []
+    for s in sorted(s_sequence, reverse=True):
+        model.require_adequate(s)
+        n = model.spectrum.n_plus(s)
+        lv = law(s)
+        rows.append((float(s), int(n), float(lv), float(n / lv), float(1.0 / lv)))
+    return rows
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _law_refusing(*refused):
+    def law(s):
+        if s in refused:
+            raise ValueError(f"the law refuses {s!r}")
+        return -math.log(s)
+    return law
+
+
+# lambda_k = 2^-(k+1) at K = 64: 0.25 sits on lambda_1, 1e-30 is below the
+# depth margin and the certificate, -1 is refused by every count
+@pytest.mark.parametrize("s_values, refused", [
+    ([1e-3, 1e-6, 3e-4], ()),
+    ([1e-30, 0.6], (0.6,)),
+    ([0.25, 1e-3], (1e-3,)),
+    ([1e-3, 1e-30, 1e-8], (1e-8,)),
+    ([1e-3, -1.0], ()),
+    ([1e-3, -1.0], (-1.0,)),
+    ([1e-3, 1e-30, -1.0], (1e-3,)),
+])
+def test_compare_law_keeps_the_per_threshold_rows_and_errors(basis_b2_64, s_values, refused):
+    model = toeplitz_radial_spectrum(gaussian_profile(1.0), basis_b2_64)
+    law = _law_refusing(*refused)
+    got = _outcome(lambda: compare_law(model, law, s_values).rows)
+    assert got == _outcome(_compare_per_threshold, model, law, s_values)
+
+
 def test_law_for_profile_dispatch():
     # each profile gets its own tail's count law, bound to the field
     s = 1e-6

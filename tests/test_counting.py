@@ -367,6 +367,72 @@ class TestSortedQueriesAgainstLexsortOracle:
                 == masked_arctan_of_log_ratio(log_s, lv).tobytes())
 
 
+@st.composite
+def spectrum_and_thresholds(draw):
+    """A spectrum drawn like ``spectrum_and_threshold`` and 0, 1 or 3
+    thresholds, unsorted and with repeats: its own s, levels that put an
+    entry's log ratio just inside, on or just outside +-30 or past exp's
+    overflow at 709.78, and any s."""
+    spec, s = draw(spectrum_and_threshold())
+    if draw(st.booleans()):  # long positive groups in the middle branch at s
+        logs = draw(st.lists(st.floats(math.log(s) - 29.0, math.log(s) + 29.0),
+                             min_size=8, max_size=200))
+        spec = LogSpectrum.from_log(logs)
+    logs = spec.log_values.tolist() or [0.0]
+    offsets = [-740.0, -710.0, -30.5, -30.0, -29.5, 0.0, 29.5, 30.0, 30.5, 710.0]
+    near_branch_edge = st.tuples(st.sampled_from(logs), st.sampled_from(offsets))
+    level = st.one_of(st.just(s), st.floats(1e-300, 1e300),
+                      near_branch_edge.map(lambda p: math.exp(min(max(p[0] + p[1], -744.0), 709.0))))
+    size = draw(st.sampled_from([0, 1, 3]))
+    return spec, draw(st.lists(level, min_size=size, max_size=size))
+
+
+QUERIES = ("trace_arctan", "n_plus", "n_minus", "threshold_margin")
+
+
+def _entries(values):
+    """Comparable form of a query's answers: ints as they are, floats by their bits."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestThresholdArrays:
+    """An array of thresholds is answered in one pass, each entry bitwise
+    the one-threshold call."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(spectrum_and_thresholds())
+    def test_every_entry_is_the_float_call(self, spec_ss):
+        spec, ss = spec_ss
+        for query in QUERIES:
+            got = getattr(spec, query)(np.array(ss, dtype=float))
+            assert isinstance(got, np.ndarray) and got.shape == (len(ss),), query
+            assert _entries(got.tolist()) == _entries([getattr(spec, query)(s) for s in ss]), query
+        oracle = MaskedSpectrum.of(spec)
+        assert (_entries(spec.trace_arctan(np.array(ss, dtype=float)).tolist())
+                == _entries([oracle.trace_arctan(s) for s in ss]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(spectrum_and_thresholds(), st.sampled_from([0.0, -0.0, -1.0, -np.inf, np.nan]),
+           st.integers(0, 3))
+    def test_a_nonpositive_threshold_raises_what_the_float_call_raises(self, spec_ss, bad, at):
+        spec, ss = spec_ss
+        ss = ss[:at] + [bad] + ss[at:]
+        for query in QUERIES:
+            with pytest.raises(ValueError) as alone:
+                getattr(spec, query)(bad)
+            with pytest.raises(ValueError) as in_array:
+                getattr(spec, query)(np.array(ss))
+            assert str(in_array.value) == str(alone.value)
+
+    def test_one_threshold_answers_a_python_number(self):
+        spec = LogSpectrum.from_eigenvalues([3.0, 0.0, -2.0])
+        assert type(spec.trace_arctan(1.0)) is float and type(spec.n_plus(1.0)) is int
+        assert type(spec.n_minus(np.float64(1.0))) is int
+        assert type(spec.threshold_margin(np.array(1.0))) is float
+        with pytest.raises(ValueError, match="1-D"):
+            spec.n_plus(np.ones((2, 2)))
+
+
 def dense_counts(matrix, s):
     """(n_+, n_-) of a symmetric matrix at s from a dense eigvalsh."""
     ev = np.linalg.eigvalsh(matrix)

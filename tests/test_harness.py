@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from diracssf import cli, harness
 from diracssf._quad import QuadratureError
 from diracssf.cli import main
-from diracssf.counting import JumpLocalizationError
+from diracssf.counting import IdentityViolationError, JumpLocalizationError, LogSpectrum
 from diracssf.harness import (
     _KINDS,
     _SECTIONS,
@@ -631,6 +631,17 @@ class TestCli:
         self._refused(capsys, ["run", "--config", self._write(tmp_path, MINIMAL),
                                "--out", str(out)], f"run stopped: {error.__name__} from the runner")
         assert not out.exists()
+
+    def test_a_violated_arctan_identity_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        # the identities runner checks the arctan-trace identity; pull its
+        # right side off so the two sides disagree
+        monkeypatch.setattr(LogSpectrum, "trace_arctan", lambda self, s: 1e3)
+        out = tmp_path / "r.csv"
+        self._refused(capsys, ["run", "--config", self._write(tmp_path, MINIMAL),
+                               "--out", str(out)], "run stopped: arctan-trace identity violated: ")
+        assert not out.exists()
+        assert issubclass(IdentityViolationError, DiracSsfError)
+        assert issubclass(IdentityViolationError, AssertionError)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import collections
 import math
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from diracssf.ssf import (
     omega1_trace,
     TruncatedTailError,
 )
-from diracssf.toeplitz import (TruncationError, disc_profile, gaussian_profile, power_profile,
-                               toeplitz_radial_spectrum)
+from diracssf.toeplitz import (ToeplitzModel, TruncationError, disc_profile, gaussian_profile,
+                               power_profile, toeplitz_radial_spectrum)
 
 
 def diag_matrix(m11=1.0, m33=1.0, m13=0.0):
@@ -440,6 +441,29 @@ class TestOutsideBracket:
         full = build_omega_full(est_exp, lam).spectrum
         full_mid = -0.5 * (full.trace_arctan(1.1) + full.trace_arctan(0.9)) / math.pi
         assert abs(a.midpoint - full_mid) < 0.05 * abs(a.midpoint)
+
+
+def test_one_bracket_reads_each_spectrum_once(est_exp, monkeypatch):
+    # both slack thresholds go through one call per spectrum: two traces
+    # outside (W+ and W-), one guarded read and one count inside
+    calls = collections.Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(LogSpectrum, "trace_arctan")
+    counted(LogSpectrum, "n_plus")
+    counted(ToeplitzModel, "require_adequate")
+    est_exp.outside_bracket(1.01, 0.1, "H-")
+    assert calls == {"trace_arctan": 2}
+    calls.clear()
+    est_exp.inside_bracket(0.99, 0.1, "H-")
+    assert calls == {"require_adequate": 1, "n_plus": 1}
 
 
 class TestPredictions:

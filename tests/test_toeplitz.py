@@ -272,6 +272,46 @@ class TestCountCertificate:
         assert f"smallest positive log-eigenvalue {-64 * np.log(2.0):.2f}" in str(err.value)
 
 
+def _first_error(call, thresholds):
+    """(type, message) of the first error of ``call`` over ``thresholds`` in
+    order, one threshold per call, or None."""
+    for s in thresholds:
+        try:
+            call(s)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def model_and_thresholds(draw, basis):
+    """k-ordered logs (falling, or with one rise), flagged nonincreasing or
+    not, and 0-4 thresholds: on an eigenvalue, near one, deep below all of
+    them, or nonpositive."""
+    lv = np.sort(np.array(draw(st.lists(st.floats(-90.0, 2.0), min_size=1, max_size=12))))[::-1]
+    if lv.size > 1 and draw(st.booleans()):
+        lv[[0, -1]] = lv[[-1, 0]]
+    profile = gaussian_profile(1.0)
+    if draw(st.booleans()):
+        profile = RadialProfile(profile.log_value, profile.law)
+    level = st.one_of(
+        st.sampled_from(lv.tolist()).map(math.exp),
+        st.tuples(st.sampled_from(lv.tolist()), st.floats(-12.0, 3.0)).map(
+            lambda p: math.exp(p[0] + p[1])),
+        st.sampled_from([0.0, -1.0, math.nan]))
+    model = ToeplitzModel(basis, profile, np.ascontiguousarray(lv))
+    return model, draw(st.lists(level, max_size=4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_require_adequate_on_an_array_raises_the_first_float_error(basis_b2_64, data):
+    model, ss = data.draw(model_and_thresholds(basis_b2_64))
+    want = _first_error(model.require_adequate, ss)
+    got = _first_error(model.require_adequate, [np.array(ss, dtype=float)])
+    assert got == want
+
+
 def test_scaled_tails():
     # a constant factor c scales u; the exponential and compact classes
     # have no amplitude parameter
