@@ -161,7 +161,8 @@ def omega1_trace(lam: float, wplus_spec: LogSpectrum, wminus_spec: LogSpectrum,
 
     Tr arctan((W / t) / s) = Tr arctan(W / (s t)), so each family is traced
     at its own threshold and no spectrum is scaled or merged.  s may be a
-    1-D array: each family is then traced once for all of it, and the
+    1-D array of m values: each family is then traced once for all of
+    them, at one call's fixed cost plus m rows of arctan values, and the
     traces come back as an array.
     """
     if not abs(lam) > m:
